@@ -18,8 +18,18 @@ Cumulative hazard, reliability R(t) = exp(-int_0^t h) and the failure CDF
 are evaluated from exact per-segment antiderivatives; no quadrature is
 involved outside :func:`mean_time_to_failure`.
 
+Cost model: the first calculus call on a trajectory object compiles its
+segment profile (start times and the cumulative hazard at each start) in
+O(segments) and memoizes it on that object; every later ``hazard_at``,
+``cumulative_hazard`` or ``invert_cumulative_hazard`` call is one bisect
+plus one form call, O(log segments).  There is no process-wide cache: the
+profile lives and dies with its trajectory, and equal but distinct objects
+each compile their own.
+
 All types are immutable after construction and all operations are pure, so
-everything here is safe to share across threads.
+everything here is safe to share across threads; the profile memo is
+derived from immutable fields, so two threads racing on the first call at
+most compute the same profile twice.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 from scipy import integrate
 
@@ -85,8 +95,14 @@ class PrincipleViolationError(ValueError):
 # ---------------------------------------------------------------------------
 # Segment forms.  Each knows its value, exact antiderivative, and (where one
 # exists) the closed-form inverse of the antiderivative, all in elapsed time
-# u = t - segment start.
+# u = t - segment start.  Where exp or ** overflows, value and integral
+# saturate to the signed infinity instead of raising OverflowError.
 # ---------------------------------------------------------------------------
+
+
+def _times_overflow(scale: float) -> float:
+    """``scale * x`` for an x that overflowed past the largest float."""
+    return math.copysign(math.inf, scale) if scale != 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -154,14 +170,20 @@ class Power:
             if self.exponent == 0.0:
                 return self.base + self.coefficient
             return math.inf if self.coefficient > 0.0 else -math.inf
-        return self.base + self.coefficient * u**self.exponent
+        try:
+            return self.base + self.coefficient * u**self.exponent
+        except OverflowError:
+            return self.base + _times_overflow(self.coefficient)
 
     def integral(self, u: float) -> float:
         if self.coefficient == 0.0:
             return self.base * u
-        return self.base * u + self.coefficient * u ** (self.exponent + 1.0) / (
-            self.exponent + 1.0
-        )
+        try:
+            return self.base * u + self.coefficient * u ** (self.exponent + 1.0) / (
+                self.exponent + 1.0
+            )
+        except OverflowError:
+            return self.base * u + _times_overflow(self.coefficient / (self.exponent + 1.0))
 
     def invert_integral(self, area: float) -> float | None:
         if self.coefficient == 0.0:
@@ -185,12 +207,18 @@ class ExponentialGrowth:
         object.__setattr__(self, "growth", float(self.growth))
 
     def value(self, u: float) -> float:
-        return self.base * math.exp(self.growth * u)
+        try:
+            return self.base * math.exp(self.growth * u)
+        except OverflowError:
+            return _times_overflow(self.base)
 
     def integral(self, u: float) -> float:
         if self.growth == 0.0:
             return self.base * u
-        return self.base * math.expm1(self.growth * u) / self.growth
+        try:
+            return self.base * math.expm1(self.growth * u) / self.growth
+        except OverflowError:  # growth * u is large, so growth > 0
+            return _times_overflow(self.base)
 
     def invert_integral(self, area: float) -> float | None:
         if self.growth == 0.0:
@@ -288,6 +316,20 @@ class HazardTrajectory:
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
         object.__setattr__(self, "maintenance_epochs", tuple(self.maintenance_epochs))
+
+    @cached_property
+    def _profile(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """Segment start times and cumulative hazard at each start.
+
+        Compiled on first use, not at construction, because candidates that
+        fail validation must still be constructible.  Not a dataclass field,
+        so equality, hashing and ``repr`` ignore it.
+        """
+        starts = tuple(seg.start_time for seg in self.segments)
+        prefix = [0.0]
+        for seg, nxt in zip(self.segments, starts[1:]):
+            prefix.append(prefix[-1] + seg.form.integral(nxt - seg.start_time))
+        return starts, tuple(prefix)
 
 
 @dataclass(frozen=True)
@@ -485,16 +527,6 @@ def ensure_valid(traj: HazardTrajectory) -> HazardTrajectory:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=512)
-def _profile(traj: HazardTrajectory) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Segment start times and cumulative hazard at each start."""
-    starts = tuple(seg.start_time for seg in traj.segments)
-    prefix = [0.0]
-    for seg, nxt in zip(traj.segments, starts[1:]):
-        prefix.append(prefix[-1] + seg.form.integral(nxt - seg.start_time))
-    return starts, tuple(prefix)
-
-
 def _require_nonnegative_time(t: float) -> float:
     t = float(t)
     if not (t >= 0.0 and math.isfinite(t)):
@@ -506,7 +538,7 @@ def hazard_at(traj: HazardTrajectory, t: float) -> float:
     """Right-continuous hazard value h(t); at a boundary this is the value
     of the incoming segment."""
     t = _require_nonnegative_time(t)
-    starts, _ = _profile(traj)
+    starts, _ = traj._profile
     i = bisect_right(starts, t) - 1
     seg = traj.segments[i]
     return seg.form.value(t - seg.start_time)
@@ -516,7 +548,7 @@ def cumulative_hazard(traj: HazardTrajectory, t: float) -> float:
     """Integral of the hazard over [0, t], from exact per-segment
     antiderivatives."""
     t = _require_nonnegative_time(t)
-    starts, prefix = _profile(traj)
+    starts, prefix = traj._profile
     i = bisect_right(starts, t) - 1
     seg = traj.segments[i]
     return prefix[i] + seg.form.integral(t - seg.start_time)
@@ -543,7 +575,7 @@ def invert_cumulative_hazard(traj: HazardTrajectory, target: float) -> float:
     target = float(target)
     if not (target >= 0.0 and math.isfinite(target)):
         raise ValueError(f"target cumulative hazard must be finite and nonnegative, got {target!r}")
-    starts, prefix = _profile(traj)
+    starts, prefix = traj._profile
     i = bisect_right(prefix, target) - 1
     seg = traj.segments[i]
     remainder = target - prefix[i]
@@ -611,7 +643,7 @@ def recovered_hazard(traj: HazardTrajectory, t: float, dt: float = 1e-4) -> floa
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     if t < dt:
         raise ValueError(f"t={t:g} is within dt={dt:g} of time zero; cannot center the difference")
-    starts, _ = _profile(traj)
+    starts, _ = traj._profile
     for boundary in starts[1:]:
         if abs(t - boundary) <= dt:
             raise ValueError(
@@ -635,7 +667,7 @@ def mean_time_to_failure(traj: HazardTrajectory) -> float:
     point the tail is R(t)/h for a constant final segment, else quadrature
     continues in growing windows until an increment falls below 1e-12.
     """
-    starts, _ = _profile(traj)
+    starts, _ = traj._profile
     t_cut = max(invert_cumulative_hazard(traj, MTTF_CUTOFF_CUMULATIVE_HAZARD), starts[-1])
 
     def survival(t: float) -> float:

@@ -52,6 +52,26 @@ def quad_mttf(traj: HazardTrajectory) -> float:
     return total
 
 
+def periodic_linear_mttf(h0: float, slope: float, period: float, cycles: int) -> float:
+    """E[T] for a linear hazard h0 + slope*u renewed to h0 every ``period``
+    for ``cycles`` cycles, then left unmaintained.
+
+    Every cycle has the same survival shape, so E[T] is one cycle's
+    integral C times the geometric sum of q = R(period), plus q**cycles
+    times the MTTF of the unmaintained linear tail.  Uses only quadrature
+    of the closed-form survival, never the library.
+    """
+
+    def survival(u: float) -> float:
+        return math.exp(-(h0 * u + 0.5 * slope * u * u))
+
+    cycle, _ = integrate.quad(survival, 0.0, period, epsabs=1e-14, epsrel=1e-12)
+    tail, _ = integrate.quad(survival, 0.0, math.inf, epsabs=1e-14, epsrel=1e-12)
+    h_period = h0 * period + 0.5 * slope * period * period
+    geometric = math.expm1(-cycles * h_period) / math.expm1(-h_period)
+    return cycle * geometric + math.exp(-cycles * h_period) * tail
+
+
 def one_sample_ks(sorted_times, cdf) -> float:
     """sup |F_hat - F| against a continuous CDF, exact over the steps."""
     n = len(sorted_times)

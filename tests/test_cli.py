@@ -19,6 +19,7 @@ from riskcheck.cli import (
 from riskcheck.compare import check_stochastic_order, default_time_grid
 from riskcheck.hazard import (
     Constant,
+    ExponentialGrowth,
     HazardSegment,
     HazardTrajectory,
     Linear,
@@ -119,6 +120,42 @@ class TestEval:
             assert hh == cumulative_hazard(traj, t)
             assert r == reliability(traj, t)
             assert f == failure_cdf(traj, t)
+
+
+class TestOverflow:
+    """exp growth past the largest float saturates; the CLI keeps its exit
+    code contract instead of dying with a traceback (exit 1)."""
+
+    GROWTH = HazardSegment(0.0, ExponentialGrowth(0.1, 1.0))
+
+    def run_module(self, traj, tmp_path, *args):
+        path = write_json(tmp_path / "overflow.json", trajectory_to_dict(traj))
+        return subprocess.run(
+            [sys.executable, "-m", "riskcheck", *args, "--input", str(path), "--out", str(tmp_path)],
+            capture_output=True,
+            text=True,
+        )
+
+    def test_eval_saturates_to_certain_failure(self, tmp_path):
+        traj = HazardTrajectory((self.GROWTH,))
+        result = self.run_module(traj, tmp_path, "eval", "--t-max", "2000")
+        assert result.returncode == EXIT_OK
+        assert "Traceback" not in result.stderr
+        rows = [line.split(",") for line in (tmp_path / "eval.csv").read_text().splitlines()[1:]]
+        overflowed = [row for row in rows if row[2] == "inf"]
+        assert overflowed and overflowed[-1][0] == "2000"
+        for _t, h, _hh, r, f in overflowed:
+            assert (h, r, f) == ("inf", "0", "1")
+
+    def test_validate_reports_overflow_before_a_drop(self, tmp_path):
+        traj = HazardTrajectory((self.GROWTH, HazardSegment(800.0, Constant(1.0))))
+        result = self.run_module(traj, tmp_path, "validate")
+        assert result.returncode == EXIT_PRINCIPLE
+        assert "Traceback" not in result.stderr
+        violations = json.loads(result.stdout)["violations"]
+        assert {"principle": 1, "location": 800.0} in [
+            {"principle": v["principle"], "location": v["location"]} for v in violations
+        ]
 
 
 class TestSample:

@@ -1,13 +1,16 @@
 """Hazard calculus: evaluation, integration, inversion, recovery, MTTF."""
 
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import quad_cumulative_hazard, quad_mttf
+from oracles import periodic_linear_mttf, quad_cumulative_hazard, quad_mttf
 from riskcheck.hazard import (
     Constant,
     ExponentialGrowth,
@@ -24,6 +27,14 @@ from riskcheck.hazard import (
     recovered_hazard,
     reliability,
 )
+from riskcheck.scenarios import (
+    DegradationModel,
+    LinearGrowth,
+    PeriodicPerfect,
+    Scenario,
+    build_trajectory,
+)
+from riskcheck.serialize import trajectory_hash
 from trajgen import random_valid_trajectory
 
 CONSTANT_HALF = HazardTrajectory((HazardSegment(0.0, Constant(0.5)),))
@@ -38,6 +49,12 @@ SAWTOOTH_STEP = HazardTrajectory(
     ),
     (MaintenanceEpoch(10.0, 0.3),),
 )
+
+
+def periodic_sawtooth(period: float, horizon: float) -> HazardTrajectory:
+    """Linear rise 0.1 + 0.05 u, renewed every ``period`` up to ``horizon``."""
+    model = DegradationModel(0.1, LinearGrowth(0.05))
+    return build_trajectory(Scenario("sawtooth", model, PeriodicPerfect(period), horizon))
 
 
 class TestHazardAt:
@@ -208,3 +225,83 @@ class TestMeanTimeToFailure:
     def test_nonconstant_tail(self):
         traj = HazardTrajectory((HazardSegment(0.0, ExponentialGrowth(0.4, 0.3)),))
         assert mean_time_to_failure(traj) == pytest.approx(quad_mttf(traj), abs=1e-8)
+
+    def test_thousand_cycle_sawtooth_matches_closed_form_oracle(self):
+        traj = periodic_sawtooth(0.1, 100.0)
+        cycles = len(traj.maintenance_epochs)
+        assert cycles == len(traj.segments) - 1 >= 999
+        assert mean_time_to_failure(traj) == pytest.approx(
+            periodic_linear_mttf(0.1, 0.05, 0.1, cycles), abs=1e-8
+        )
+
+
+class TestFormOverflow:
+    """Kernels saturate to the signed infinity where exp or ** overflows."""
+
+    @pytest.mark.parametrize(
+        "form, u, value, integral",
+        [
+            (ExponentialGrowth(0.1, 1.0), 2000.0, math.inf, math.inf),
+            (ExponentialGrowth(-0.1, 1.0), 2000.0, -math.inf, -math.inf),
+            (Power(0.5, 2.0, 400.0), 10.0, math.inf, math.inf),
+            (Power(0.5, -2.0, 400.0), 10.0, -math.inf, -math.inf),
+            (Power(0.5, 0.0, 400.0), 10.0, 0.5, 5.0),
+        ],
+    )
+    def test_saturates(self, form, u, value, integral):
+        assert form.value(u) == value
+        assert form.integral(u) == integral
+
+
+class TestCompiledProfile:
+    """The segment profile is compiled once per trajectory object, lives
+    only as long as that object, and makes each lookup O(log segments)."""
+
+    def test_does_not_pin_the_trajectory(self):
+        traj = periodic_sawtooth(1.0, 30.0)
+        cumulative_hazard(traj, 12.5)
+        ref = weakref.ref(traj)
+        del traj
+        gc.collect()
+        assert ref() is None
+
+    def test_equal_objects_evaluate_identically_and_stay_equal(self):
+        a = periodic_sawtooth(1.0, 30.0)
+        b = periodic_sawtooth(1.0, 30.0)
+        assert a is not b
+        before = (a == b, hash(a), hash(b), repr(a), dataclasses.fields(a), trajectory_hash(a))
+        times = np.linspace(0.0, 40.0, 97)
+        for t in times:
+            assert hazard_at(a, t) == hazard_at(b, t)
+            assert cumulative_hazard(a, t) == cumulative_hazard(b, t)
+            assert invert_cumulative_hazard(a, t) == invert_cumulative_hazard(b, t)
+        after = (a == b, hash(a), hash(b), repr(a), dataclasses.fields(a), trajectory_hash(a))
+        assert before == after
+        assert after[0] and after[1] == after[2]
+        assert trajectory_hash(b) == after[5]
+
+    def test_one_form_call_per_lookup(self, monkeypatch):
+        traj = periodic_sawtooth(0.1, 1000.0)
+        assert len(traj.segments) >= 10_000
+        cumulative_hazard(traj, 0.0)  # compiles the profile
+        calls = dict.fromkeys(["value", "integral", "__hash__", "__eq__"], 0)
+
+        def count(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        count(Linear, "value")
+        count(Linear, "integral")
+        # A lookup keyed on the whole trajectory would hash or compare
+        # every segment.
+        count(HazardSegment, "__hash__")
+        count(HazardSegment, "__eq__")
+        cumulative_hazard(traj, 777.77)
+        assert calls == {"value": 0, "integral": 1, "__hash__": 0, "__eq__": 0}
+        hazard_at(traj, 777.77)
+        assert calls == {"value": 1, "integral": 1, "__hash__": 0, "__eq__": 0}
