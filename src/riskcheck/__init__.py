@@ -31,7 +31,6 @@ from .hazard import (
     hazard_at,
     invert_cumulative_hazard,
     mean_time_to_failure,
-    recovered_hazard,
     reliability,
     validate_trajectory,
 )
@@ -47,7 +46,6 @@ from .sampling import (
     SeededStream,
     empirical_cdf,
     sample_failure_time,
-    sample_failure_time_thinning,
     sample_many,
     sample_replicates,
 )
@@ -78,14 +76,12 @@ __all__ = [
     "cumulative_hazard",
     "reliability",
     "failure_cdf",
-    "recovered_hazard",
     "mean_time_to_failure",
     "invert_cumulative_hazard",
     # sampling
     "SeededStream",
     "EmpiricalDistribution",
     "sample_failure_time",
-    "sample_failure_time_thinning",
     "sample_replicates",
     "sample_many",
     "empirical_cdf",

@@ -113,11 +113,7 @@ def _report_plot(config: RunConfig, grid, report, title: str) -> None:
 
 
 def _cmd_validate(config: RunConfig) -> int:
-    if config.input is None:
-        raise SchemaError("validate requires --input")
-    kind, obj = load_input(config.input)
-    traj = build_trajectory(obj) if kind == "scenario" else obj
-    report = validate_trajectory(traj)
+    report = validate_trajectory(_load_trajectory(config))
     print(
         json.dumps(
             {
@@ -282,6 +278,46 @@ def _default_seed() -> int:
     return DEFAULT_SEED
 
 
+# Each option's add_argument keywords; defaults live only in RunConfig.
+_OPTIONS = {
+    "--input": {"type": Path, "required": True, "help": "trajectory or scenario JSON"},
+    "--out": {"type": Path, "help": "output directory (default: .)"},
+    "--grid-points": {"type": int},
+    "--t-max": {"type": float},
+    "--n": {"type": int},
+    "--seed": {"type": int},
+    "--workers": {"type": int},
+    "--plot": {"action": "store_true", "dest": "emit_plot"},
+    "--pra-rate": {
+        "type": float,
+        "help": "exponential rate to compare against (default: 1 / mean time to failure)",
+    },
+}
+
+# Subcommand -> (help, its options in usage order).
+_SUBCOMMANDS = {
+    "validate": ("check the five hazard principles", ("--input", "--out")),
+    "eval": (
+        "tabulate t, h, H, R, F on a grid",
+        ("--input", "--out", "--grid-points", "--t-max"),
+    ),
+    "sample": ("draw failure times to CSV", ("--input", "--out", "--n", "--seed", "--workers")),
+    "bound-check": (
+        "verify the 1 - exp(-h(0) t) lower bound on the failure CDF",
+        ("--input", "--out", "--grid-points", "--t-max", "--plot"),
+    ),
+    "compare": (
+        "add the practitioner's exponential comparator",
+        ("--input", "--out", "--grid-points", "--t-max", "--plot", "--pra-rate"),
+    ),
+    "distance": (
+        "Poisson-approximation distance report",
+        ("--input", "--out", "--grid-points", "--t-max", "--n", "--seed"),
+    ),
+    "catalog": ("write the built-in demonstration scenarios", ("--out",)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riskcheck",
@@ -289,62 +325,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"riskcheck {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, needs_input: bool = True) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        if needs_input:
-            p.add_argument("--input", type=Path, required=True, help="trajectory or scenario JSON")
-        p.add_argument("--out", type=Path, default=Path("."), help="output directory (default: .)")
-        return p
-
-    add("validate", "check the five hazard principles")
-    p = add("eval", "tabulate t, h, H, R, F on a grid")
-    p.add_argument("--grid-points", type=int, default=64)
-    p.add_argument("--t-max", type=float, default=None)
-    p = add("sample", "draw failure times to CSV")
-    p.add_argument("--n", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
-    for name, help_text in (
-        ("bound-check", "verify the 1 - exp(-h(0) t) lower bound on the failure CDF"),
-        ("compare", "add the practitioner's exponential comparator"),
-    ):
-        p = add(name, help_text)
-        p.add_argument("--grid-points", type=int, default=64)
-        p.add_argument("--t-max", type=float, default=None)
-        p.add_argument("--plot", action="store_true")
-        if name == "compare":
-            p.add_argument(
-                "--pra-rate",
-                type=float,
-                default=None,
-                help="exponential rate to compare against (default: 1 / mean time to failure)",
-            )
-    p = add("distance", "Poisson-approximation distance report")
-    p.add_argument("--grid-points", type=int, default=64)
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--n", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=None)
-    add("catalog", "write the built-in demonstration scenarios", needs_input=False)
+    for name, (help_text, options) in _SUBCOMMANDS.items():
+        # Options left off the command line stay absent, so RunConfig's
+        # defaults apply.
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    options = vars(build_parser().parse_args(argv))
     try:
-        seed = getattr(args, "seed", None)
-        config = RunConfig(
-            command=args.command,
-            input=getattr(args, "input", None),
-            out=args.out,
-            grid_points=getattr(args, "grid_points", 64),
-            t_max=getattr(args, "t_max", None),
-            n=getattr(args, "n", 10000),
-            seed=seed if seed is not None else _default_seed(),
-            emit_plot=getattr(args, "plot", False),
-            pra_rate=getattr(args, "pra_rate", None),
-            workers=getattr(args, "workers", 1),
-        )
+        if "seed" not in options:
+            options["seed"] = _default_seed()
+        config = RunConfig(**options)
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

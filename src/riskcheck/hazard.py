@@ -36,8 +36,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
+from typing import ClassVar, Union
 
 from scipy import integrate
 
@@ -46,6 +47,7 @@ __all__ = [
     "Linear",
     "Power",
     "ExponentialGrowth",
+    "SEGMENT_FORMS",
     "HazardSegment",
     "MaintenanceEpoch",
     "HazardTrajectory",
@@ -59,7 +61,6 @@ __all__ = [
     "cumulative_hazard",
     "reliability",
     "failure_cdf",
-    "recovered_hazard",
     "mean_time_to_failure",
     "invert_cumulative_hazard",
     "MTTF_CUTOFF_CUMULATIVE_HAZARD",
@@ -93,10 +94,22 @@ class PrincipleViolationError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Segment forms.  Each knows its value, exact antiderivative, and (where one
-# exists) the closed-form inverse of the antiderivative, all in elapsed time
-# u = t - segment start.  Where exp or ** overflows, value and integral
-# saturate to the signed infinity instead of raising OverflowError.
+# Segment forms.  Every form class carries the whole form protocol, in
+# elapsed time u = t - segment start:
+#
+# * ``name``: its JSON name; its JSON params are its dataclass fields;
+# * ``value(u)`` and ``integral(u)``, the exact antiderivative from 0;
+# * ``invert_integral(area)``: the closed-form inverse of the
+#   antiderivative, or None where there is none (callers root-find);
+# * ``limit_at_infinity()``: the limit of the value as u grows;
+# * ``time_to_reach(level)``: the first u >= 0 with value(u) == level, or
+#   None if the form never gets there;
+# * ``decrease_reason()``: None if the form never decreases (principle 3),
+#   else a short description of the parameter that makes it decrease.
+#
+# Where exp or ** overflows, value and integral saturate to the signed
+# infinity instead of raising OverflowError.  Adding a form means writing
+# one class and listing it in SEGMENT_FORMS.
 # ---------------------------------------------------------------------------
 
 
@@ -105,11 +118,17 @@ def _times_overflow(scale: float) -> float:
     return math.copysign(math.inf, scale) if scale != 0.0 else 0.0
 
 
+def _elapsed(u: float) -> float | None:
+    """``u`` if it is a reachable elapsed time (finite, nonnegative), else None."""
+    return u if 0.0 <= u < math.inf else None
+
+
 @dataclass(frozen=True)
 class Constant:
     """Flat hazard ``level``."""
 
     level: float
+    name: ClassVar[str] = "constant"
 
     def __post_init__(self):
         object.__setattr__(self, "level", float(self.level))
@@ -123,6 +142,15 @@ class Constant:
     def invert_integral(self, area: float) -> float | None:
         return area / self.level
 
+    def limit_at_infinity(self) -> float:
+        return self.level
+
+    def time_to_reach(self, level: float) -> float | None:
+        return 0.0 if level == self.level else None
+
+    def decrease_reason(self) -> str | None:
+        return None
+
 
 @dataclass(frozen=True)
 class Linear:
@@ -130,6 +158,7 @@ class Linear:
 
     intercept: float
     slope: float
+    name: ClassVar[str] = "linear"
 
     def __post_init__(self):
         object.__setattr__(self, "intercept", float(self.intercept))
@@ -148,6 +177,19 @@ class Linear:
         disc = self.intercept * self.intercept + 2.0 * self.slope * area
         return 2.0 * area / (self.intercept + math.sqrt(disc))
 
+    def limit_at_infinity(self) -> float:
+        if self.slope == 0.0:
+            return self.intercept
+        return math.inf if self.slope > 0.0 else -math.inf
+
+    def time_to_reach(self, level: float) -> float | None:
+        if self.slope == 0.0:
+            return 0.0 if level == self.intercept else None
+        return _elapsed((level - self.intercept) / self.slope)
+
+    def decrease_reason(self) -> str | None:
+        return f"negative slope {self.slope:g}" if self.slope < 0.0 else None
+
 
 @dataclass(frozen=True)
 class Power:
@@ -156,6 +198,7 @@ class Power:
     base: float
     coefficient: float
     exponent: float
+    name: ClassVar[str] = "power"
 
     def __post_init__(self):
         object.__setattr__(self, "base", float(self.base))
@@ -178,6 +221,9 @@ class Power:
     def integral(self, u: float) -> float:
         if self.coefficient == 0.0:
             return self.base * u
+        if self.exponent <= -1.0:
+            # u**exponent is not integrable at 0: the area from 0 diverges.
+            return 0.0 if u == 0.0 else self.base * u + _times_overflow(self.coefficient)
         try:
             return self.base * u + self.coefficient * u ** (self.exponent + 1.0) / (
                 self.exponent + 1.0
@@ -194,6 +240,39 @@ class Power:
             )
         return None  # no closed form; caller falls back to root finding
 
+    def limit_at_infinity(self) -> float:
+        if self.coefficient == 0.0 or self.exponent < 0.0:
+            return self.base
+        if self.exponent == 0.0:
+            return self.base + self.coefficient
+        return math.inf if self.coefficient > 0.0 else -math.inf
+
+    def time_to_reach(self, level: float) -> float | None:
+        if self.coefficient == 0.0:
+            return 0.0 if level == self.base else None
+        if self.exponent == 0.0:
+            return 0.0 if level == self.base + self.coefficient else None
+        ratio = (level - self.base) / self.coefficient
+        if not ratio > 0.0:
+            # base is the start value for exponent > 0 and only the limit for
+            # exponent < 0; a negative ratio is never reached (and its
+            # fractional power would be complex).
+            return 0.0 if ratio == 0.0 and self.exponent > 0.0 else None
+        try:
+            u = ratio ** (1.0 / self.exponent)
+        except OverflowError:
+            return None
+        # u == 0 means u underflowed; for exponent < 0 the value there is
+        # infinite, not the level.
+        return _elapsed(u) if u > 0.0 or self.exponent > 0.0 else None
+
+    def decrease_reason(self) -> str | None:
+        if self.coefficient < 0.0:
+            return f"negative coefficient {self.coefficient:g}"
+        if self.coefficient > 0.0 and self.exponent < 1.0:
+            return f"exponent {self.exponent:g} below 1"
+        return None
+
 
 @dataclass(frozen=True)
 class ExponentialGrowth:
@@ -201,6 +280,7 @@ class ExponentialGrowth:
 
     base: float
     growth: float
+    name: ClassVar[str] = "exponential_growth"
 
     def __post_init__(self):
         object.__setattr__(self, "base", float(self.base))
@@ -225,48 +305,29 @@ class ExponentialGrowth:
             return area / self.base
         return math.log1p(self.growth * area / self.base) / self.growth
 
+    def limit_at_infinity(self) -> float:
+        if self.growth == 0.0:
+            return self.base
+        return math.inf if self.growth > 0.0 else 0.0
 
-SegmentForm = Constant | Linear | Power | ExponentialGrowth
+    def time_to_reach(self, level: float) -> float | None:
+        if self.growth == 0.0 or self.base == 0.0:
+            return 0.0 if level == self.base else None
+        ratio = level / self.base
+        if not ratio > 0.0:
+            return None
+        return _elapsed(math.log(ratio) / self.growth)
 
-
-def _form_params(form: SegmentForm) -> tuple[float, ...]:
-    if isinstance(form, Constant):
-        return (form.level,)
-    if isinstance(form, Linear):
-        return (form.intercept, form.slope)
-    if isinstance(form, Power):
-        return (form.base, form.coefficient, form.exponent)
-    if isinstance(form, ExponentialGrowth):
-        return (form.base, form.growth)
-    raise TypeError(f"unknown segment form {type(form).__name__}")
-
-
-def _limit_at_infinity(form: SegmentForm) -> float:
-    """Limit of the form's value as elapsed time grows without bound."""
-    if isinstance(form, Constant):
-        return form.level
-    if isinstance(form, Linear):
-        if form.slope == 0.0:
-            return form.intercept
-        return math.inf if form.slope > 0.0 else -math.inf
-    if isinstance(form, Power):
-        if form.coefficient == 0.0 or form.exponent < 0.0:
-            return form.base
-        if form.exponent == 0.0:
-            return form.base + form.coefficient
-        return math.inf if form.coefficient > 0.0 else -math.inf
-    if form.growth == 0.0:
-        return form.base
-    return math.inf if form.growth > 0.0 else 0.0
+    def decrease_reason(self) -> str | None:
+        return f"negative growth {self.growth:g}" if self.growth < 0.0 else None
 
 
-def _positivity_crossing(form: SegmentForm) -> float | None:
-    """Elapsed time at which a decreasing form first reaches zero, if ever."""
-    if isinstance(form, Linear) and form.slope < 0.0 < form.intercept:
-        return form.intercept / -form.slope
-    if isinstance(form, Power) and form.coefficient < 0.0 < form.base and form.exponent > 0.0:
-        return (form.base / -form.coefficient) ** (1.0 / form.exponent)
-    return None
+SEGMENT_FORMS = (Constant, Linear, Power, ExponentialGrowth)
+SegmentForm = Union[SEGMENT_FORMS]
+
+# Parameter names of each form.  Read with getattr, not vars(): asking for an
+# instance's __dict__ makes every later attribute read on it slower.
+_PARAMS = {cls: tuple(f.name for f in fields(cls)) for cls in SEGMENT_FORMS}
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +427,7 @@ def _check_structure(traj: HazardTrajectory) -> None:
     for seg in traj.segments:
         if not math.isfinite(seg.start_time):
             raise TrajectoryStructureError("segment start times must be finite")
-        if not all(math.isfinite(p) for p in _form_params(seg.form)):
+        if not all(math.isfinite(getattr(seg.form, p)) for p in _PARAMS[type(seg.form)]):
             raise TrajectoryStructureError("segment parameters must be finite")
     if starts[0] != 0.0:
         raise TrajectoryStructureError(f"first segment must start at 0, got {starts[0]!r}")
@@ -418,7 +479,7 @@ def validate_trajectory(traj: HazardTrajectory) -> ValidationReport:
         length = (starts[i + 1] - start) if i + 1 < n else math.inf
         v0 = seg.form.value(0.0)
         end_value = (
-            seg.form.value(length) if math.isfinite(length) else _limit_at_infinity(seg.form)
+            seg.form.value(length) if math.isfinite(length) else seg.form.limit_at_infinity()
         )
 
         # Principle 1: positive and finite on the whole span.
@@ -429,8 +490,9 @@ def validate_trajectory(traj: HazardTrajectory) -> ValidationReport:
         elif end_value < 0.0:
             # A decaying exponential only approaches zero and stays legal;
             # anything whose (limit) value goes negative crosses zero first.
-            crossing = _positivity_crossing(seg.form)
-            where = start + crossing if crossing is not None else start
+            # No crossing time means it lies beyond the largest float.
+            crossing = seg.form.time_to_reach(0.0)
+            where = start + crossing if crossing is not None else math.inf
             violations.append(
                 Violation(1, where, "hazard reaches zero inside the segment")
             )
@@ -440,20 +502,9 @@ def validate_trajectory(traj: HazardTrajectory) -> ValidationReport:
             )
 
         # Principle 3: per-form sufficient conditions for non-decrease.
-        p3_message = None
-        if isinstance(seg.form, Linear) and seg.form.slope < 0.0:
-            p3_message = f"negative slope {seg.form.slope:g}"
-        elif isinstance(seg.form, Power):
-            if seg.form.coefficient < 0.0:
-                p3_message = f"negative coefficient {seg.form.coefficient:g}"
-            elif seg.form.coefficient > 0.0 and seg.form.exponent < 1.0:
-                p3_message = f"exponent {seg.form.exponent:g} below 1"
-        elif isinstance(seg.form, ExponentialGrowth) and seg.form.growth < 0.0:
-            p3_message = f"negative growth {seg.form.growth:g}"
-        if p3_message is not None:
-            violations.append(
-                Violation(3, start, f"segment decreases within its span ({p3_message})")
-            )
+        reason = seg.form.decrease_reason()
+        if reason is not None:
+            violations.append(Violation(3, start, f"segment decreases within its span ({reason})"))
 
         # Principle 5: no segment may dip below the time-zero hazard.
         # For the first segment v0 == h(0), so this reduces to its end value.
@@ -626,36 +677,6 @@ def _invert_integral_numeric(form: SegmentForm, area: float, span: float) -> flo
         else:
             lo = mid
     return 0.5 * (lo + hi)
-
-
-def recovered_hazard(traj: HazardTrajectory, t: float, dt: float = 1e-4) -> float:
-    """Hazard recovered from the survival curve as -R'(t)/R(t) by central
-    finite differences.
-
-    This exists purely as a numerical consistency check against
-    :func:`hazard_at`; away from segment boundaries the two agree to
-    O(dt^2).  Requests within ``dt`` of a segment boundary (where R is not
-    smooth) or closer than ``dt`` to time zero are refused.
-    """
-    t = _require_nonnegative_time(t)
-    dt = float(dt)
-    if not (dt > 0.0 and math.isfinite(dt)):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
-    if t < dt:
-        raise ValueError(f"t={t:g} is within dt={dt:g} of time zero; cannot center the difference")
-    starts, _ = traj._profile
-    for boundary in starts[1:]:
-        if abs(t - boundary) <= dt:
-            raise ValueError(
-                f"t={t:g} is within dt={dt:g} of the segment boundary at {boundary:g}; "
-                f"the finite-difference check is not meaningful across a discontinuity"
-            )
-    r_minus = reliability(traj, t - dt)
-    r_center = reliability(traj, t)
-    r_plus = reliability(traj, t + dt)
-    if r_center <= 0.0:
-        raise ValueError(f"reliability underflowed to zero at t={t:g}")
-    return (r_minus - r_plus) / (2.0 * dt * r_center)
 
 
 def mean_time_to_failure(traj: HazardTrajectory) -> float:

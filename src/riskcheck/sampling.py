@@ -1,9 +1,7 @@
 """Failure-time sampling from hazard trajectories.
 
-The primary sampler inverts the cumulative hazard at a unit-exponential
-draw, which is exact.  A thinning (rejection) sampler against a
-piecewise envelope exists as an independent cross-check of the same law
-on a finite horizon; its only consumer is the test suite.
+The sampler inverts the cumulative hazard at a unit-exponential draw,
+which is exact.
 
 Randomness comes from counter-based Philox streams keyed by
 ``(seed, stream_id)``, one stream per replicate, so results are a pure
@@ -29,7 +27,6 @@ __all__ = [
     "SeededStream",
     "EmpiricalDistribution",
     "sample_failure_time",
-    "sample_failure_time_thinning",
     "sample_replicates",
     "sample_many",
     "empirical_cdf",
@@ -85,41 +82,6 @@ def sample_failure_time(traj: HazardTrajectory, stream: SeededStream) -> float:
     cumulative hazard at a unit-exponential draw."""
     e = float(stream.generator().standard_exponential())
     return invert_cumulative_hazard(traj, e)
-
-
-def sample_failure_time_thinning(
-    traj: HazardTrajectory, horizon: float, stream: SeededStream
-) -> float | None:
-    """Rejection-sample the first failure on [0, horizon]; None if the
-    system survives the horizon.
-
-    The proposal envelope is piecewise constant at each segment's supremum
-    over the piece (its left limit, since segments are non-decreasing).
-    This is an independent oracle for :func:`sample_failure_time` — it
-    never touches the antiderivatives — and is intended for tests.
-    """
-    horizon = float(horizon)
-    if not (horizon > 0.0 and math.isfinite(horizon)):
-        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
-    segments = traj.segments
-    pieces = []
-    for i, seg in enumerate(segments):
-        if seg.start_time >= horizon:
-            break
-        end = min(segments[i + 1].start_time, horizon) if i + 1 < len(segments) else horizon
-        bound = seg.form.value(end - seg.start_time)
-        pieces.append((seg.start_time, end, bound, seg))
-
-    rng = stream.generator()
-    for start, end, bound, seg in pieces:
-        t = start
-        while True:
-            t += float(rng.standard_exponential()) / bound
-            if t >= end:
-                break
-            if float(rng.random()) * bound <= seg.form.value(t - seg.start_time):
-                return t
-    return None
 
 
 def sample_replicates(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar, Union
 
 from .hazard import (
     Constant,
@@ -34,10 +35,12 @@ __all__ = [
     "LinearGrowth",
     "PowerGrowth",
     "ExponentialRateGrowth",
+    "GROWTH_FORMS",
     "DegradationModel",
     "PeriodicPerfect",
     "PeriodicImperfect",
     "ThresholdPerfect",
+    "MAINTENANCE_POLICIES",
     "MaintenancePolicy",
     "Scenario",
     "build_trajectory",
@@ -45,11 +48,17 @@ __all__ = [
 ]
 
 
+# A growth law is a segment form with the base left out: its fields are the
+# form's remaining parameters, in order, and the first is the growth scale
+# (zero means no growth, and the cycle is flat).
+
+
 @dataclass(frozen=True)
 class LinearGrowth:
     """Hazard increases by ``slope`` per unit time within a cycle."""
 
     slope: float
+    form: ClassVar[type] = Linear
 
 
 @dataclass(frozen=True)
@@ -58,6 +67,7 @@ class PowerGrowth:
 
     coefficient: float
     exponent: float
+    form: ClassVar[type] = Power
 
 
 @dataclass(frozen=True)
@@ -65,9 +75,11 @@ class ExponentialRateGrowth:
     """Hazard grows by factor exp(rate * u) within a cycle."""
 
     rate: float
+    form: ClassVar[type] = ExponentialGrowth
 
 
-GrowthForm = LinearGrowth | PowerGrowth | ExponentialRateGrowth
+GROWTH_FORMS = (LinearGrowth, PowerGrowth, ExponentialRateGrowth)
+GrowthForm = Union[GROWTH_FORMS]
 
 
 @dataclass(frozen=True)
@@ -79,20 +91,24 @@ class DegradationModel:
 @dataclass(frozen=True)
 class PeriodicPerfect:
     period: float
+    name: ClassVar[str] = "periodic_perfect"
 
 
 @dataclass(frozen=True)
 class PeriodicImperfect:
     period: float
     improvement: float
+    name: ClassVar[str] = "periodic_imperfect"
 
 
 @dataclass(frozen=True)
 class ThresholdPerfect:
     trigger_hazard: float
+    name: ClassVar[str] = "threshold_perfect"
 
 
-MaintenancePolicy = PeriodicPerfect | PeriodicImperfect | ThresholdPerfect
+MAINTENANCE_POLICIES = (PeriodicPerfect, PeriodicImperfect, ThresholdPerfect)
+MaintenancePolicy = Union[MAINTENANCE_POLICIES]
 
 
 @dataclass(frozen=True)
@@ -108,20 +124,17 @@ def _check_scenario(scenario: Scenario) -> None:
     if not (model.initial_hazard > 0.0 and math.isfinite(model.initial_hazard)):
         raise ValueError(f"initial hazard must be positive and finite, got {model.initial_hazard!r}")
     growth = model.growth
-    if isinstance(growth, LinearGrowth):
-        ok = growth.slope >= 0.0 and math.isfinite(growth.slope)
-    elif isinstance(growth, PowerGrowth):
-        ok = (
-            growth.coefficient >= 0.0
-            and growth.exponent >= 1.0
-            and math.isfinite(growth.coefficient)
-            and math.isfinite(growth.exponent)
-        )
-    elif isinstance(growth, ExponentialRateGrowth):
-        ok = growth.rate >= 0.0 and math.isfinite(growth.rate)
-    else:
+    if not isinstance(growth, GROWTH_FORMS):
         raise ValueError(f"unknown growth form {type(growth).__name__}")
-    if not ok:
+    params = vars(growth).values()
+    # A growth law is legal when its cycle form never decreases.  Power
+    # exponents below 1 are refused even at a zero coefficient, where the
+    # cycle would be flat.
+    if not (
+        all(map(math.isfinite, params))
+        and growth.form(model.initial_hazard, *params).decrease_reason() is None
+        and not (isinstance(growth, PowerGrowth) and growth.exponent < 1.0)
+    ):
         raise ValueError(f"growth parameters out of range: {growth!r}")
     if isinstance(policy, (PeriodicPerfect, PeriodicImperfect)):
         if not (policy.period > 0.0 and math.isfinite(policy.period)):
@@ -144,29 +157,8 @@ def _check_scenario(scenario: Scenario) -> None:
 
 def _cycle_form(growth: GrowthForm, base: float) -> SegmentForm:
     """Segment form for one cycle starting at hazard ``base``."""
-    if isinstance(growth, LinearGrowth):
-        return Constant(base) if growth.slope == 0.0 else Linear(base, growth.slope)
-    if isinstance(growth, PowerGrowth):
-        if growth.coefficient == 0.0:
-            return Constant(base)
-        return Power(base, growth.coefficient, growth.exponent)
-    return Constant(base) if growth.rate == 0.0 else ExponentialGrowth(base, growth.rate)
-
-
-def _threshold_crossing(growth: GrowthForm, base: float, trigger: float) -> float | None:
-    """Elapsed cycle time at which the hazard reaches ``trigger``; None if
-    the growth never gets there."""
-    if isinstance(growth, LinearGrowth):
-        if growth.slope == 0.0:
-            return None
-        return (trigger - base) / growth.slope
-    if isinstance(growth, PowerGrowth):
-        if growth.coefficient == 0.0:
-            return None
-        return ((trigger - base) / growth.coefficient) ** (1.0 / growth.exponent)
-    if growth.rate == 0.0:
-        return None
-    return math.log(trigger / base) / growth.rate
+    scale, *rest = vars(growth).values()
+    return Constant(base) if scale == 0.0 else growth.form(base, scale, *rest)
 
 
 def build_trajectory(scenario: Scenario) -> HazardTrajectory:
@@ -202,7 +194,7 @@ def build_trajectory(scenario: Scenario) -> HazardTrajectory:
             cycle_start = candidate
             form = _cycle_form(model.growth, post)
     else:
-        step = _threshold_crossing(model.growth, h0, policy.trigger_hazard)
+        step = form.time_to_reach(policy.trigger_hazard)
         if step is not None:
             candidate = step
             while candidate <= horizon:

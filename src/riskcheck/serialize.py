@@ -21,32 +21,20 @@ rule-breaking trajectories in order to report on them.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
 from pathlib import Path
 
-from .hazard import (
-    Constant,
-    ExponentialGrowth,
-    HazardSegment,
-    HazardTrajectory,
-    Linear,
-    MaintenanceEpoch,
-    Power,
-    SegmentForm,
-)
+from .hazard import SEGMENT_FORMS, HazardSegment, HazardTrajectory, MaintenanceEpoch
 from .scenarios import (
+    GROWTH_FORMS,
+    MAINTENANCE_POLICIES,
     DegradationModel,
-    ExponentialRateGrowth,
     GrowthForm,
-    LinearGrowth,
     MaintenancePolicy,
-    PeriodicImperfect,
-    PeriodicPerfect,
-    PowerGrowth,
     Scenario,
-    ThresholdPerfect,
 )
 
 __all__ = [
@@ -69,27 +57,19 @@ class SchemaError(ValueError):
     """Input JSON does not match the documented schema."""
 
 
-_FORM_FIELDS: dict[str, tuple[type, tuple[str, ...]]] = {
-    "constant": (Constant, ("level",)),
-    "linear": (Linear, ("intercept", "slope")),
-    "power": (Power, ("base", "coefficient", "exponent")),
-    "exponential_growth": (ExponentialGrowth, ("base", "growth")),
-}
-_FORM_NAMES = {cls: name for name, (cls, _) in _FORM_FIELDS.items()}
+def _registry(classes, name=lambda cls: cls.name) -> dict[str, tuple[type, tuple[str, ...]]]:
+    """Wire name -> (class, param names); the params are the dataclass fields."""
+    return {name(cls): (cls, tuple(f.name for f in dataclasses.fields(cls))) for cls in classes}
 
-_GROWTH_FIELDS: dict[str, tuple[type, tuple[str, ...]]] = {
-    "linear": (LinearGrowth, ("slope",)),
-    "power": (PowerGrowth, ("coefficient", "exponent")),
-    "exponential_growth": (ExponentialRateGrowth, ("rate",)),
-}
-_GROWTH_NAMES = {cls: name for name, (cls, _) in _GROWTH_FIELDS.items()}
 
-_POLICY_FIELDS: dict[str, tuple[type, tuple[str, ...]]] = {
-    "periodic_perfect": (PeriodicPerfect, ("period",)),
-    "periodic_imperfect": (PeriodicImperfect, ("period", "improvement")),
-    "threshold_perfect": (ThresholdPerfect, ("trigger_hazard",)),
+_FORMS = _registry(SEGMENT_FORMS)
+_GROWTHS = _registry(GROWTH_FORMS, lambda cls: cls.form.name)  # named after their form
+_POLICIES = _registry(MAINTENANCE_POLICIES)
+_WIRE = {
+    cls: (name, params)
+    for registry in (_FORMS, _GROWTHS, _POLICIES)
+    for name, (cls, params) in registry.items()
 }
-_POLICY_NAMES = {cls: name for name, (cls, _) in _POLICY_FIELDS.items()}
 
 
 def _require(condition: bool, message: str) -> None:
@@ -122,6 +102,11 @@ def _tagged(obj, where: str, tag_key: str, registry: dict) -> object:
     return cls(*(_number(params[f], f"{where}.params.{f}") for f in fields))
 
 
+def _to_tagged(obj, tag_key: str) -> dict:
+    name, params = _WIRE[type(obj)]
+    return {tag_key: name, "params": {f: getattr(obj, f) for f in params}}
+
+
 def _check_schema_version(d: dict, where: str) -> None:
     _require(
         d.get("schema_version") == SCHEMA_VERSION,
@@ -132,17 +117,11 @@ def _check_schema_version(d: dict, where: str) -> None:
 # -- trajectories -----------------------------------------------------------
 
 
-def _form_to_dict(form: SegmentForm) -> dict:
-    name = _FORM_NAMES[type(form)]
-    _, fields = _FORM_FIELDS[name]
-    return {"form": name, "params": {f: getattr(form, f) for f in fields}}
-
-
 def trajectory_to_dict(traj: HazardTrajectory) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "segments": [
-            {"start": seg.start_time, **_form_to_dict(seg.form)} for seg in traj.segments
+            {"start": seg.start_time, **_to_tagged(seg.form, "form")} for seg in traj.segments
         ],
         "maintenance_epochs": [
             {"time": e.time, "post_hazard": e.post_hazard} for e in traj.maintenance_epochs
@@ -160,7 +139,7 @@ def trajectory_from_dict(d) -> HazardTrajectory:
         where = f"trajectory.segments[{i}]"
         seg = _mapping(raw, where)
         start = _number(seg.get("start"), f"{where}.start")
-        form = _tagged(seg, where, "form", _FORM_FIELDS)
+        form = _tagged(seg, where, "form", _FORMS)
         segments.append(HazardSegment(start, form))
     raw_epochs = d.get("maintenance_epochs", [])
     _require(isinstance(raw_epochs, list), "trajectory.maintenance_epochs must be an array")
@@ -181,26 +160,14 @@ def trajectory_from_dict(d) -> HazardTrajectory:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    growth = scenario.model.growth
-    growth_name = _GROWTH_NAMES[type(growth)]
-    _, growth_fields = _GROWTH_FIELDS[growth_name]
-    policy = scenario.policy
-    policy_name = _POLICY_NAMES[type(policy)]
-    _, policy_fields = _POLICY_FIELDS[policy_name]
     return {
         "schema_version": SCHEMA_VERSION,
         "label": scenario.label,
         "model": {
             "h0": scenario.model.initial_hazard,
-            "growth": {
-                "form": growth_name,
-                "params": {f: getattr(growth, f) for f in growth_fields},
-            },
+            "growth": _to_tagged(scenario.model.growth, "form"),
         },
-        "policy": {
-            "kind": policy_name,
-            "params": {f: getattr(policy, f) for f in policy_fields},
-        },
+        "policy": _to_tagged(scenario.policy, "kind"),
         "horizon": scenario.horizon,
     }
 
@@ -212,8 +179,8 @@ def scenario_from_dict(d) -> Scenario:
     _require(isinstance(label, str) and label, "scenario.label must be a nonempty string")
     model = _mapping(d.get("model"), "scenario.model")
     h0 = _number(model.get("h0"), "scenario.model.h0")
-    growth: GrowthForm = _tagged(model.get("growth"), "scenario.model.growth", "form", _GROWTH_FIELDS)
-    policy: MaintenancePolicy = _tagged(d.get("policy"), "scenario.policy", "kind", _POLICY_FIELDS)
+    growth: GrowthForm = _tagged(model.get("growth"), "scenario.model.growth", "form", _GROWTHS)
+    policy: MaintenancePolicy = _tagged(d.get("policy"), "scenario.policy", "kind", _POLICIES)
     horizon = _number(d.get("horizon"), "scenario.horizon")
     return Scenario(label=label, model=DegradationModel(h0, growth), policy=policy, horizon=horizon)
 

@@ -2,9 +2,11 @@
 
 Everything here deliberately avoids the code paths under test: cumulative
 hazard comes from quadrature over pointwise hazard values (never the
-closed-form antiderivatives), the Poisson-binomial pmf from explicit
-outcome enumeration (never the convolution), and KS statistics from first
-principles.
+closed-form antiderivatives), the hazard back from finite differences of
+the survival curve, failure times from thinning against pointwise hazard
+values (never the inverted antiderivative), the Poisson-binomial pmf from
+explicit outcome enumeration (never the convolution), and KS statistics
+from first principles.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import math
 import numpy as np
 from scipy import integrate
 
-from riskcheck.hazard import HazardTrajectory, hazard_at
+from riskcheck.hazard import HazardTrajectory, hazard_at, reliability
+from riskcheck.sampling import SeededStream
 
 QUAD_REL_TOL = 1e-10
 
@@ -70,6 +73,72 @@ def periodic_linear_mttf(h0: float, slope: float, period: float, cycles: int) ->
     h_period = h0 * period + 0.5 * slope * period * period
     geometric = math.expm1(-cycles * h_period) / math.expm1(-h_period)
     return cycle * geometric + math.exp(-cycles * h_period) * tail
+
+
+def recovered_hazard(traj: HazardTrajectory, t: float, dt: float = 1e-4) -> float:
+    """Hazard recovered from the survival curve as -R'(t)/R(t) by central
+    finite differences.
+
+    A numerical consistency check against ``hazard_at``; away from segment
+    boundaries the two agree to O(dt^2).  Requests within ``dt`` of a
+    segment boundary (where R is not smooth) or closer than ``dt`` to time
+    zero are refused.
+    """
+    t = float(t)
+    if not (t >= 0.0 and math.isfinite(t)):
+        raise ValueError(f"time must be finite and nonnegative, got {t!r}")
+    dt = float(dt)
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if t < dt:
+        raise ValueError(f"t={t:g} is within dt={dt:g} of time zero; cannot center the difference")
+    for seg in traj.segments[1:]:
+        if abs(t - seg.start_time) <= dt:
+            raise ValueError(
+                f"t={t:g} is within dt={dt:g} of the segment boundary at {seg.start_time:g}; "
+                f"the finite-difference check is not meaningful across a discontinuity"
+            )
+    r_minus = reliability(traj, t - dt)
+    r_center = reliability(traj, t)
+    r_plus = reliability(traj, t + dt)
+    if r_center <= 0.0:
+        raise ValueError(f"reliability underflowed to zero at t={t:g}")
+    return (r_minus - r_plus) / (2.0 * dt * r_center)
+
+
+def sample_failure_time_thinning(
+    traj: HazardTrajectory, horizon: float, stream: SeededStream
+) -> float | None:
+    """Rejection-sample the first failure on [0, horizon]; None if the
+    system survives the horizon.
+
+    The proposal envelope is piecewise constant at each segment's supremum
+    over the piece (its left limit, since segments are non-decreasing).
+    This is an independent oracle for ``sample_failure_time``: it never
+    touches the antiderivatives.
+    """
+    horizon = float(horizon)
+    if not (horizon > 0.0 and math.isfinite(horizon)):
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
+    segments = traj.segments
+    pieces = []
+    for i, seg in enumerate(segments):
+        if seg.start_time >= horizon:
+            break
+        end = min(segments[i + 1].start_time, horizon) if i + 1 < len(segments) else horizon
+        bound = seg.form.value(end - seg.start_time)
+        pieces.append((seg.start_time, end, bound, seg))
+
+    rng = stream.generator()
+    for start, end, bound, seg in pieces:
+        t = start
+        while True:
+            t += float(rng.standard_exponential()) / bound
+            if t >= end:
+                break
+            if float(rng.random()) * bound <= seg.form.value(t - seg.start_time):
+                return t
+    return None
 
 
 def one_sample_ks(sorted_times, cdf) -> float:

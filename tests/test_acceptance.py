@@ -14,6 +14,7 @@ from oracles import (
     dkw_epsilon,
     one_sample_ks,
     quad_cumulative_hazard,
+    sample_failure_time_thinning,
     two_sample_epsilon,
     two_sample_ks,
 )
@@ -39,7 +40,7 @@ from riskcheck.hazard import (
     validate_trajectory,
 )
 from riskcheck.poisson import DiscretizedFailureProcess, exact_tv_small, stein_chen_tv_bound
-from riskcheck.sampling import SeededStream, sample_failure_time_thinning, sample_replicates
+from riskcheck.sampling import SeededStream, sample_replicates
 from riskcheck.scenarios import build_trajectory, scenario_catalog
 from riskcheck.serialize import trajectory_hash, trajectory_to_dict
 from trajgen import (

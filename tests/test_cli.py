@@ -23,6 +23,7 @@ from riskcheck.hazard import (
     HazardSegment,
     HazardTrajectory,
     Linear,
+    Power,
     cumulative_hazard,
     failure_cdf,
     hazard_at,
@@ -156,6 +157,15 @@ class TestOverflow:
         assert {"principle": 1, "location": 800.0} in [
             {"principle": v["principle"], "location": v["location"]} for v in violations
         ]
+
+    @pytest.mark.parametrize("exponent", ["-2", "-1"])
+    def test_bound_check_on_divergent_power_area(self, tmp_path, exponent):
+        # u**exponent is not integrable at 0, so H is infinite past t = 0;
+        # the h(0) = inf bound is then violated (exit 4) instead of crashing.
+        traj = HazardTrajectory((HazardSegment(0.0, Power(0.5, 1.0, float(exponent))),))
+        result = self.run_module(traj, tmp_path, "bound-check", "--t-max", "5")
+        assert result.returncode in (EXIT_OK, EXIT_SCHEMA, EXIT_PRINCIPLE, EXIT_ORDERING)
+        assert "Traceback" not in result.stderr
 
 
 class TestSample:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import periodic_linear_mttf, quad_cumulative_hazard, quad_mttf
+from oracles import periodic_linear_mttf, quad_cumulative_hazard, quad_mttf, recovered_hazard
 from riskcheck.hazard import (
     Constant,
     ExponentialGrowth,
@@ -24,7 +24,6 @@ from riskcheck.hazard import (
     hazard_at,
     invert_cumulative_hazard,
     mean_time_to_failure,
-    recovered_hazard,
     reliability,
 )
 from riskcheck.scenarios import (
@@ -246,11 +245,88 @@ class TestFormOverflow:
             (Power(0.5, 2.0, 400.0), 10.0, math.inf, math.inf),
             (Power(0.5, -2.0, 400.0), 10.0, -math.inf, -math.inf),
             (Power(0.5, 0.0, 400.0), 10.0, 0.5, 5.0),
+            # u**exponent is not integrable at 0 for exponent <= -1
+            (Power(0.5, 1.0, -2.0), 1.0, 1.5, math.inf),
+            (Power(0.5, -1.0, -1.0), 2.0, 0.0, -math.inf),
+            (Power(0.5, 1.0, -1.0), 0.0, math.inf, 0.0),
         ],
     )
     def test_saturates(self, form, u, value, integral):
         assert form.value(u) == value
         assert form.integral(u) == integral
+
+
+# Parameters from 1e-3 to 1e300 in magnitude, and zero: wide enough to
+# overflow every kernel, while intermediate ratios such as
+# (level - base) / coefficient stay out of the subnormal range, where they
+# would carry fewer than 16 significant digits.
+MAGNITUDE = st.one_of(st.just(0.0), st.floats(1e-3, 1e300), st.floats(-1e300, -1e-3))
+EXPONENT = st.one_of(
+    st.sampled_from([-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0]), st.floats(-3.0, 3.0)
+)
+ELAPSED = st.one_of(st.just(0.0), st.floats(1e-3, 1e300))
+FORMS = st.one_of(
+    st.builds(Constant, MAGNITUDE),
+    st.builds(Linear, MAGNITUDE, MAGNITUDE),
+    st.builds(Power, MAGNITUDE, MAGNITUDE, EXPONENT),
+    st.builds(ExponentialGrowth, MAGNITUDE, MAGNITUDE),
+)
+
+
+class TestFormProtocol:
+    """Every segment form answers the whole protocol for any finite
+    parameters, without raising."""
+
+    @given(FORMS, ELAPSED, st.one_of(MAGNITUDE, ELAPSED), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_kernels_never_raise_and_time_to_reach_inverts_value(self, form, u, level, data):
+        form.value(u)
+        form.integral(u)
+        form.limit_at_infinity()
+        form.decrease_reason()
+        reached = form.value(data.draw(ELAPSED))
+        for target in (level, reached):
+            found = form.time_to_reach(target)
+            assert found is None or type(found) is float
+            if found is None or not math.isfinite(target):
+                continue
+            assert 0.0 <= found < math.inf and math.isfinite(form.value(found))
+            # Relative to the larger of the level and the form's base; widened
+            # by how much the value moves over one float step of the answer.
+            scale = max(abs(target), abs(dataclasses.astuple(form)[0]))
+            step = abs(form.value(math.nextafter(found, math.inf)) - form.value(found))
+            assert abs(form.value(found) - target) <= 1e-9 * scale + step
+
+    @given(FORMS, MAGNITUDE)
+    @settings(max_examples=400, deadline=None)
+    def test_level_behind_the_start_is_never_reached(self, form, level):
+        # Every form is monotone, so a level past its start value, on the
+        # side it moves away from, is unreachable.
+        start, later = form.value(0.0), form.value(1.0)
+        if not math.isfinite(start) or later == start:
+            return
+        if (later > start and level < start) or (later < start and level > start):
+            assert form.time_to_reach(level) is None
+
+    @pytest.mark.parametrize(
+        "form, level, expected",
+        [
+            (Constant(2.0), 2.0, 0.0),
+            (Linear(1.0, -0.1), 0.0, 10.0),
+            (Power(1.0, -0.5, 2.0), 0.0, math.sqrt(2.0)),
+            (Power(0.2, 0.02, 2.0), 0.7, 5.0),
+            (ExponentialGrowth(0.1, 0.5), 0.3, math.log(3.0) / 0.5),
+            # a negative ratio, whose fractional power would be complex
+            (Power(0.5, 1.0, 0.5), 0.25, None),
+            # only approached in the limit
+            (Power(0.5, 1.0, -1.0), 0.5, None),
+            (ExponentialGrowth(1.0, -1.0), 0.0, None),
+            # beyond the largest float
+            (Linear(1e300, -1e-300), 0.0, None),
+        ],
+    )
+    def test_time_to_reach_examples(self, form, level, expected):
+        assert form.time_to_reach(level) == pytest.approx(expected, rel=1e-15)
 
 
 class TestCompiledProfile:

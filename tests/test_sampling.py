@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dkw_epsilon, one_sample_ks, two_sample_epsilon, two_sample_ks
+from oracles import (
+    dkw_epsilon,
+    one_sample_ks,
+    sample_failure_time_thinning,
+    two_sample_epsilon,
+    two_sample_ks,
+)
 from riskcheck.hazard import (
     Constant,
     HazardSegment,
@@ -22,7 +28,6 @@ from riskcheck.sampling import (
     SeededStream,
     empirical_cdf,
     sample_failure_time,
-    sample_failure_time_thinning,
     sample_many,
     sample_replicates,
     write_samples_csv,
