@@ -286,7 +286,7 @@ _OPTIONS = {
     "--t-max": {"type": float},
     "--n": {"type": int},
     "--seed": {"type": int},
-    "--workers": {"type": int},
+    "--workers": {"type": int, "help": "accepted and ignored; the draws do not depend on it"},
     "--plot": {"action": "store_true", "dest": "emit_plot"},
     "--pra-rate": {
         "type": float,

@@ -111,8 +111,13 @@ def default_time_grid(
     """
     if count < 2:
         raise ValueError(f"need at least two grid points, got {count}")
-    h0 = hazard_at(traj, 0.0)
     if t_max is None:
+        h0 = hazard_at(traj, 0.0)
+        if not (h0 > 0.0 and math.isfinite(h0)):
+            raise ValueError(
+                f"the default grid spans 5/h(0), but h(0) = {h0!r} is not positive "
+                "and finite; pass --t-max"
+            )
         t_max = 5.0 / h0
     t_max = float(t_max)
     if not (t_max > 0.0 and math.isfinite(t_max)):

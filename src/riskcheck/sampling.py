@@ -3,10 +3,11 @@
 The sampler inverts the cumulative hazard at a unit-exponential draw,
 which is exact.
 
-Randomness comes from counter-based Philox streams keyed by
-``(seed, stream_id)``, one stream per replicate, so results are a pure
-function of (trajectory, n, seed) regardless of evaluation order or
-worker count.
+Randomness comes from one counter-based Philox (4x64) stream keyed by the
+seed: replicate ``i`` reads 64-bit word ``i`` of that stream, which is lane
+``i % 4`` of counter block ``i // 4``.  Draw ``i`` is therefore a pure
+function of (trajectory, seed, i), whatever ``n`` or the evaluation order,
+and ``n`` draws cost one vectorized ``random_raw`` call.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,16 +33,27 @@ __all__ = [
     "write_samples_csv",
 ]
 
-# Pinned generator: numpy's Philox (4x64) keyed by (stream_id << 64) | seed.
-# Counter-based, so distinct keys give independent, order-insensitive streams.
-GENERATOR_NAME = "numpy-philox4x64"
+# Pinned draw rule: replicate i of seed s is word i of numpy's Philox (4x64)
+# keyed by s, turned into a unit exponential by ``_exponentials``.  Changing
+# either the word assignment or the transform changes the name.
+GENERATOR_NAME = "numpy-philox4x64-counter"
 
 _MASK64 = (1 << 64) - 1
 
 
+def _exponentials(words: np.ndarray) -> np.ndarray:
+    """Unit-exponential draws -log(U) from raw 64-bit Philox words.
+
+    U = (top 52 bits + 1/2) / 2**52 is exact in a double and lies in
+    [2**-53, 1 - 2**-53], so every draw is finite and positive.  (With 53
+    bits, k + 1/2 no longer fits a double and the top words round to U = 1.)
+    """
+    return -np.log(((words >> 12).astype(np.float64) + 0.5) * 2.0**-52)
+
+
 @dataclass(frozen=True)
 class SeededStream:
-    """One replicate's private random stream, keyed by (seed, stream_id)."""
+    """Replicate ``stream_id``'s randomness under ``seed``."""
 
     seed: int
     stream_id: int
@@ -53,7 +64,16 @@ class SeededStream:
         if self.stream_id < 0:
             raise ValueError(f"stream_id must be nonnegative, got {self.stream_id}")
 
+    def exponential(self) -> float:
+        """The replicate's unit-exponential draw: word ``stream_id`` of the
+        Philox stream keyed by ``seed``, as ``sample_replicates`` reads it."""
+        bits = np.random.Philox(key=self.seed & _MASK64)
+        bits.advance(self.stream_id // 4)
+        return float(_exponentials(bits.random_raw(self.stream_id % 4 + 1)[-1:])[0])
+
     def generator(self) -> np.random.Generator:
+        """An independent multi-draw stream keyed by (seed, stream_id), for
+        samplers that need more than one draw per replicate."""
         key = ((self.stream_id & _MASK64) << 64) | (self.seed & _MASK64)
         return np.random.Generator(np.random.Philox(key=key))
 
@@ -79,36 +99,28 @@ class EmpiricalDistribution:
 
 def sample_failure_time(traj: HazardTrajectory, stream: SeededStream) -> float:
     """Draw T with P(T > t) = reliability(traj, t) by inverting the
-    cumulative hazard at a unit-exponential draw."""
-    e = float(stream.generator().standard_exponential())
-    return invert_cumulative_hazard(traj, e)
+    cumulative hazard at the stream's unit-exponential draw."""
+    return invert_cumulative_hazard(traj, stream.exponential())
 
 
 def sample_replicates(
     traj: HazardTrajectory, n: int, seed: int, workers: int = 1
 ) -> np.ndarray:
-    """n inversion draws in replicate order (index i uses stream id i).
+    """n inversion draws in replicate order.
 
-    The per-replicate streams make the result independent of ``workers``;
-    threads only split the index range.
+    Replicate i equals ``sample_failure_time(traj, SeededStream(seed, i))``
+    bit for bit, so a shorter run is a prefix of a longer one.  ``workers``
+    is accepted for compatibility and ignored: the draws are one vectorized
+    call and the inversions are pure Python, which threads cannot overlap.
     """
     if n < 1:
         raise ValueError(f"need at least one replicate, got n={n}")
-    out = np.empty(n, dtype=np.float64)
-
-    def fill(lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            out[i] = sample_failure_time(traj, SeededStream(seed, i))
-
-    if workers <= 1:
-        fill(0, n)
-    else:
-        chunk = -(-n // workers)
-        bounds = [(k * chunk, min((k + 1) * chunk, n)) for k in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for future in [pool.submit(fill, lo, hi) for lo, hi in bounds if lo < hi]:
-                future.result()
-    return out
+    if not isinstance(seed, int):
+        raise ValueError("seed must be an integer")
+    draws = _exponentials(np.random.Philox(key=seed & _MASK64).random_raw(n))
+    return np.fromiter(
+        (invert_cumulative_hazard(traj, e) for e in draws.tolist()), np.float64, count=n
+    )
 
 
 def sample_many(

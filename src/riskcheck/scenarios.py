@@ -42,6 +42,7 @@ __all__ = [
     "ThresholdPerfect",
     "MAINTENANCE_POLICIES",
     "MaintenancePolicy",
+    "MAX_EPOCHS",
     "Scenario",
     "build_trajectory",
     "scenario_catalog",
@@ -119,6 +120,14 @@ class Scenario:
     horizon: float
 
 
+# Most maintenance epochs a scenario may declare within its horizon, counted
+# as floor(horizon / period) or floor(horizon / threshold step).  Ten times
+# the largest stress fixture (period 0.01 over horizon 1000); a step far
+# below the horizon would otherwise compile an unbounded trajectory, or never
+# finish once the step falls below one float spacing of the cycle start.
+MAX_EPOCHS = 10**6
+
+
 def _check_scenario(scenario: Scenario) -> None:
     model, policy = scenario.model, scenario.policy
     if not (model.initial_hazard > 0.0 and math.isfinite(model.initial_hazard)):
@@ -143,16 +152,25 @@ def _check_scenario(scenario: Scenario) -> None:
             raise ValueError(
                 f"improvement must lie in (0, 1], got {policy.improvement!r}"
             )
+        step, what = policy.period, "maintenance period"
     elif isinstance(policy, ThresholdPerfect):
         if not (policy.trigger_hazard > model.initial_hazard and math.isfinite(policy.trigger_hazard)):
             raise ValueError(
                 f"trigger hazard {policy.trigger_hazard!r} must exceed the initial hazard "
                 f"{model.initial_hazard!r}"
             )
+        step = _cycle_form(growth, model.initial_hazard).time_to_reach(policy.trigger_hazard)
+        what = "threshold step"
     else:
         raise ValueError(f"unknown maintenance policy {type(policy).__name__}")
-    if not (scenario.horizon > 0.0 and math.isfinite(scenario.horizon)):
-        raise ValueError(f"horizon must be positive and finite, got {scenario.horizon!r}")
+    horizon = scenario.horizon
+    if not (horizon > 0.0 and math.isfinite(horizon)):
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
+    if step is not None and horizon >= (MAX_EPOCHS + 1) * step:
+        raise ValueError(
+            f"{what} {step!r} gives more than MAX_EPOCHS = {MAX_EPOCHS} epochs "
+            f"over horizon {horizon!r}"
+        )
 
 
 def _cycle_form(growth: GrowthForm, base: float) -> SegmentForm:

@@ -29,12 +29,37 @@ from riskcheck.hazard import (
     hazard_at,
     reliability,
 )
-from riskcheck.scenarios import build_trajectory, scenario_catalog
-from riskcheck.serialize import load_input, trajectory_hash, trajectory_to_dict
+from riskcheck.scenarios import (
+    DegradationModel,
+    ExponentialRateGrowth,
+    LinearGrowth,
+    PeriodicPerfect,
+    PowerGrowth,
+    Scenario,
+    ThresholdPerfect,
+    build_trajectory,
+    scenario_catalog,
+)
+from riskcheck.serialize import (
+    load_input,
+    scenario_to_dict,
+    trajectory_hash,
+    trajectory_to_dict,
+)
 
 def write_json(path: Path, payload) -> Path:
     path.write_text(json.dumps(payload), encoding="utf-8")
     return path
+
+
+def run_module(path: Path, out: Path, *args, timeout=None):
+    """``python -m riskcheck <args> --input path --out out`` in a child."""
+    return subprocess.run(
+        [sys.executable, "-m", "riskcheck", *args, "--input", str(path), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
 
 
 @pytest.fixture
@@ -131,11 +156,7 @@ class TestOverflow:
 
     def run_module(self, traj, tmp_path, *args):
         path = write_json(tmp_path / "overflow.json", trajectory_to_dict(traj))
-        return subprocess.run(
-            [sys.executable, "-m", "riskcheck", *args, "--input", str(path), "--out", str(tmp_path)],
-            capture_output=True,
-            text=True,
-        )
+        return run_module(path, tmp_path, *args)
 
     def test_eval_saturates_to_certain_failure(self, tmp_path):
         traj = HazardTrajectory((self.GROWTH,))
@@ -168,6 +189,51 @@ class TestOverflow:
         assert "Traceback" not in result.stderr
 
 
+class TestEdgeInputs:
+    """Valid but extreme inputs keep the exit-code contract: no traceback,
+    no exit 1, no hang."""
+
+    def test_distance_on_certain_failure_within_grid(self, tmp_path):
+        # H passes 37 inside the default grid, so late intervals have p == 1
+        traj = HazardTrajectory((HazardSegment(0.0, ExponentialGrowth(0.1, 1.0)),))
+        path = write_json(tmp_path / "growth.json", trajectory_to_dict(traj))
+        result = run_module(path, tmp_path, "distance", "--n", "200")
+        assert result.returncode == EXIT_OK, result.stderr
+        report = json.loads((tmp_path / "distance.json").read_text())
+        assert 0.0 <= report["bound"] <= 1.0
+        assert 0.0 <= report["ks"] <= 1.0
+
+    @pytest.mark.parametrize(
+        "form", [Constant(0.0), ExponentialGrowth(0.0, 1.0)], ids=["constant", "exp-growth"]
+    )
+    def test_bound_check_with_zero_initial_hazard(self, tmp_path, form):
+        # the default grid ends at 5/h(0), which does not exist here
+        traj = HazardTrajectory((HazardSegment(0.0, form),))
+        path = write_json(tmp_path / "zero.json", trajectory_to_dict(traj))
+        result = run_module(path, tmp_path, "bound-check")
+        assert result.returncode == EXIT_SCHEMA
+        assert "Traceback" not in result.stderr
+        assert "h(0)" in result.stderr and "--t-max" in result.stderr
+
+    @pytest.mark.parametrize(
+        "growth, policy",
+        [
+            (LinearGrowth(1e300), ThresholdPerfect(0.3)),  # step 2e-301
+            (PowerGrowth(1e300, 1.0), ThresholdPerfect(0.3)),
+            (ExponentialRateGrowth(1e300), ThresholdPerfect(0.3)),
+            (LinearGrowth(0.05), PeriodicPerfect(1e-300)),
+        ],
+        ids=["threshold-linear", "threshold-power", "threshold-exp", "periodic"],
+    )
+    def test_scenario_with_too_many_epochs_is_refused(self, tmp_path, growth, policy):
+        scenario = Scenario("tiny-step", DegradationModel(0.1, growth), policy, horizon=10.0)
+        path = write_json(tmp_path / "scenario.json", scenario_to_dict(scenario))
+        result = run_module(path, tmp_path, "validate", timeout=5)
+        assert result.returncode == EXIT_SCHEMA
+        assert "Traceback" not in result.stderr
+        assert "MAX_EPOCHS" in result.stderr
+
+
 class TestSample:
     def test_artifacts_and_metadata(self, scenario_file, tmp_path):
         out = tmp_path / "out"
@@ -179,7 +245,7 @@ class TestSample:
         traj = build_trajectory(load_input(scenario_file)[1])
         assert meta["seed"] == 7
         assert meta["n"] == 200
-        assert meta["generator"] == "numpy-philox4x64"
+        assert meta["generator"] == "numpy-philox4x64-counter"
         assert meta["trajectory_hash"] == trajectory_hash(traj)
 
     def test_byte_identical_across_runs(self, scenario_file, tmp_path):

@@ -109,6 +109,13 @@ class TestDefaultGrid:
         assert len(grid) == 33
         assert grid[-1] == pytest.approx(30.0)
 
+    @pytest.mark.parametrize("level", [0.0, -1.0, math.inf])
+    def test_default_window_needs_positive_finite_h0(self, level):
+        traj = HazardTrajectory((HazardSegment(0.0, Constant(level)),))
+        with pytest.raises(ValueError, match=r"h\(0\).*--t-max"):
+            default_time_grid(traj)
+        assert default_time_grid(traj, count=4, t_max=5.0)[-1] == pytest.approx(5.0)
+
 
 class TestStochasticOrder:
     def test_constant_gaps_identically_zero(self):

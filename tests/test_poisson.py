@@ -65,11 +65,18 @@ class TestDiscretize:
         with pytest.raises(ValueError):
             discretize(CONSTANT_HALF, grid)
 
-    def test_probabilities_must_be_interior(self):
-        with pytest.raises(ValueError):
-            DiscretizedFailureProcess((0.0, 0.5))
-        with pytest.raises(ValueError):
-            DiscretizedFailureProcess((1.0,))
+    def test_probabilities_in_half_open_unit_interval(self):
+        # p == 1 is an interval of certain failure (hazard increment past ~37)
+        assert DiscretizedFailureProcess((0.5, 1.0)).probabilities == (0.5, 1.0)
+        for bad in (0.0, -0.5, math.nextafter(1.0, 2.0), math.nan):
+            with pytest.raises(ValueError):
+                DiscretizedFailureProcess((bad, 0.5))
+
+    def test_certain_failure_interval_keeps_bound_in_range(self):
+        proc = discretize(HazardTrajectory((HazardSegment(0.0, Constant(50.0)),)), [1.0, 2.0])
+        assert proc.probabilities == (1.0, 1.0)
+        assert stein_chen_tv_bound(proc) == 1.0
+        assert 0.0 <= exact_tv_small(proc) <= 1.0
 
 
 class TestSteinChenBound:

@@ -19,6 +19,7 @@ from riskcheck.hazard import (
     HazardSegment,
     HazardTrajectory,
     Linear,
+    MaintenanceEpoch,
     Power,
     cumulative_hazard,
     failure_cdf,
@@ -26,6 +27,7 @@ from riskcheck.hazard import (
 from riskcheck.sampling import (
     EmpiricalDistribution,
     SeededStream,
+    _exponentials,
     empirical_cdf,
     sample_failure_time,
     sample_many,
@@ -55,10 +57,54 @@ class TestSeededStream:
             SeededStream(1, -1)
 
 
+class TestDrawContract:
+    """Replicate i reads word i of the Philox stream keyed by the seed."""
+
+    SAWTOOTH = HazardTrajectory(
+        (HazardSegment(0.0, Linear(0.1, 0.05)), HazardSegment(10.0, Power(0.1, 0.02, 2.0))),
+        (MaintenanceEpoch(10.0, 0.1),),
+    )
+
+    @given(st.data(), st.integers(0, 2**64 - 1), st.integers(1, 2000))
+    @settings(max_examples=60, deadline=None)
+    def test_replicate_is_its_single_stream_draw(self, data, seed, n):
+        i = data.draw(st.integers(0, n - 1))
+        draws = sample_replicates(self.SAWTOOTH, n, seed)
+        assert draws[i] == sample_failure_time(self.SAWTOOTH, SeededStream(seed, i))
+
+    @given(st.data(), st.integers(0, 2**64 - 1), st.integers(2, 2000))
+    @settings(max_examples=60, deadline=None)
+    def test_shorter_run_is_a_prefix(self, data, seed, n):
+        m = data.draw(st.integers(1, n - 1))
+        longer = sample_replicates(self.SAWTOOTH, n, seed)
+        assert np.array_equal(sample_replicates(self.SAWTOOTH, m, seed), longer[:m])
+
+    def test_edge_words_give_finite_positive_draws(self):
+        e = _exponentials(np.array([0, 2**64 - 1], dtype=np.uint64))
+        assert np.all(np.isfinite(e)) and np.all(e > 0.0)
+        assert e[0] == pytest.approx(53 * math.log(2.0), rel=1e-15)
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
+    def test_every_word_gives_finite_positive_draw(self, words):
+        e = _exponentials(np.array(words, dtype=np.uint64))
+        assert np.all(np.isfinite(e)) and np.all(e > 0.0)
+
+    def test_words_are_counter_lanes(self):
+        # word i is lane i % 4 of counter block i // 4 of Philox keyed by seed
+        words = np.random.Philox(key=99).random_raw(12)
+        expected = _exponentials(words)
+        for i in range(12):
+            assert SeededStream(99, i).exponential() == expected[i]
+
+    def test_non_integer_seed_rejected(self):
+        with pytest.raises(ValueError):
+            sample_replicates(CONSTANT_ONE, 3, seed=1.5)
+
+
 class TestInversionSampler:
     def test_constant_is_scaled_exponential(self):
         stream = SeededStream(7, 0)
-        e = float(stream.generator().standard_exponential())
+        e = stream.exponential()
         assert sample_failure_time(CONSTANT_HALF, stream) == pytest.approx(e / 0.5, rel=1e-14)
 
     @given(st.integers(0, 100_000), st.integers(0, 64))
@@ -67,7 +113,7 @@ class TestInversionSampler:
         # |H(T) - E| <= 1e-9 where E is the generating exponential draw
         traj = random_valid_trajectory(np.random.default_rng(seed))
         stream = SeededStream(seed, stream_id)
-        e = float(stream.generator().standard_exponential())
+        e = stream.exponential()
         t = sample_failure_time(traj, stream)
         assert abs(cumulative_hazard(traj, t) - e) <= 1e-9
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from riskcheck import scenarios
 from riskcheck.hazard import Constant, hazard_at, validate_trajectory
 from riskcheck.scenarios import (
     DegradationModel,
@@ -141,6 +142,30 @@ class TestScenarioValidation:
     def test_bad_parameters_rejected(self, model, policy):
         with pytest.raises(ValueError):
             build_trajectory(_scenario(model, policy))
+
+    def test_epoch_count_capped(self, monkeypatch):
+        monkeypatch.setattr(scenarios, "MAX_EPOCHS", 10)
+        model = DegradationModel(0.1, LinearGrowth(0.1))
+        # the threshold step is 1.0 here, like the period: h0 0.1 reaches 0.2
+        for policy in (PeriodicPerfect(1.0), ThresholdPerfect(0.2)):
+            traj = build_trajectory(_scenario(model, policy, horizon=10.5))
+            assert len(traj.maintenance_epochs) == 10
+            with pytest.raises(ValueError, match="MAX_EPOCHS"):
+                build_trajectory(_scenario(model, policy, horizon=11.0))
+
+    @pytest.mark.parametrize(
+        "model,policy",
+        [
+            (DegradationModel(0.1, LinearGrowth(1e300)), ThresholdPerfect(0.3)),
+            (DegradationModel(1e-300, LinearGrowth(1e300)), ThresholdPerfect(2e-300)),
+            (DegradationModel(0.1, LinearGrowth(0.0)), PeriodicPerfect(1e-300)),
+            (DegradationModel(0.1, LinearGrowth(0.05)), PeriodicImperfect(1e-300, 0.5)),
+        ],
+        ids=["threshold", "threshold-step-underflows", "periodic-flat", "periodic-imperfect"],
+    )
+    def test_tiny_steps_rejected(self, model, policy):
+        with pytest.raises(ValueError, match="MAX_EPOCHS"):
+            build_trajectory(_scenario(model, policy, horizon=10.0))
 
     def test_bad_horizon_rejected(self):
         with pytest.raises(ValueError):
