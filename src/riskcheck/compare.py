@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hazard import HazardTrajectory, failure_cdf, hazard_at
+from .hazard import HazardTrajectory, failure_cdf, failure_probability, hazard_at
 
 __all__ = [
     "ORDERING_TOLERANCE",
@@ -141,8 +141,8 @@ def _build_report(traj: HazardTrajectory, grid, pra_rate: float) -> ComparisonRe
     grid = _check_grid(grid)
     h0 = hazard_at(traj, 0.0)
     f_true = tuple(failure_cdf(traj, t) for t in grid)
-    f_h0 = tuple(-math.expm1(-h0 * t) for t in grid)
-    f_pra = tuple(-math.expm1(-pra_rate * t) for t in grid)
+    f_h0 = tuple(failure_probability(h0 * t) for t in grid)
+    f_pra = tuple(failure_probability(pra_rate * t) for t in grid)
     gaps = tuple(a - b for a, b in zip(f_true, f_h0))
     return ComparisonReport(
         grid=grid,

@@ -61,6 +61,7 @@ __all__ = [
     "cumulative_hazard",
     "reliability",
     "failure_cdf",
+    "failure_probability",
     "mean_time_to_failure",
     "invert_cumulative_hazard",
     "MTTF_CUTOFF_CUMULATIVE_HAZARD",
@@ -287,6 +288,8 @@ class ExponentialGrowth:
         object.__setattr__(self, "growth", float(self.growth))
 
     def value(self, u: float) -> float:
+        if self.base == 0.0:
+            return self.base  # not 0 * exp(inf) = nan once growth * u overflows
         try:
             return self.base * math.exp(self.growth * u)
         except OverflowError:
@@ -306,9 +309,9 @@ class ExponentialGrowth:
         return math.log1p(self.growth * area / self.base) / self.growth
 
     def limit_at_infinity(self) -> float:
-        if self.growth == 0.0:
+        if self.growth == 0.0 or self.base == 0.0:
             return self.base
-        return math.inf if self.growth > 0.0 else 0.0
+        return math.copysign(math.inf, self.base) if self.growth > 0.0 else 0.0
 
     def time_to_reach(self, level: float) -> float | None:
         if self.growth == 0.0 or self.base == 0.0:
@@ -319,7 +322,13 @@ class ExponentialGrowth:
         return _elapsed(math.log(ratio) / self.growth)
 
     def decrease_reason(self) -> str | None:
-        return f"negative growth {self.growth:g}" if self.growth < 0.0 else None
+        # The value moves away from zero for growth > 0 and toward it for
+        # growth < 0, so it decreases iff base and growth have opposite signs.
+        if self.growth < 0.0 and self.base >= 0.0:
+            return f"negative growth {self.growth:g}"
+        if self.growth > 0.0 and self.base < 0.0:
+            return f"negative base {self.base:g} with positive growth {self.growth:g}"
+        return None
 
 
 SEGMENT_FORMS = (Constant, Linear, Power, ExponentialGrowth)
@@ -606,13 +615,26 @@ def cumulative_hazard(traj: HazardTrajectory, t: float) -> float:
 
 
 def reliability(traj: HazardTrajectory, t: float) -> float:
-    """Survival probability R(t) = exp(-cumulative_hazard(t))."""
-    return math.exp(-cumulative_hazard(traj, t))
+    """Survival probability R(t) = exp(-cumulative_hazard(t)); +inf where
+    exp overflows, which only a negative hazard (principle 1) can cause."""
+    try:
+        return math.exp(-cumulative_hazard(traj, t))
+    except OverflowError:
+        return math.inf
+
+
+def failure_probability(cumulative: float) -> float:
+    """1 - exp(-cumulative), the failure probability over a cumulative
+    hazard; -inf where exp overflows (cumulative below about -709)."""
+    try:
+        return -math.expm1(-cumulative)
+    except OverflowError:
+        return -math.inf
 
 
 def failure_cdf(traj: HazardTrajectory, t: float) -> float:
     """Probability of failure by time t, 1 - R(t)."""
-    return -math.expm1(-cumulative_hazard(traj, t))
+    return failure_probability(cumulative_hazard(traj, t))
 
 
 def invert_cumulative_hazard(traj: HazardTrajectory, target: float) -> float:

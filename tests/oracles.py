@@ -5,8 +5,10 @@ hazard comes from quadrature over pointwise hazard values (never the
 closed-form antiderivatives), the hazard back from finite differences of
 the survival curve, failure times from thinning against pointwise hazard
 values (never the inverted antiderivative), the Poisson-binomial pmf from
-explicit outcome enumeration (never the convolution), and KS statistics
-from first principles.
+explicit outcome enumeration (never the convolution), the exact Poisson
+total-variation distance from scipy's Poisson pmf and survival function
+(never the positive-part recurrence), and KS statistics from first
+principles.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ import itertools
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, stats
 
 from riskcheck.hazard import HazardTrajectory, hazard_at, reliability
+from riskcheck.poisson import DiscretizedFailureProcess, poisson_binomial_pmf
 from riskcheck.sampling import SeededStream
 
 QUAD_REL_TOL = 1e-10
@@ -182,3 +185,25 @@ def enumerated_poisson_binomial_pmf(probabilities) -> np.ndarray:
             prob *= p if x else 1.0 - p
         pmf[sum(outcome)] += prob
     return pmf
+
+
+def capped_exact_tv(proc: DiscretizedFailureProcess, support_cap: int | None = None) -> float:
+    """Total-variation distance between the indicator sum and Poisson(lambda)
+    as half the L1 distance of the pmfs.
+
+    The Poisson pmf is enumerated up to ``support_cap`` (default
+    lambda + 40*sqrt(lambda) + 40, far past any mass at double precision)
+    and the tail above the cap is folded in exactly via the survival
+    function.
+    """
+    n = len(proc.probabilities)
+    lam = sum(proc.probabilities)
+    if support_cap is None:
+        support_cap = math.ceil(lam + 40.0 * math.sqrt(lam) + 40.0)
+    support_cap = max(int(support_cap), n)
+    sum_pmf = np.zeros(support_cap + 1)
+    sum_pmf[: n + 1] = poisson_binomial_pmf(proc.probabilities)
+    ks = np.arange(support_cap + 1)
+    poisson_pmf = stats.poisson.pmf(ks, lam)
+    tail = float(stats.poisson.sf(support_cap, lam))
+    return 0.5 * (float(np.abs(sum_pmf - poisson_pmf).sum()) + tail)

@@ -1,13 +1,19 @@
 """CLI contract: exit codes, artifacts, determinism, schemas."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from riskcheck.cli import (
+    _SUBCOMMANDS,
     EXIT_OK,
     EXIT_ORDERING,
     EXIT_PRINCIPLE,
@@ -46,6 +52,14 @@ from riskcheck.serialize import (
     trajectory_hash,
     trajectory_to_dict,
 )
+
+# Rule-breaking segments whose CDF columns overflow exp (bound-check does
+# not validate its input).
+NEGATIVE_CUBIC_AREA = HazardSegment(0.0, Power(0.1, -0.1, 2.0))
+NEGATIVE_START_STEEP = HazardSegment(0.0, Linear(-1.0, 1e300))
+# Valid, but H saturates to inf well inside a --t-max 2000 grid.
+EXP_GROWTH = HazardSegment(0.0, ExponentialGrowth(0.1, 1.0))
+
 
 def write_json(path: Path, payload) -> Path:
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -152,7 +166,7 @@ class TestOverflow:
     """exp growth past the largest float saturates; the CLI keeps its exit
     code contract instead of dying with a traceback (exit 1)."""
 
-    GROWTH = HazardSegment(0.0, ExponentialGrowth(0.1, 1.0))
+    GROWTH = EXP_GROWTH
 
     def run_module(self, traj, tmp_path, *args):
         path = write_json(tmp_path / "overflow.json", trajectory_to_dict(traj))
@@ -188,6 +202,21 @@ class TestOverflow:
         assert result.returncode in (EXIT_OK, EXIT_SCHEMA, EXIT_PRINCIPLE, EXIT_ORDERING)
         assert "Traceback" not in result.stderr
 
+    def test_bound_check_on_very_negative_cumulative_hazard(self, tmp_path):
+        # H(50) is about -4161, so 1 - exp(-H) saturates to -inf: the true
+        # CDF falls below the bound and the ordering is violated.
+        traj = HazardTrajectory((NEGATIVE_CUBIC_AREA,))
+        result = self.run_module(traj, tmp_path, "bound-check")
+        assert result.returncode == EXIT_ORDERING
+        assert "Traceback" not in result.stderr
+
+    def test_bound_check_on_negative_initial_hazard(self, tmp_path):
+        # h(0) = -1, so the comparator 1 - exp(-h(0) t) saturates to -inf
+        traj = HazardTrajectory((NEGATIVE_START_STEEP,))
+        result = self.run_module(traj, tmp_path, "bound-check", "--t-max", "2000")
+        assert result.returncode in (EXIT_OK, EXIT_SCHEMA, EXIT_PRINCIPLE, EXIT_ORDERING)
+        assert "Traceback" not in result.stderr
+
 
 class TestEdgeInputs:
     """Valid but extreme inputs keep the exit-code contract: no traceback,
@@ -198,6 +227,17 @@ class TestEdgeInputs:
         traj = HazardTrajectory((HazardSegment(0.0, ExponentialGrowth(0.1, 1.0)),))
         path = write_json(tmp_path / "growth.json", trajectory_to_dict(traj))
         result = run_module(path, tmp_path, "distance", "--n", "200")
+        assert result.returncode == EXIT_OK, result.stderr
+        report = json.loads((tmp_path / "distance.json").read_text())
+        assert 0.0 <= report["bound"] <= 1.0
+        assert 0.0 <= report["ks"] <= 1.0
+
+    def test_distance_past_cumulative_hazard_overflow(self, tmp_path):
+        # H is inf at the last grid points, so late intervals are certain
+        # failures (p = 1) rather than inf - inf = nan
+        traj = HazardTrajectory((EXP_GROWTH,))
+        path = write_json(tmp_path / "growth.json", trajectory_to_dict(traj))
+        result = run_module(path, tmp_path, "distance", "--t-max", "2000", "--n", "200")
         assert result.returncode == EXIT_OK, result.stderr
         report = json.loads((tmp_path / "distance.json").read_text())
         assert 0.0 <= report["bound"] <= 1.0
@@ -232,6 +272,81 @@ class TestEdgeInputs:
         assert result.returncode == EXIT_SCHEMA
         assert "Traceback" not in result.stderr
         assert "MAX_EPOCHS" in result.stderr
+
+
+FUZZ_PARAMS = [0.0, 1e-300, -1e-300, 1e-3, -1e-3, 0.1, -0.1, 1.0, -1.0, 1e3, -1e3, 1e300, -1e300]
+FUZZ_EXPONENTS = [-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
+FUZZ_LATER_STARTS = [0.5, 1.0, 10.0, 800.0, 1e6, 1e200]
+_param = st.sampled_from(FUZZ_PARAMS)
+FUZZ_FORMS = st.one_of(
+    st.builds(Constant, _param),
+    st.builds(Linear, _param, _param),
+    st.builds(Power, _param, _param, st.sampled_from(FUZZ_EXPONENTS)),
+    st.builds(ExponentialGrowth, _param, _param),
+)
+
+
+@st.composite
+def fuzz_trajectories(draw):
+    """1-3 segments starting at 0, valid or not."""
+    forms = draw(st.lists(FUZZ_FORMS, min_size=1, max_size=3))
+    later = draw(
+        st.lists(
+            st.sampled_from(FUZZ_LATER_STARTS),
+            min_size=len(forms) - 1,
+            max_size=len(forms) - 1,
+            unique=True,
+        )
+    )
+    starts = [0.0] + sorted(later)
+    return HazardTrajectory(tuple(HazardSegment(t, f) for t, f in zip(starts, forms)))
+
+
+class TestExitCodeContract:
+    """Every command on every trajectory file exits 0, 2, 3 or 4 and never
+    raises, whatever the parameters, window or grid size."""
+
+    @given(
+        fuzz_trajectories(),
+        st.sampled_from(["validate", "eval", "sample", "bound-check", "compare", "distance"]),
+        st.sampled_from([None, "1e-300", "0.5", "2000", "1e300"]),
+        st.sampled_from([None, "2", "5", "20"]),
+        st.booleans(),
+    )
+    @example(HazardTrajectory((NEGATIVE_CUBIC_AREA,)), "bound-check", None, None, False)
+    @example(HazardTrajectory((NEGATIVE_START_STEEP,)), "bound-check", "2000", None, False)
+    @example(HazardTrajectory((EXP_GROWTH,)), "distance", "2000", None, False)
+    @settings(max_examples=1200, deadline=None)
+    def test_main_keeps_the_exit_code_contract(self, traj, command, t_max, grid_points, plot):
+        with tempfile.TemporaryDirectory() as out:
+            path = write_json(Path(out) / "trajectory.json", trajectory_to_dict(traj))
+            argv = [command, "--input", str(path), "--out", out]
+            accepted = _SUBCOMMANDS[command][1]
+            for option, value in (("--t-max", t_max), ("--grid-points", grid_points), ("--n", "50")):
+                if option in accepted and value is not None:
+                    argv += [option, value]
+            if "--plot" in accepted and plot:
+                argv.append("--plot")
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_PRINCIPLE, EXIT_ORDERING)
+
+
+class TestImportFootprint:
+    def test_cli_does_not_import_scipy_stats(self):
+        # scipy.stats alone costs about half a second of every CLI start
+        result = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, riskcheck.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))",
+            ],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestSample:

@@ -111,6 +111,20 @@ VALIDATE_CASES = {
         ],
         [],
     ),
+    "exponential-negative-base": (
+        # the value falls from -0.1 toward -inf
+        trajectory(segment(0, "exponential_growth", base=-0.1, growth=1.0)),
+        [
+            (1, 0.0, "hazard at segment start is -0.1, must be positive and finite"),
+            (
+                3,
+                0.0,
+                "segment decreases within its span (negative base -0.1 with positive growth 1)",
+            ),
+            (5, 0.0, "segment hazard falls below h(0)=-0.1"),
+        ],
+        [],
+    ),
     "exponential-overflow": (
         trajectory(
             segment(0, "exponential_growth", base=0.1, growth=1.0),

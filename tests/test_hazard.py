@@ -7,7 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import periodic_linear_mttf, quad_cumulative_hazard, quad_mttf, recovered_hazard
@@ -307,6 +307,32 @@ class TestFormProtocol:
             return
         if (later > start and level < start) or (later < start and level > start):
             assert form.time_to_reach(level) is None
+
+    @given(FORMS, ELAPSED)
+    @example(ExponentialGrowth(-0.1, 1.0), 1.0)
+    @example(ExponentialGrowth(0.0, 1e16), 1e300)  # growth * u overflows to inf
+    @settings(max_examples=400, deadline=None)
+    def test_no_decrease_reason_means_never_below_the_start(self, form, u):
+        if form.decrease_reason() is not None:
+            return
+        start = form.value(0.0)
+        assert form.value(u) >= start
+        assert form.limit_at_infinity() >= start
+
+    @pytest.mark.parametrize(
+        "form, expected",
+        [
+            (ExponentialGrowth(0.1, 1.0), math.inf),
+            (ExponentialGrowth(-0.1, 1.0), -math.inf),
+            (ExponentialGrowth(0.1, -1.0), 0.0),
+            (ExponentialGrowth(-0.1, -1.0), 0.0),
+            (ExponentialGrowth(-0.1, 0.0), -0.1),
+            (ExponentialGrowth(0.0, 1.0), 0.0),
+        ],
+        ids=["grows", "falls", "decays", "rises", "flat", "zero"],
+    )
+    def test_exponential_limit_follows_the_sign_of_base(self, form, expected):
+        assert form.limit_at_infinity() == expected
 
     @pytest.mark.parametrize(
         "form, level, expected",

@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import dkw_epsilon, enumerated_poisson_binomial_pmf, quad_cumulative_hazard
+from oracles import (
+    capped_exact_tv,
+    dkw_epsilon,
+    enumerated_poisson_binomial_pmf,
+    quad_cumulative_hazard,
+)
 from riskcheck.compare import PraModel
 from riskcheck.hazard import (
     Constant,
@@ -92,8 +97,8 @@ class TestSteinChenBound:
     def test_ten_identical_indicators(self):
         proc = DiscretizedFailureProcess((0.1,) * 10)
         assert stein_chen_tv_bound(proc) == pytest.approx(0.1, abs=1e-12)
-        # exact TV of Binomial(10, 0.1) vs Poisson(1), enumerated to count 40
-        exact = exact_tv_small(proc, support_cap=40)
+        # exact TV of Binomial(10, 0.1) vs Poisson(1)
+        exact = exact_tv_small(proc)
         assert exact <= 0.1
         assert exact > 0.0
 
@@ -131,6 +136,26 @@ class TestExactTv:
             n = int(rng.integers(1, 13))
             proc = DiscretizedFailureProcess(tuple(float(p) for p in rng.uniform(0.01, 0.99, n)))
             assert exact_tv_small(proc) <= stein_chen_tv_bound(proc) + 1e-12
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(0.0, 1.0, exclude_min=True),
+                st.floats(1e-13, 1e-11),
+                st.just(1.0),
+            ),
+            max_size=20,
+        )
+    )
+    @example([1.0] * 20)
+    @example([1e-12] * 20)
+    @example([1.0, 1e-12, 0.5])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_capped_reference(self, probs):
+        # the positive part over {0..n} against half the L1 distance out to
+        # a far cap plus the Poisson tail beyond it
+        proc = DiscretizedFailureProcess(tuple(probs))
+        assert exact_tv_small(proc) == pytest.approx(capped_exact_tv(proc), rel=0.0, abs=1e-14)
 
     def test_too_many_indicators_rejected(self):
         with pytest.raises(ValueError):
