@@ -15,8 +15,10 @@ the hazard is allowed to drop.  Five structural rules are enforced by
    the system beyond good-as-new).
 
 Cumulative hazard, reliability R(t) = exp(-int_0^t h) and the failure CDF
-are evaluated from exact per-segment antiderivatives; no quadrature is
-involved outside :func:`mean_time_to_failure`.
+are evaluated from exact per-segment antiderivatives.  The one integral
+without a closed form, the mean time to failure, is a fixed Gauss-Legendre
+rule on panels that end at segment starts and at fixed levels of the
+cumulative hazard (:func:`mean_time_to_failure`).
 
 Cost model: the first calculus call on a trajectory object compiles its
 segment profile (start times and the cumulative hazard at each start) in
@@ -40,7 +42,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import ClassVar, Union
 
-from scipy import integrate
+import numpy as np
 
 __all__ = [
     "Constant",
@@ -67,9 +69,17 @@ __all__ = [
     "MTTF_CUTOFF_CUMULATIVE_HAZARD",
 ]
 
-# Cumulative hazard beyond which the survival probability drops under 1e-12;
-# mean_time_to_failure switches from quadrature to the tail estimate there.
-MTTF_CUTOFF_CUMULATIVE_HAZARD = 27.6
+# Levels of H where the panels of mean_time_to_failure end (besides segment
+# starts): the multiples of 2 up to 40, so R falls by at most a factor
+# exp(-2) across a panel, and below H = 2 powers of 8 down to 2**-41, so a
+# hazard that starts tiny and grows fast is resolved too (below 2**-41, R is
+# 1 to 12 digits).  The last level is the cutoff: the integral stops where
+# R = exp(-40) ~ 4e-18 and drops the rest.
+_MTTF_LEVELS = tuple(2.0 * 8.0**-k for k in range(14, 0, -1)) + tuple(2.0 * k for k in range(1, 21))
+MTTF_CUTOFF_CUMULATIVE_HAZARD = _MTTF_LEVELS[-1]
+# 20-point Gauss-Legendre nodes and weights, mapped from [-1, 1] to [0, 1].
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
+_GAUSS_LEGENDRE = tuple(zip((0.5 * (1.0 + _NODES)).tolist(), (0.5 * _WEIGHTS).tolist()))
 
 _INVERSION_TIME_TOLERANCE = 1e-12
 _NEWTON_MAX_ITERATIONS = 50
@@ -117,6 +127,20 @@ class PrincipleViolationError(ValueError):
 def _times_overflow(scale: float) -> float:
     """``scale * x`` for an x that overflowed past the largest float."""
     return math.copysign(math.inf, scale) if scale != 0.0 else 0.0
+
+
+def _exp_times(scale: float, x: float) -> float:
+    """``scale * exp(x)``, saturating to the signed infinity only where the
+    product overflows, not where exp(x) alone does."""
+    try:
+        return scale * math.exp(x)
+    except OverflowError:
+        if scale == 0.0:
+            return 0.0
+        try:
+            return math.copysign(math.exp(x + math.log(abs(scale))), scale)
+        except OverflowError:
+            return _times_overflow(scale)
 
 
 def _elapsed(u: float) -> float | None:
@@ -175,8 +199,10 @@ class Linear:
         if self.slope == 0.0:
             return area / self.intercept
         # Stable root of slope/2 u^2 + intercept u - area = 0.
-        disc = self.intercept * self.intercept + 2.0 * self.slope * area
-        return 2.0 * area / (self.intercept + math.sqrt(disc))
+        root = math.sqrt(self.intercept * self.intercept + 2.0 * self.slope * area)
+        if root == math.inf:  # the radicand overflowed; hypot never forms it
+            root = math.hypot(self.intercept, math.sqrt(self.slope) * math.sqrt(2.0 * area))
+        return 2.0 * area / (self.intercept + root)
 
     def limit_at_infinity(self) -> float:
         if self.slope == 0.0:
@@ -290,23 +316,24 @@ class ExponentialGrowth:
     def value(self, u: float) -> float:
         if self.base == 0.0:
             return self.base  # not 0 * exp(inf) = nan once growth * u overflows
-        try:
-            return self.base * math.exp(self.growth * u)
-        except OverflowError:
-            return _times_overflow(self.base)
+        return _exp_times(self.base, self.growth * u)
 
     def integral(self, u: float) -> float:
         if self.growth == 0.0:
             return self.base * u
         try:
             return self.base * math.expm1(self.growth * u) / self.growth
-        except OverflowError:  # growth * u is large, so growth > 0
-            return _times_overflow(self.base)
+        except OverflowError:  # growth * u is large, so growth > 0 and expm1 is exp
+            return _exp_times(self.base, self.growth * u - math.log(self.growth))
 
     def invert_integral(self, area: float) -> float | None:
         if self.growth == 0.0:
             return area / self.base
-        return math.log1p(self.growth * area / self.base) / self.growth
+        ratio = self.growth * area / self.base
+        if ratio == math.inf:  # log1p(r) = log(r) + log1p(1/r), log(r) termwise
+            log_ratio = math.log(self.growth) + math.log(area) - math.log(self.base)
+            return (log_ratio + math.log1p(math.exp(-log_ratio))) / self.growth
+        return math.log1p(ratio) / self.growth
 
     def limit_at_infinity(self) -> float:
         if self.growth == 0.0 or self.base == 0.0:
@@ -704,35 +731,22 @@ def _invert_integral_numeric(form: SegmentForm, area: float, span: float) -> flo
 def mean_time_to_failure(traj: HazardTrajectory) -> float:
     """Mean of the failure time, int_0^inf R(t) dt.
 
-    Adaptive quadrature (piecewise between segment boundaries, where R is
-    smooth) up to the later of the last segment start and the first time the
-    cumulative hazard reaches ``MTTF_CUTOFF_CUMULATIVE_HAZARD``; past that
-    point the tail is R(t)/h for a constant final segment, else quadrature
-    continues in growing windows until an increment falls below 1e-12.
+    Integrates R up to t_c, where the cumulative hazard reaches
+    ``MTTF_CUTOFF_CUMULATIVE_HAZARD`` = 40, with a 20-point Gauss-Legendre
+    rule on each panel between consecutive knots: the segment starts below
+    t_c and the times where H crosses 2 * 8**-k (k = 14, ..., 1) and 2, 4,
+    ..., 40.  Within a panel R is smooth, falls by at most a factor exp(-2)
+    and H at most grows eightfold or by 2.  The tail past t_c is dropped;
+    since h >= h(0) everywhere (principle 5), it is at most
+    R(t_c)/h(0) = exp(-40)/h(0).
     """
-    starts, _ = traj._profile
-    t_cut = max(invert_cumulative_hazard(traj, MTTF_CUTOFF_CUMULATIVE_HAZARD), starts[-1])
-
-    def survival(t: float) -> float:
-        return math.exp(-cumulative_hazard(traj, t))
-
+    starts, prefix = traj._profile
+    levels = [invert_cumulative_hazard(traj, level) for level in _MTTF_LEVELS]
+    knots = sorted({*levels, *(s for s in starts if s < levels[-1])})
     total = 0.0
-    knots = [s for s in starts if s < t_cut] + [t_cut]
     for a, b in zip(knots, knots[1:]):
-        part, _err = integrate.quad(survival, a, b, epsabs=1e-13, epsrel=1e-11, limit=200)
-        total += part
-
-    last = traj.segments[-1].form
-    if isinstance(last, Constant):
-        total += survival(t_cut) / last.level
-    else:
-        width = 1.0 / hazard_at(traj, t_cut)
-        a = t_cut
-        for _ in range(200):
-            part, _err = integrate.quad(survival, a, a + width, epsabs=1e-13, epsrel=1e-11, limit=200)
-            total += part
-            a += width
-            width *= 2.0
-            if part < 1e-12:
-                break
+        i = bisect_right(starts, a) - 1
+        integral, u0, width = traj.segments[i].form.integral, a - starts[i], b - a
+        nodes = (w * math.exp(-(prefix[i] + integral(u0 + width * x))) for x, w in _GAUSS_LEGENDRE)
+        total += width * sum(nodes)
     return total

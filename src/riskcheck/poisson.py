@@ -44,10 +44,12 @@ EXACT_TV_MAX_INDICATORS = 20
 
 @dataclass(frozen=True)
 class DiscretizedFailureProcess:
-    """Per-interval failure probabilities, each in (0, 1].
+    """Per-interval failure probabilities, each in [0, 1].
 
     p = 1 is an interval where failure is certain in double precision (its
     hazard increment is past about 37); nothing here divides by 1 - p.
+    p = 0 is one whose increment underflows or rounds to 0; it adds nothing
+    to lambda, the bound or the pmf.
     """
 
     probabilities: tuple[float, ...]
@@ -55,8 +57,8 @@ class DiscretizedFailureProcess:
     def __post_init__(self):
         probs = tuple(float(p) for p in self.probabilities)
         object.__setattr__(self, "probabilities", probs)
-        if any(not (0.0 < p <= 1.0) for p in probs):
-            raise ValueError("interval failure probabilities must lie in (0, 1]")
+        if any(not (0.0 <= p <= 1.0) for p in probs):
+            raise ValueError("interval failure probabilities must lie in [0, 1]")
 
 
 def discretize(traj: HazardTrajectory, grid) -> DiscretizedFailureProcess:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # noqa: F401  loaded here, not lazily on first use inside a command
 
 from .hazard import HazardTrajectory, invert_cumulative_hazard
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from oracles import periodic_linear_mttf, quad_cumulative_hazard, quad_mttf, recovered_hazard
 from riskcheck.hazard import (
@@ -233,6 +234,43 @@ class TestMeanTimeToFailure:
             periodic_linear_mttf(0.1, 0.05, 0.1, cycles), abs=1e-8
         )
 
+    def test_ten_thousand_cycle_sawtooth_matches_closed_form_oracle(self):
+        traj = periodic_sawtooth(0.01, 100.0)
+        cycles = len(traj.maintenance_epochs)
+        assert cycles == len(traj.segments) - 1 >= 9_999
+        assert mean_time_to_failure(traj) == pytest.approx(
+            periodic_linear_mttf(0.1, 0.05, 0.01, cycles), abs=1e-8
+        )
+
+    @pytest.mark.parametrize("rate", [1.0, 1e300])
+    @pytest.mark.parametrize("boundary", [1e5, 1e6])
+    def test_boundary_far_past_the_decay(self, rate, boundary):
+        # R(boundary) underflows long before the second (identical) segment
+        traj = HazardTrajectory(
+            (HazardSegment(0.0, Constant(rate)), HazardSegment(boundary, Constant(rate)))
+        )
+        assert mean_time_to_failure(traj) * rate == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("base", [1e-10, 1e-100, 1e-300])
+    def test_tiny_start_then_fast_growth(self, base):
+        # H rises through hundreds of orders of magnitude before it reaches
+        # 1, all within what would otherwise be the first panel.  Closed
+        # form: E[T] = exp(b) E1(b) for h = b exp(u).
+        traj = HazardTrajectory((HazardSegment(0.0, ExponentialGrowth(base, 1.0)),))
+        assert mean_time_to_failure(traj) == pytest.approx(
+            math.exp(base) * special.exp1(base), rel=1e-12
+        )
+
+    def test_overflowing_linear_inverse(self):
+        traj = HazardTrajectory((HazardSegment(0.0, Linear(1e300, 1e300)),))
+        assert mean_time_to_failure(traj) * 1e300 == pytest.approx(1.0, abs=1e-12)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_quadrature_oracle(self, seed):
+        traj = random_valid_trajectory(np.random.default_rng(seed))
+        assert mean_time_to_failure(traj) == pytest.approx(quad_mttf(traj), rel=1e-9)
+
 
 class TestFormOverflow:
     """Kernels saturate to the signed infinity where exp or ** overflows."""
@@ -254,6 +292,31 @@ class TestFormOverflow:
     def test_saturates(self, form, u, value, integral):
         assert form.value(u) == value
         assert form.integral(u) == integral
+
+    @pytest.mark.parametrize(
+        "form, u",
+        [(ExponentialGrowth(1e-300, 1.0), 750.0), (ExponentialGrowth(1e-300, 1e300), 7.5e-298)],
+    )
+    def test_saturates_only_where_the_product_overflows(self, form, u):
+        # exp(growth * u) = exp(750) overflows; the hazard and its area do not
+        value = 1e-300 * math.exp(375.0) * math.exp(375.0)
+        assert form.value(u) == pytest.approx(value, rel=1e-12)
+        assert form.integral(u) == pytest.approx(value / form.growth, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "form, area",
+        [
+            (Linear(1e300, 1e300), 40.0),  # intercept**2 overflows
+            (Linear(1.0, 1e308), 40.0),  # slope * area overflows
+            (ExponentialGrowth(1e-300, 1e10), 40.0),  # growth * area / base overflows
+            (ExponentialGrowth(1e-300, 1e300), 2.0),
+            (ExponentialGrowth(1.0, 1e300), 1e10),
+        ],
+    )
+    def test_closed_form_inverse_survives_overflow(self, form, area):
+        u = form.invert_integral(area)
+        assert 0.0 < u < math.inf
+        assert form.integral(u) == pytest.approx(area, rel=1e-12)
 
 
 # Parameters from 1e-3 to 1e300 in magnitude, and zero: wide enough to

@@ -70,12 +70,20 @@ class TestDiscretize:
         with pytest.raises(ValueError):
             discretize(CONSTANT_HALF, grid)
 
-    def test_probabilities_in_half_open_unit_interval(self):
-        # p == 1 is an interval of certain failure (hazard increment past ~37)
-        assert DiscretizedFailureProcess((0.5, 1.0)).probabilities == (0.5, 1.0)
-        for bad in (0.0, -0.5, math.nextafter(1.0, 2.0), math.nan):
+    def test_probabilities_in_closed_unit_interval(self):
+        # p == 1 is an interval of certain failure (hazard increment past ~37),
+        # p == 0 one whose increment underflows
+        assert DiscretizedFailureProcess((0.0, 0.5, 1.0)).probabilities == (0.0, 0.5, 1.0)
+        for bad in (-1e-300, -0.5, math.nextafter(1.0, 2.0), math.nan):
             with pytest.raises(ValueError):
                 DiscretizedFailureProcess((bad, 0.5))
+
+    def test_zero_probability_interval_adds_nothing(self):
+        with_zero = DiscretizedFailureProcess((0.0, 0.3, 0.0))
+        without = DiscretizedFailureProcess((0.3,))
+        assert stein_chen_tv_bound(with_zero) == stein_chen_tv_bound(without)
+        assert exact_tv_small(with_zero) == exact_tv_small(without)
+        assert poisson_binomial_pmf(with_zero.probabilities).tolist() == [0.7, 0.3, 0.0, 0.0]
 
     def test_certain_failure_interval_keeps_bound_in_range(self):
         proc = discretize(HazardTrajectory((HazardSegment(0.0, Constant(50.0)),)), [1.0, 2.0])

@@ -58,6 +58,17 @@ class TestValidVerdicts:
         assert report.valid
         assert any("upward jump" in note for note in report.notes)
 
+    def test_tiny_base_grows_past_where_exp_alone_overflows(self):
+        # exp(800) overflows, 1e-300 * exp(800) ~ 2.7e47 does not
+        traj = HazardTrajectory(
+            (
+                HazardSegment(0.0, ExponentialGrowth(1e-300, 1.0)),
+                HazardSegment(800.0, Constant(1e48)),
+            )
+        )
+        report = validate_trajectory(traj)
+        assert report.valid, report.violations
+
 
 class TestPrincipleViolations:
     def test_undeclared_downward_step(self):
