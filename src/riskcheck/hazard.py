@@ -37,7 +37,7 @@ most compute the same profile twice.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import ClassVar, Union
@@ -70,13 +70,15 @@ __all__ = [
 ]
 
 # Levels of H where the panels of mean_time_to_failure end (besides segment
-# starts): the multiples of 2 up to 40, so R falls by at most a factor
-# exp(-2) across a panel, and below H = 2 powers of 8 down to 2**-41, so a
-# hazard that starts tiny and grows fast is resolved too (below 2**-41, R is
-# 1 to 12 digits).  The last level is the cutoff: the integral stops where
-# R = exp(-40) ~ 4e-18 and drops the rest.
-_MTTF_LEVELS = tuple(2.0 * 8.0**-k for k in range(14, 0, -1)) + tuple(2.0 * k for k in range(1, 21))
-MTTF_CUTOFF_CUMULATIVE_HAZARD = _MTTF_LEVELS[-1]
+# starts): the multiples of 2, so R falls by at most a factor exp(-2) across
+# a panel, and below H = 2 powers of 8 down to 2**-41, so a hazard that
+# starts tiny and grows fast is resolved too (below 2**-41, R is 1 to 12
+# digits).  The integral stops at the first level from the cutoff H = 40 on
+# (R = exp(-40) ~ 4e-18) where the dropped tail is below _MTTF_TAIL relative
+# to the integral so far, and at the latest at H = 746, where R underflows.
+_MTTF_LEVELS = tuple(2.0 * 8.0**-k for k in range(14, 0, -1)) + tuple(2.0 * k for k in range(1, 374))
+MTTF_CUTOFF_CUMULATIVE_HAZARD = 40.0
+_MTTF_TAIL = 1e-16
 # 20-point Gauss-Legendre nodes and weights, mapped from [-1, 1] to [0, 1].
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
 _GAUSS_LEGENDRE = tuple(zip((0.5 * (1.0 + _NODES)).tolist(), (0.5 * _WEIGHTS).tolist()))
@@ -330,9 +332,8 @@ class ExponentialGrowth:
         if self.growth == 0.0:
             return area / self.base
         ratio = self.growth * area / self.base
-        if ratio == math.inf:  # log1p(r) = log(r) + log1p(1/r), log(r) termwise
-            log_ratio = math.log(self.growth) + math.log(area) - math.log(self.base)
-            return (log_ratio + math.log1p(math.exp(-log_ratio))) / self.growth
+        if ratio == math.inf:  # log1p(r) = log(r) for r past the float range
+            return (math.log(self.growth) + math.log(area) - math.log(self.base)) / self.growth
         return math.log1p(ratio) / self.growth
 
     def limit_at_infinity(self) -> float:
@@ -731,22 +732,30 @@ def _invert_integral_numeric(form: SegmentForm, area: float, span: float) -> flo
 def mean_time_to_failure(traj: HazardTrajectory) -> float:
     """Mean of the failure time, int_0^inf R(t) dt.
 
-    Integrates R up to t_c, where the cumulative hazard reaches
-    ``MTTF_CUTOFF_CUMULATIVE_HAZARD`` = 40, with a 20-point Gauss-Legendre
-    rule on each panel between consecutive knots: the segment starts below
-    t_c and the times where H crosses 2 * 8**-k (k = 14, ..., 1) and 2, 4,
-    ..., 40.  Within a panel R is smooth, falls by at most a factor exp(-2)
-    and H at most grows eightfold or by 2.  The tail past t_c is dropped;
-    since h >= h(0) everywhere (principle 5), it is at most
-    R(t_c)/h(0) = exp(-40)/h(0).
+    Integrates R with a 20-point Gauss-Legendre rule on each panel between
+    consecutive knots: the segment starts and the times where H crosses
+    2 * 8**-k (k = 14, ..., 1) and 2, 4, 6, ...  Within a panel R is smooth,
+    falls by at most a factor exp(-2) and H at most grows eightfold or by 2.
+    The tail past the time t_c where H reaches a level L is dropped; since
+    h >= h(0) everywhere (principle 5), it is at most R(t_c)/h(0) =
+    exp(-L)/h(0).  L is the first level from
+    ``MTTF_CUTOFF_CUMULATIVE_HAZARD`` = 40 on where that bound is at most
+    1e-16 of the integral so far, or 746, where R underflows: 40 unless h(0)
+    is small against 1/E[T], as when maintenance returns the hazard to a
+    tiny h(0) after H has passed 40.
     """
     starts, prefix = traj._profile
-    levels = [invert_cumulative_hazard(traj, level) for level in _MTTF_LEVELS]
-    knots = sorted({*levels, *(s for s in starts if s < levels[-1])})
-    total = 0.0
-    for a, b in zip(knots, knots[1:]):
-        i = bisect_right(starts, a) - 1
-        integral, u0, width = traj.segments[i].form.integral, a - starts[i], b - a
-        nodes = (w * math.exp(-(prefix[i] + integral(u0 + width * x))) for x, w in _GAUSS_LEGENDRE)
-        total += width * sum(nodes)
+    h0 = traj.segments[0].form.value(0.0)
+    total, a = 0.0, 0.0
+    for level in _MTTF_LEVELS:
+        b = max(a, invert_cumulative_hazard(traj, level))
+        knots = (a, *starts[bisect_right(starts, a) : bisect_left(starts, b)], b)
+        for lo, hi in zip(knots, knots[1:]):
+            i = bisect_right(starts, lo) - 1
+            integral, u0, width = traj.segments[i].form.integral, lo - starts[i], hi - lo
+            nodes = (w * math.exp(-(prefix[i] + integral(u0 + width * x))) for x, w in _GAUSS_LEGENDRE)
+            total += width * sum(nodes)
+        a = b
+        if level >= MTTF_CUTOFF_CUMULATIVE_HAZARD and math.exp(-level) <= _MTTF_TAIL * h0 * total:
+            break
     return total

@@ -26,6 +26,7 @@ from riskcheck.hazard import (
     invert_cumulative_hazard,
     mean_time_to_failure,
     reliability,
+    validate_trajectory,
 )
 from riskcheck.scenarios import (
     DegradationModel,
@@ -260,6 +261,21 @@ class TestMeanTimeToFailure:
         assert mean_time_to_failure(traj) == pytest.approx(
             math.exp(base) * special.exp1(base), rel=1e-12
         )
+
+    @pytest.mark.parametrize("h0", [1e-20, 1e-300])
+    def test_maintenance_restores_a_tiny_initial_hazard_past_the_cutoff(self, h0):
+        # H reaches 50 by t = 1, past the cutoff 40; maintenance then
+        # restores h(0), so the tail past H = 40 is about exp(-50)/h0 and
+        # dominates.  E[T] = int_0^1 exp(-50 t^2) dt + exp(-50)/h0 up to
+        # terms of relative order h0.
+        traj = HazardTrajectory(
+            (HazardSegment(0.0, Linear(h0, 100.0)), HazardSegment(1.0, Constant(h0))),
+            (MaintenanceEpoch(1.0, h0),),
+        )
+        assert validate_trajectory(traj).valid
+        expected = 0.5 * math.sqrt(math.pi / 50.0) * math.erf(math.sqrt(50.0))
+        expected += math.exp(-50.0) / h0
+        assert mean_time_to_failure(traj) == pytest.approx(expected, rel=1e-12)
 
     def test_overflowing_linear_inverse(self):
         traj = HazardTrajectory((HazardSegment(0.0, Linear(1e300, 1e300)),))
