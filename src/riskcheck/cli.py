@@ -318,6 +318,13 @@ _SUBCOMMANDS = {
 }
 
 
+def _with_options(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Add subcommand ``name``'s options to its parser."""
+    for option in _SUBCOMMANDS[name][1]:
+        parser.add_argument(option, **_OPTIONS[option])
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riskcheck",
@@ -325,17 +332,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"riskcheck {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, options) in _SUBCOMMANDS.items():
+    for name, (help_text, _) in _SUBCOMMANDS.items():
         # Options left off the command line stay absent, so RunConfig's
         # defaults apply.
-        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
-        for option in options:
-            p.add_argument(option, **_OPTIONS[option])
+        _with_options(sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS), name)
     return parser
 
 
+def _parse_options(argv: list[str]) -> dict:
+    """The parsed options of ``argv``, as ``build_parser()`` gives them.
+
+    A command line that starts with a subcommand is parsed by that
+    subcommand's parser alone, built as ``build_parser()`` builds it, so its
+    help and errors are the same.  Anything else, and any argument that
+    parser leaves over (the full parser reports those under its own usage
+    line), goes to the full parser.
+    """
+    if argv and argv[0] in _SUBCOMMANDS:
+        parser = argparse.ArgumentParser(
+            prog=f"riskcheck {argv[0]}", argument_default=argparse.SUPPRESS
+        )
+        options, rest = _with_options(parser, argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return {"command": argv[0], **vars(options)}
+    return vars(build_parser().parse_args(argv))
+
+
 def main(argv: list[str] | None = None) -> int:
-    options = vars(build_parser().parse_args(argv))
+    options = _parse_options(sys.argv[1:] if argv is None else argv)
     try:
         if "seed" not in options:
             options["seed"] = _default_seed()

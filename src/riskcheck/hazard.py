@@ -37,6 +37,7 @@ most compute the same profile twice.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -120,9 +121,10 @@ class PrincipleViolationError(ValueError):
 # * ``decrease_reason()``: None if the form never decreases (principle 3),
 #   else a short description of the parameter that makes it decrease.
 #
-# Where exp or ** overflows, value and integral saturate to the signed
-# infinity instead of raising OverflowError.  Adding a form means writing
-# one class and listing it in SEGMENT_FORMS.
+# Where the value or the area overflows, value and integral saturate to the
+# signed infinity instead of raising OverflowError; an exp or ** that
+# overflows inside a finite product is taken in log space.  Adding a form
+# means writing one class and listing it in SEGMENT_FORMS.
 # ---------------------------------------------------------------------------
 
 
@@ -245,7 +247,7 @@ class Power:
         try:
             return self.base + self.coefficient * u**self.exponent
         except OverflowError:
-            return self.base + _times_overflow(self.coefficient)
+            return self.base + _exp_times(self.coefficient, self.exponent * math.log(u))
 
     def integral(self, u: float) -> float:
         if self.coefficient == 0.0:
@@ -253,20 +255,25 @@ class Power:
         if self.exponent <= -1.0:
             # u**exponent is not integrable at 0: the area from 0 diverges.
             return 0.0 if u == 0.0 else self.base * u + _times_overflow(self.coefficient)
+        power = self.exponent + 1.0
         try:
-            return self.base * u + self.coefficient * u ** (self.exponent + 1.0) / (
-                self.exponent + 1.0
-            )
+            return self.base * u + self.coefficient * u**power / power
         except OverflowError:
-            return self.base * u + _times_overflow(self.coefficient / (self.exponent + 1.0))
+            return self.base * u + _exp_times(self.coefficient, power * math.log(u) - math.log(power))
 
     def invert_integral(self, area: float) -> float | None:
         if self.coefficient == 0.0:
             return area / self.base
         if self.base == 0.0:
-            return ((self.exponent + 1.0) * area / self.coefficient) ** (
-                1.0 / (self.exponent + 1.0)
-            )
+            power = self.exponent + 1.0
+            ratio = power * area / self.coefficient
+            if ratio == math.inf:  # the ratio alone overflowed; its root may not
+                ratio_log = math.log(power) + math.log(area) - math.log(self.coefficient)
+                return _exp_times(1.0, ratio_log / power)
+            try:
+                return ratio ** (1.0 / power)
+            except OverflowError:  # the root itself overflows (exponent < 0)
+                return math.inf
         return None  # no closed form; caller falls back to root finding
 
     def limit_at_infinity(self) -> float:
@@ -743,18 +750,28 @@ def mean_time_to_failure(traj: HazardTrajectory) -> float:
     1e-16 of the integral so far, or 746, where R underflows: 40 unless h(0)
     is small against 1/E[T], as when maintenance returns the hazard to a
     tiny h(0) after H has passed 40.
+
+    If H stays below a level at every float time (h(0) below about 4e-306),
+    the last panel ends at the largest float and the tail bound there,
+    R/h(0), is added instead of dropped: that is the exact tail where the
+    hazard is back at h(0), and inf where the mean overflows.
     """
     starts, prefix = traj._profile
     h0 = traj.segments[0].form.value(0.0)
     total, a = 0.0, 0.0
     for level in _MTTF_LEVELS:
         b = max(a, invert_cumulative_hazard(traj, level))
+        unreached = b == math.inf
+        if unreached:
+            b = sys.float_info.max
         knots = (a, *starts[bisect_right(starts, a) : bisect_left(starts, b)], b)
         for lo, hi in zip(knots, knots[1:]):
             i = bisect_right(starts, lo) - 1
             integral, u0, width = traj.segments[i].form.integral, lo - starts[i], hi - lo
             nodes = (w * math.exp(-(prefix[i] + integral(u0 + width * x))) for x, w in _GAUSS_LEGENDRE)
             total += width * sum(nodes)
+        if unreached:
+            return total + reliability(traj, b) / h0
         a = b
         if level >= MTTF_CUTOFF_CUMULATIVE_HAZARD and math.exp(-level) <= _MTTF_TAIL * h0 * total:
             break

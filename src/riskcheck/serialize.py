@@ -79,7 +79,10 @@ def _require(condition: bool, message: str) -> None:
 
 def _number(obj, where: str) -> float:
     _require(isinstance(obj, (int, float)) and not isinstance(obj, bool), f"{where} must be a number")
-    value = float(obj)
+    try:
+        value = float(obj)
+    except OverflowError:  # an integer literal past the float range
+        value = math.inf
     _require(math.isfinite(value), f"{where} must be finite")
     return value
 
@@ -92,7 +95,10 @@ def _mapping(obj, where: str) -> dict:
 def _tagged(obj, where: str, tag_key: str, registry: dict) -> object:
     d = _mapping(obj, where)
     tag = d.get(tag_key)
-    _require(tag in registry, f"{where}.{tag_key} must be one of {sorted(registry)}, got {tag!r}")
+    _require(
+        isinstance(tag, str) and tag in registry,
+        f"{where}.{tag_key} must be one of {sorted(registry)}, got {tag!r}",
+    )
     cls, fields = registry[tag]
     params = _mapping(d.get("params"), f"{where}.params")
     _require(
@@ -129,6 +135,38 @@ def trajectory_to_dict(traj: HazardTrajectory) -> dict:
     }
 
 
+def _finite_floats(values) -> bool:
+    for v in values:
+        if type(v) is not float or not math.isfinite(v):
+            return False
+    return True
+
+
+def _plain_segment(raw) -> HazardSegment | None:
+    """The segment ``raw`` describes if all its numbers are finite floats and
+    it passes every check, else None: the common case without building the
+    location strings that only an error message reads."""
+    if type(raw) is not dict:
+        return None
+    tag, params = raw.get("form"), raw.get("params")
+    if type(tag) is not str or tag not in _FORMS or type(params) is not dict:
+        return None
+    cls, fields = _FORMS[tag]
+    values = [params.get(f) for f in fields]
+    start = raw.get("start")
+    if len(params) != len(fields) or not _finite_floats((start, *values)):
+        return None
+    return HazardSegment(start, cls(*values))
+
+
+def _plain_epoch(raw) -> MaintenanceEpoch | None:
+    """Like :func:`_plain_segment`, for a maintenance epoch."""
+    if type(raw) is not dict:
+        return None
+    time, post_hazard = raw.get("time"), raw.get("post_hazard")
+    return MaintenanceEpoch(time, post_hazard) if _finite_floats((time, post_hazard)) else None
+
+
 def trajectory_from_dict(d) -> HazardTrajectory:
     d = _mapping(d, "trajectory")
     _check_schema_version(d, "trajectory")
@@ -136,23 +174,26 @@ def trajectory_from_dict(d) -> HazardTrajectory:
     _require(isinstance(raw_segments, list) and raw_segments, "trajectory.segments must be a nonempty array")
     segments = []
     for i, raw in enumerate(raw_segments):
-        where = f"trajectory.segments[{i}]"
-        seg = _mapping(raw, where)
-        start = _number(seg.get("start"), f"{where}.start")
-        form = _tagged(seg, where, "form", _FORMS)
-        segments.append(HazardSegment(start, form))
+        segment = _plain_segment(raw)
+        if segment is None:  # integers, or a check fails: the full checks
+            where = f"trajectory.segments[{i}]"
+            seg = _mapping(raw, where)
+            start = _number(seg.get("start"), f"{where}.start")
+            segment = HazardSegment(start, _tagged(seg, where, "form", _FORMS))
+        segments.append(segment)
     raw_epochs = d.get("maintenance_epochs", [])
     _require(isinstance(raw_epochs, list), "trajectory.maintenance_epochs must be an array")
     epochs = []
     for i, raw in enumerate(raw_epochs):
-        where = f"trajectory.maintenance_epochs[{i}]"
-        e = _mapping(raw, where)
-        epochs.append(
-            MaintenanceEpoch(
+        epoch = _plain_epoch(raw)
+        if epoch is None:
+            where = f"trajectory.maintenance_epochs[{i}]"
+            e = _mapping(raw, where)
+            epoch = MaintenanceEpoch(
                 _number(e.get("time"), f"{where}.time"),
                 _number(e.get("post_hazard"), f"{where}.post_hazard"),
             )
-        )
+        epochs.append(epoch)
     return HazardTrajectory(tuple(segments), tuple(epochs))
 
 

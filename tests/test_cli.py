@@ -1,6 +1,8 @@
 """CLI contract: exit codes, artifacts, determinism, schemas."""
 
+import argparse
 import contextlib
+import csv
 import io
 import json
 import subprocess
@@ -12,13 +14,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import riskcheck.cli
 from riskcheck.cli import (
     _SUBCOMMANDS,
+    DEFAULT_SEED,
     EXIT_OK,
     EXIT_ORDERING,
     EXIT_PRINCIPLE,
     EXIT_SCHEMA,
     RunConfig,
+    build_parser,
     main,
     run,
 )
@@ -67,6 +72,11 @@ TINY_CONSTANT = HazardTrajectory((HazardSegment(0.0, Constant(1e-300)),))
 FAR_BOUNDARY = HazardTrajectory(
     (HazardSegment(0.0, Constant(1e300)), HazardSegment(1e6, Constant(1e300)))
 )
+# Valid, but u**3 overflows long before the tiny coefficient lets the hazard
+# itself overflow.
+TINY_CUBIC = HazardTrajectory((HazardSegment(0.0, Power(1.0, 1e-300, 3.0)),))
+# Valid, but H stays below 0.25 at every float time: the mean, 1e310, overflows.
+SUBNORMAL_CONSTANT = HazardTrajectory((HazardSegment(0.0, Constant(1e-310)),))
 
 
 def write_json(path: Path, payload) -> Path:
@@ -273,6 +283,22 @@ class TestEdgeInputs:
         assert result.returncode == EXIT_OK, result.stderr
         assert "rate-1e+300 exponential" in result.stdout
 
+    def test_eval_where_only_the_power_of_u_overflows(self, tmp_path):
+        path = write_json(tmp_path / "cubic.json", trajectory_to_dict(TINY_CUBIC))
+        argv = ["eval", "--input", str(path), "--out", str(tmp_path), "--t-max", "1e103"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv + ["--grid-points", "2"]) == EXIT_OK
+        with open(tmp_path / "eval.csv") as fh:
+            last = list(csv.DictReader(fh))[-1]
+        assert float(last["t"]) == 1e103
+        assert float(last["h"]) == pytest.approx(1e9 + 1.0, rel=1e-12)
+        assert float(last["H"]) == pytest.approx(1e103 + 2.5e111, rel=1e-12)
+
+    def test_compare_when_the_mean_overflows(self, tmp_path, capsys):
+        path = write_json(tmp_path / "subnormal.json", trajectory_to_dict(SUBNORMAL_CONSTANT))
+        assert main(["compare", "--input", str(path), "--out", str(tmp_path)]) == EXIT_SCHEMA
+        assert "mean time to failure must be positive and finite, got inf" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "form", [Constant(0.0), ExponentialGrowth(0.0, 1.0)], ids=["constant", "exp-growth"]
     )
@@ -330,6 +356,124 @@ def fuzz_trajectories(draw):
     )
     starts = [0.0] + sorted(later)
     return HazardTrajectory(tuple(HazardSegment(t, f) for t, f in zip(starts, forms)))
+
+
+class TestMalformedInput:
+    """Off-schema files exit 2 with a message, never with a traceback."""
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            (
+                {"schema_version": 1, "segments": [{"start": 0.0, "form": ["linear"], "params": {}}]},
+                "trajectory.segments[0].form must be one of",
+            ),
+            (
+                {
+                    "schema_version": 1,
+                    "label": "x",
+                    "model": {"h0": 0.1, "growth": {"form": {"a": 1}, "params": {}}},
+                    "policy": {"kind": "none", "params": {}},
+                    "horizon": 10.0,
+                },
+                "scenario.model.growth.form must be one of",
+            ),
+        ],
+        ids=["trajectory-form-list", "growth-form-object"],
+    )
+    def test_unhashable_tag(self, tmp_path, document, message):
+        path = write_json(tmp_path / "bad.json", document)
+        result = run_module(path, tmp_path, "validate")
+        assert result.returncode == EXIT_SCHEMA
+        assert "Traceback" not in result.stderr
+        assert message in result.stderr
+
+    def test_integer_past_the_float_range(self, tmp_path):
+        path = tmp_path / "huge.json"
+        level = "1" + "0" * 340
+        path.write_text(
+            '{"schema_version": 1, "segments": [{"start": 0.0, "form": "constant", '
+            f'"params": {{"level": {level}}}}}]}}'
+        )
+        result = run_module(path, tmp_path, "validate")
+        assert result.returncode == EXIT_SCHEMA
+        assert result.stderr == "error: trajectory.segments[0].params.level must be finite\n"
+
+
+def _outcome(call):
+    """(result or None, SystemExit code or None, stdout, stderr) of ``call()``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result, code = call(), None
+        except SystemExit as exc:
+            result, code = None, exc.code
+    return result, code, out.getvalue(), err.getvalue()
+
+
+# Command lines that reach the argument parser: help, version, errors,
+# abbreviations, "--", repeats and unknown commands.
+PARSER_CASES = [
+    [],
+    ["--help"],
+    ["-h"],
+    ["--version"],
+    ["--version", "validate"],
+    ["explode"],
+    ["explode", "--input", "in.json"],
+    *([name, "--help"] for name in _SUBCOMMANDS),
+    ["validate", "-h", "--bogus"],
+    ["validate"],
+    ["eval", "--input"],
+    ["validate", "--input", "in.json"],
+    ["eval", "--input", "in.json", "--grid-points", "ten"],
+    ["validate", "--input", "in.json", "--bogus"],
+    ["validate", "-x"],
+    ["validate", "--input", "in.json", "extra"],
+    ["validate", "--input", "in.json", "--version"],
+    ["validate", "--input", "in.json", "--ver"],
+    ["eval", "--inp", "in.json", "--grid", "5", "--t-m", "2"],
+    ["validate", "--", "--input", "in.json"],
+    ["validate", "--input", "in.json", "--"],
+    ["sample", "--input", "a.json", "--input", "b.json", "--n", "5", "--n", "7"],
+    ["compare", "--input=in.json", "--plot", "--pra-rate", "0.1", "--out", "o"],
+    ["distance", "--input", "in.json", "--seed", "-3", "--t-max", "-1e3"],
+    ["bound-check", "--input", "in.json", "--plot", "--workers", "2"],
+    ["catalog"],
+    ["catalog", "--input", "in.json"],
+]
+
+
+class TestArgumentParser:
+    """main builds only the invoked subcommand's parser, with the same
+    result, help and errors as the full parser."""
+
+    @pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "<none>")
+    def test_same_as_the_full_parser(self, argv, monkeypatch):
+        monkeypatch.delenv("RISKCHECK_SEED", raising=False)
+        configs = []
+        monkeypatch.setattr(riskcheck.cli, "run", lambda config: configs.append(config) or EXIT_OK)
+        code, exit_code, out, err = _outcome(lambda: main(list(argv)))
+        options, *expected = _outcome(lambda: vars(build_parser().parse_args(list(argv))))
+        assert [exit_code, out, err] == expected
+        if options is None:
+            assert code is None and configs == []
+        else:
+            assert code == EXIT_OK
+            assert configs == [RunConfig(**{"seed": DEFAULT_SEED, **options})]
+
+    def test_a_subcommand_builds_one_parser(self, valid_file, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        code, *_ = _outcome(lambda: main(["validate", "--input", str(valid_file), "--out", str(tmp_path)]))
+        assert code == EXIT_OK
+        assert built == ["riskcheck validate"]
 
 
 class TestExitCodeContract:

@@ -281,6 +281,19 @@ class TestMeanTimeToFailure:
         traj = HazardTrajectory((HazardSegment(0.0, Linear(1e300, 1e300)),))
         assert mean_time_to_failure(traj) * 1e300 == pytest.approx(1.0, abs=1e-12)
 
+    def test_mean_past_the_largest_float_is_inf(self):
+        # H(t) = 1e-310 t stays below 0.25 at every float time; the mean,
+        # 1e310, overflows
+        traj = HazardTrajectory((HazardSegment(0.0, Constant(1e-310)),))
+        assert mean_time_to_failure(traj) == math.inf
+
+    @pytest.mark.parametrize("level", [1e-308, 1e-307])
+    def test_level_time_past_the_largest_float(self, level):
+        # a level of H is first reached past the largest float; the mean
+        # 1/level is finite
+        traj = HazardTrajectory((HazardSegment(0.0, Constant(level)),))
+        assert mean_time_to_failure(traj) * level == pytest.approx(1.0, rel=1e-12)
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=100, deadline=None)
     def test_matches_quadrature_oracle(self, seed):
@@ -318,6 +331,23 @@ class TestFormOverflow:
         value = 1e-300 * math.exp(375.0) * math.exp(375.0)
         assert form.value(u) == pytest.approx(value, rel=1e-12)
         assert form.integral(u) == pytest.approx(value / form.growth, rel=1e-12)
+
+    def test_power_saturates_only_where_the_product_overflows(self):
+        # u**3 overflows past u = 5.6e102; with coefficient 1e-300 the
+        # hazard and its area stay finite
+        form = Power(1.0, 1e-300, 3.0)
+        assert form.value(1e103) == pytest.approx(1e9 + 1.0, rel=1e-12)
+        assert form.integral(2e100) == pytest.approx(6e100, rel=1e-12)
+
+    def test_power_inverse_survives_an_overflowing_ratio(self):
+        # (exponent + 1) * area / coefficient = 4e600 overflows; its fourth
+        # root does not
+        form = Power(0.0, 1e-300, 3.0)
+        u = form.invert_integral(1e300)
+        assert u == pytest.approx(math.sqrt(2.0) * 1e150, rel=1e-12)
+        assert form.integral(u) == pytest.approx(1e300, rel=1e-12)
+        # exponent -0.5: the root is the square of 5e199 and overflows itself
+        assert Power(0.0, 1.0, -0.5).invert_integral(1e200) == math.inf
 
     @pytest.mark.parametrize(
         "form, area",

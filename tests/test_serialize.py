@@ -1,6 +1,8 @@
 """JSON schemas: round trips, strictness, hashing, input sniffing."""
 
+import copy
 import json
+import math
 
 import pytest
 
@@ -120,6 +122,132 @@ class TestSchemaStrictness:
         del d["label"]
         with pytest.raises(SchemaError, match="label"):
             scenario_from_dict(d)
+
+
+# Two segments and an epoch; each case below breaks the second segment or the
+# epoch, so the checks that run before it pass on the first segment.
+PLAIN = {
+    "schema_version": 1,
+    "segments": [
+        {"start": 0.0, "form": "linear", "params": {"intercept": 0.1, "slope": 0.05}},
+        {"start": 10.0, "form": "constant", "params": {"level": 0.1}},
+    ],
+    "maintenance_epochs": [{"time": 10.0, "post_hazard": 0.1}],
+}
+FORM_NAMES = "['constant', 'exponential_growth', 'linear', 'power']"
+
+
+def _second(**fields):
+    return lambda d: d["segments"][1].update(fields)
+
+
+def _epoch(**fields):
+    return lambda d: d["maintenance_epochs"][0].update(fields)
+
+
+def _drop(key):
+    return lambda d: d["segments"][1].pop(key)
+
+
+# case -> (edit of PLAIN, the SchemaError message)
+MESSAGES = {
+    "segment-not-object": (
+        lambda d: d["segments"].__setitem__(1, 3.0),
+        "trajectory.segments[1] must be an object",
+    ),
+    "start-missing": (_drop("start"), "trajectory.segments[1].start must be a number"),
+    "start-bool": (_second(start=True), "trajectory.segments[1].start must be a number"),
+    "start-string": (_second(start="ten"), "trajectory.segments[1].start must be a number"),
+    "start-nan": (_second(start=math.nan), "trajectory.segments[1].start must be finite"),
+    "form-unknown": (
+        _second(form="sinusoid"),
+        f"trajectory.segments[1].form must be one of {FORM_NAMES}, got 'sinusoid'",
+    ),
+    "form-missing": (
+        _drop("form"),
+        f"trajectory.segments[1].form must be one of {FORM_NAMES}, got None",
+    ),
+    "params-not-object": (_second(params=[0.1]), "trajectory.segments[1].params must be an object"),
+    "params-extra-key": (
+        _second(params={"level": 0.1, "bias": 0.0}),
+        "trajectory.segments[1].params for 'constant' must have exactly keys ['level']",
+    ),
+    "params-empty": (
+        _second(params={}),
+        "trajectory.segments[1].params for 'constant' must have exactly keys ['level']",
+    ),
+    "param-string": (
+        _second(params={"level": "high"}),
+        "trajectory.segments[1].params.level must be a number",
+    ),
+    "param-infinite": (
+        _second(params={"level": -math.inf}),
+        "trajectory.segments[1].params.level must be finite",
+    ),
+    "epochs-not-array": (
+        lambda d: d.__setitem__("maintenance_epochs", {"time": 10.0}),
+        "trajectory.maintenance_epochs must be an array",
+    ),
+    "epoch-not-object": (
+        lambda d: d.__setitem__("maintenance_epochs", [[10.0, 0.1]]),
+        "trajectory.maintenance_epochs[0] must be an object",
+    ),
+    "epoch-time-missing": (
+        lambda d: d["maintenance_epochs"][0].pop("time"),
+        "trajectory.maintenance_epochs[0].time must be a number",
+    ),
+    "epoch-time-bool": (_epoch(time=False), "trajectory.maintenance_epochs[0].time must be a number"),
+    "epoch-post-hazard-infinite": (
+        _epoch(post_hazard=math.inf),
+        "trajectory.maintenance_epochs[0].post_hazard must be finite",
+    ),
+    # the last two raised TypeError and OverflowError before
+    "form-unhashable": (
+        _second(form=["constant"]),
+        f"trajectory.segments[1].form must be one of {FORM_NAMES}, got ['constant']",
+    ),
+    "param-integer-past-float-range": (
+        _second(params={"level": 10**340}),
+        "trajectory.segments[1].params.level must be finite",
+    ),
+}
+
+
+class TestSchemaErrorMessages:
+    """The exact message of every check in trajectory_from_dict."""
+
+    @pytest.mark.parametrize("edit, message", MESSAGES.values(), ids=MESSAGES.keys())
+    def test_message(self, edit, message):
+        d = copy.deepcopy(PLAIN)
+        edit(d)
+        with pytest.raises(SchemaError) as info:
+            trajectory_from_dict(d)
+        assert str(info.value) == message
+
+    def test_unhashable_growth_form(self):
+        d = scenario_to_dict(scenario_catalog()[0])
+        d["model"]["growth"]["form"] = {"a": 1}
+        with pytest.raises(SchemaError, match=r"scenario\.model\.growth\.form must be one of .*got \{'a': 1\}"):
+            scenario_from_dict(d)
+
+    def test_integer_past_the_float_range(self):
+        d = scenario_to_dict(scenario_catalog()[0])
+        d["horizon"] = -(10**400)
+        with pytest.raises(SchemaError, match=r"^scenario\.horizon must be finite$"):
+            scenario_from_dict(d)
+
+    def test_integer_valued_fields_load_as_floats(self):
+        def load(start, level):
+            d = copy.deepcopy(PLAIN)
+            d["segments"][0]["start"] = start
+            d["segments"][1]["params"]["level"] = level
+            d["maintenance_epochs"][0]["post_hazard"] = level
+            return trajectory_from_dict(d)
+
+        as_ints, as_floats = load(0, 1), load(0.0, 1.0)
+        assert trajectory_hash(as_ints) == trajectory_hash(as_floats)
+        assert as_ints == as_floats
+        assert type(as_ints.segments[0].start_time) is float
 
 
 class TestLoadInput:
