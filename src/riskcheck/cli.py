@@ -5,15 +5,17 @@ catalog.  Inputs are trajectory or scenario JSON files (scenarios are
 compiled first).  Outputs are CSV/JSON artifacts, plus an SVG overlay of
 the CDF comparators with ``--plot``.
 
-Exit codes: 0 success, 2 schema/structure error, 3 principle violation,
-4 ordering violation (bound-check).  All outputs are deterministic for a
-fixed (input, config); the sampling seed defaults to DEFAULT_SEED and can
-be overridden by the RISKCHECK_SEED environment variable or ``--seed``.
+Exit codes: 0 success, 2 schema/structure error or unwritable output,
+3 principle violation, 4 ordering violation (bound-check).  All outputs are
+deterministic for a fixed (input, config); the sampling seed defaults to
+DEFAULT_SEED and can be overridden by the RISKCHECK_SEED environment
+variable or ``--seed``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -82,7 +84,6 @@ class RunConfig:
     seed: int = DEFAULT_SEED
     emit_plot: bool = False
     pra_rate: float | None = None
-    workers: int = 1
 
 
 def _load_trajectory(config: RunConfig) -> HazardTrajectory:
@@ -114,20 +115,7 @@ def _report_plot(config: RunConfig, grid, report, title: str) -> None:
 
 def _cmd_validate(config: RunConfig) -> int:
     report = validate_trajectory(_load_trajectory(config))
-    print(
-        json.dumps(
-            {
-                "valid": report.valid,
-                "violations": [
-                    {"principle": v.principle, "location": v.location, "message": v.message}
-                    for v in report.violations
-                ],
-                "notes": list(report.notes),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    )
+    print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
     return EXIT_OK if report.valid else EXIT_PRINCIPLE
 
 
@@ -148,7 +136,7 @@ def _cmd_eval(config: RunConfig) -> int:
 
 def _cmd_sample(config: RunConfig) -> int:
     traj = ensure_valid(_load_trajectory(config))
-    draws = sample_replicates(traj, config.n, config.seed, workers=config.workers)
+    draws = sample_replicates(traj, config.n, config.seed)
     csv_path, meta_path = write_samples_csv(
         _out_dir(config), draws, config.seed, trajectory_hash(traj)
     )
@@ -241,30 +229,24 @@ def _cmd_catalog(config: RunConfig) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "eval": _cmd_eval,
-    "sample": _cmd_sample,
-    "bound-check": _cmd_bound_check,
-    "compare": _cmd_compare,
-    "distance": _cmd_distance,
-    "catalog": _cmd_catalog,
-}
-
-
 def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit code."""
-    handler = _COMMANDS.get(config.command)
-    if handler is None:
+    if config.command not in _SUBCOMMANDS:
         print(f"unknown command {config.command!r}", file=sys.stderr)
         return EXIT_SCHEMA
     try:
-        return handler(config)
+        return _SUBCOMMANDS[config.command][2](config)
     except PrincipleViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRINCIPLE
     except (SchemaError, TrajectoryStructureError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
+    except OSError as exc:
+        # load_input reports an unreadable input as a SchemaError, so an
+        # OSError here comes from creating or writing an output.
+        where = exc.filename or config.out
+        print(f"error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_SCHEMA
 
 
@@ -286,7 +268,6 @@ _OPTIONS = {
     "--t-max": {"type": float},
     "--n": {"type": int},
     "--seed": {"type": int},
-    "--workers": {"type": int, "help": "accepted and ignored; the draws do not depend on it"},
     "--plot": {"action": "store_true", "dest": "emit_plot"},
     "--pra-rate": {
         "type": float,
@@ -294,27 +275,31 @@ _OPTIONS = {
     },
 }
 
-# Subcommand -> (help, its options in usage order).
+# Subcommand -> (help, its options in usage order, handler).
 _SUBCOMMANDS = {
-    "validate": ("check the five hazard principles", ("--input", "--out")),
+    "validate": ("check the five hazard principles", ("--input", "--out"), _cmd_validate),
     "eval": (
         "tabulate t, h, H, R, F on a grid",
         ("--input", "--out", "--grid-points", "--t-max"),
+        _cmd_eval,
     ),
-    "sample": ("draw failure times to CSV", ("--input", "--out", "--n", "--seed", "--workers")),
+    "sample": ("draw failure times to CSV", ("--input", "--out", "--n", "--seed"), _cmd_sample),
     "bound-check": (
         "verify the 1 - exp(-h(0) t) lower bound on the failure CDF",
         ("--input", "--out", "--grid-points", "--t-max", "--plot"),
+        _cmd_bound_check,
     ),
     "compare": (
         "add the practitioner's exponential comparator",
         ("--input", "--out", "--grid-points", "--t-max", "--plot", "--pra-rate"),
+        _cmd_compare,
     ),
     "distance": (
         "Poisson-approximation distance report",
         ("--input", "--out", "--grid-points", "--t-max", "--n", "--seed"),
+        _cmd_distance,
     ),
-    "catalog": ("write the built-in demonstration scenarios", ("--out",)),
+    "catalog": ("write the built-in demonstration scenarios", ("--out",), _cmd_catalog),
 }
 
 
@@ -332,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"riskcheck {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in _SUBCOMMANDS.items():
+    for name, (help_text, *_) in _SUBCOMMANDS.items():
         # Options left off the command line stay absent, so RunConfig's
         # defaults apply.
         _with_options(sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS), name)

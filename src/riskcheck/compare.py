@@ -21,7 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .hazard import HazardTrajectory, failure_cdf, failure_probability, hazard_at
+from .hazard import (
+    HazardTrajectory,
+    _require_nonnegative_time,
+    failure_cdf,
+    failure_probability,
+    hazard_at,
+)
 
 __all__ = [
     "ORDERING_TOLERANCE",
@@ -85,19 +91,13 @@ def pra_rate_from_mttf(mttf: float) -> PraModel:
 
 def pra_reliability(model: PraModel, t: float) -> float:
     """Survival exp(-rate * t) under the exponential model."""
-    t = float(t)
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise ValueError(f"time must be finite and nonnegative, got {t!r}")
-    return math.exp(-model.rate * t)
+    return math.exp(-model.rate * _require_nonnegative_time(t))
 
 
 def exponential_bound(traj: HazardTrajectory, t: float) -> float:
     """exp(-h(0) t): an upper bound on reliability(traj, t) for every valid
     trajectory, with equality exactly in the constant-hazard case."""
-    t = float(t)
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise ValueError(f"time must be finite and nonnegative, got {t!r}")
-    return math.exp(-hazard_at(traj, 0.0) * t)
+    return math.exp(-hazard_at(traj, 0.0) * _require_nonnegative_time(t))
 
 
 def default_time_grid(
@@ -113,10 +113,11 @@ def default_time_grid(
         raise ValueError(f"need at least two grid points, got {count}")
     if t_max is None:
         h0 = hazard_at(traj, 0.0)
-        if not (h0 > 0.0 and math.isfinite(h0)):
+        # 5/h(0) overflows for a subnormal h(0)
+        if not (h0 > 0.0 and math.isfinite(h0) and 5.0 / h0 < math.inf):
             raise ValueError(
-                f"the default grid spans 5/h(0), but h(0) = {h0!r} is not positive "
-                "and finite; pass --t-max"
+                f"the default grid spans 5/h(0), which is not a positive finite time for "
+                f"h(0) = {h0!r}; pass --t-max"
             )
         t_max = 5.0 / h0
     t_max = float(t_max)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compare import PraModel
+from .compare import PraModel, _check_grid
 from .hazard import HazardTrajectory, cumulative_hazard
 from .sampling import EmpiricalDistribution
 
@@ -70,13 +70,9 @@ def discretize(traj: HazardTrajectory, grid) -> DiscretizedFailureProcess:
     An interval ending where H has saturated to inf gets p = 1 (failure is
     certain by then), not the nan of inf - inf.
     """
-    grid = tuple(float(t) for t in grid)
-    if not grid:
-        raise ValueError("grid must be nonempty")
-    if grid[0] <= 0.0 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("grid must be strictly increasing with all times positive")
-    if not all(math.isfinite(t) for t in grid):
-        raise ValueError("grid times must be finite")
+    grid = _check_grid(grid)
+    if grid[0] == 0.0:
+        raise ValueError("grid times must be positive")
     cum = [0.0] + [cumulative_hazard(traj, t) for t in grid]
     return DiscretizedFailureProcess(
         probabilities=tuple(

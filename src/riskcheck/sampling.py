@@ -12,7 +12,6 @@ and ``n`` draws cost one vectorized ``random_raw`` call.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -22,6 +21,7 @@ import numpy as np
 import numpy.random  # noqa: F401  loaded here, not lazily on first use inside a command
 
 from .hazard import HazardTrajectory, invert_cumulative_hazard
+from .serialize import dump_json
 
 __all__ = [
     "GENERATOR_NAME",
@@ -104,15 +104,12 @@ def sample_failure_time(traj: HazardTrajectory, stream: SeededStream) -> float:
     return invert_cumulative_hazard(traj, stream.exponential())
 
 
-def sample_replicates(
-    traj: HazardTrajectory, n: int, seed: int, workers: int = 1
-) -> np.ndarray:
+def sample_replicates(traj: HazardTrajectory, n: int, seed: int) -> np.ndarray:
     """n inversion draws in replicate order.
 
     Replicate i equals ``sample_failure_time(traj, SeededStream(seed, i))``
-    bit for bit, so a shorter run is a prefix of a longer one.  ``workers``
-    is accepted for compatibility and ignored: the draws are one vectorized
-    call and the inversions are pure Python, which threads cannot overlap.
+    bit for bit, so a shorter run is a prefix of a longer one, and draws
+    taken in chunks, in any order, are the same draws.
     """
     if n < 1:
         raise ValueError(f"need at least one replicate, got n={n}")
@@ -124,11 +121,9 @@ def sample_replicates(
     )
 
 
-def sample_many(
-    traj: HazardTrajectory, n: int, seed: int, workers: int = 1
-) -> EmpiricalDistribution:
+def sample_many(traj: HazardTrajectory, n: int, seed: int) -> EmpiricalDistribution:
     """n independent failure-time draws as a sorted empirical distribution."""
-    draws = sample_replicates(traj, n, seed, workers=workers)
+    draws = sample_replicates(traj, n, seed)
     return EmpiricalDistribution(times=tuple(np.sort(draws).tolist()), n=n, seed=seed)
 
 
@@ -153,7 +148,6 @@ def write_samples_csv(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "samples.csv"
-    meta_path = out_dir / "samples_meta.json"
     with open(csv_path, "w", newline="\n") as fh:
         fh.write("replicate,failure_time\n")
         for i, t in enumerate(draws):
@@ -165,7 +159,4 @@ def write_samples_csv(
         "trajectory_hash": trajectory_hash,
         "n": int(len(draws)),
     }
-    with open(meta_path, "w", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return csv_path, meta_path
+    return csv_path, dump_json(out_dir / "samples_meta.json", meta)

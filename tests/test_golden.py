@@ -1,9 +1,10 @@
 """Golden outputs: exact bytes that refactors must leave unchanged.
 
-Pins the catalog's trajectory hashes and scenario files, and the exact
-``validate`` report for one rule-breaking trajectory per segment form,
-covering every principle-3 message and the principle-1 zero crossing
-(reported at t=inf when it lies beyond the largest float).
+Pins the catalog's trajectory hashes and scenario files, the trajectory
+hashes of a matrix of scenarios (every maintenance policy with every growth
+law), and the exact ``validate`` report for one rule-breaking trajectory
+per segment form, covering every principle-3 message and the principle-1
+zero crossing (reported at t=inf when it lies beyond the largest float).
 """
 
 import hashlib
@@ -12,7 +13,18 @@ import json
 import pytest
 
 from riskcheck.cli import EXIT_OK, EXIT_PRINCIPLE, main
-from riskcheck.scenarios import build_trajectory, scenario_catalog
+from riskcheck.scenarios import (
+    DegradationModel,
+    ExponentialRateGrowth,
+    LinearGrowth,
+    PeriodicImperfect,
+    PeriodicPerfect,
+    PowerGrowth,
+    Scenario,
+    ThresholdPerfect,
+    build_trajectory,
+    scenario_catalog,
+)
 from riskcheck.serialize import trajectory_hash
 
 CATALOG_TRAJECTORY_HASHES = {
@@ -31,6 +43,50 @@ CATALOG_FILE_HASHES = {
     "imperfect-drift": "ae02476afdede38dad4305ee8cb6b247665b1dcd24fa7c1accb8ca5e407eb089",
     "threshold-power": "9379b323ea161b581eeeb9ffbd677dcd5603a00ca34e2b7fef1acf7a19970ac4",
 }
+
+
+GROWTHS = {
+    "linear": LinearGrowth(0.05),
+    "power": PowerGrowth(0.02, 2.0),
+    "exponential": ExponentialRateGrowth(0.1),
+}
+ZERO_GROWTHS = {
+    "linear": LinearGrowth(0.0),
+    "power": PowerGrowth(0.0, 2.0),
+    "exponential": ExponentialRateGrowth(0.0),
+}
+POLICIES = {
+    "periodic-perfect": PeriodicPerfect(4.0),
+    "periodic-imperfect": PeriodicImperfect(4.0, 0.6),
+    "threshold": ThresholdPerfect(0.45),
+}
+
+# "policy/growth" -> (trajectory hash, epoch count), h0 0.2 over horizon 30.
+MATRIX_TRAJECTORY_HASHES = {
+    "periodic-perfect/linear": ("5be12cc0c7cfbde90f6b734281976cba498bfaa6408d79914eac6c4745f7b5c1", 7),
+    "periodic-imperfect/linear": ("57ba9458b291bac5a597fc9d9f2e7d628d98df50ad60cdf01b9d4e4b763662ff", 7),
+    "threshold/linear": ("e1ba55bd4ad4ae24b1914374238b6a5580296af37846ca488fe66c9b18cab890", 6),
+    "periodic-perfect/power": ("b5e492f9754a3dbce170bcb2a84f5bb6d1090a6da5be6426240339604876afcc", 7),
+    "periodic-imperfect/power": ("040f691fdecfe76eabd1ec83720d03abafee239fbf3336e1f7eebd377a0ba508", 7),
+    "threshold/power": ("00829ce5d2195fd5c6b7ae02b9458b1669800ce4504f25df3e24fa62f804ed0d", 8),
+    "periodic-perfect/exponential": ("4a5072211d68ce7ce616ac1cf161058d1eaf9c9f3ea2476b8f331bb1564fd0f0", 7),
+    "periodic-imperfect/exponential": ("07830d385b5dedf75d89ea667ae1c995ab0775235a3af9f77505c17bd97d28e6", 7),
+    "threshold/exponential": ("62c0fe80619ed786f3fbbda511d83d536a17c7bdb3512c60aeccca755c2b0636", 3),
+}
+# Zero growth under any policy: one flat segment at h0 0.2, no epochs.
+ZERO_GROWTH_HASH = "e4d2768957e9dfe06efe0e53ff147c4995cf6588a5ff41d7941cd345c319968c"
+# Threshold epochs are at step, step + step, ...; 10 of these 21 differ
+# from k * step in the last bits.
+THRESHOLD_SUMMED_EPOCHS = (
+    Scenario("m", DegradationModel(0.2, ExponentialRateGrowth(0.1)), ThresholdPerfect(0.5), 200.0),
+    "bdf409db112b29da59ac6b1c9d9f59bfed6267b791b70b90eec869347c3cbb09",
+    21,
+)
+IMPERFECT_28_EPOCHS = (
+    Scenario("m", DegradationModel(0.1, LinearGrowth(0.05)), PeriodicImperfect(0.7, 0.3), 20.0),
+    "cd4803edaf31053cda650ce5055dc55299cc826a4a77862248a92a43873fbb6b",
+    28,
+)
 
 
 def segment(start, form, **params):
@@ -166,6 +222,31 @@ VALIDATE_CASES = {
 def test_catalog_trajectory_hashes():
     hashes = {s.label: trajectory_hash(build_trajectory(s)) for s in scenario_catalog()}
     assert hashes == CATALOG_TRAJECTORY_HASHES
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_TRAJECTORY_HASHES))
+def test_matrix_trajectory_hashes(name):
+    policy, growth = name.split("/")
+    traj = build_trajectory(
+        Scenario("m", DegradationModel(0.2, GROWTHS[growth]), POLICIES[policy], 30.0)
+    )
+    assert (trajectory_hash(traj), len(traj.maintenance_epochs)) == MATRIX_TRAJECTORY_HASHES[name]
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("growth", sorted(ZERO_GROWTHS))
+def test_zero_growth_trajectory_hash(policy, growth):
+    scenario = Scenario("m", DegradationModel(0.2, ZERO_GROWTHS[growth]), POLICIES[policy], 30.0)
+    assert trajectory_hash(build_trajectory(scenario)) == ZERO_GROWTH_HASH
+
+
+@pytest.mark.parametrize(
+    "case", [THRESHOLD_SUMMED_EPOCHS, IMPERFECT_28_EPOCHS], ids=["threshold-summed", "imperfect-28"]
+)
+def test_long_schedule_trajectory_hashes(case):
+    scenario, expected_hash, epochs = case
+    traj = build_trajectory(scenario)
+    assert (trajectory_hash(traj), len(traj.maintenance_epochs)) == (expected_hash, epochs)
 
 
 def test_catalog_scenario_files(tmp_path, capsys):
