@@ -61,6 +61,12 @@ POLICIES = {
     "threshold": ThresholdPerfect(0.45),
 }
 
+
+def matrix_scenario(policy: str, growth: str, growths=GROWTHS) -> Scenario:
+    """h0 0.2 over horizon 30 under ``POLICIES[policy]``, growing by ``growths[growth]``."""
+    return Scenario("m", DegradationModel(0.2, growths[growth]), POLICIES[policy], 30.0)
+
+
 # "policy/growth" -> (trajectory hash, epoch count), h0 0.2 over horizon 30.
 MATRIX_TRAJECTORY_HASHES = {
     "periodic-perfect/linear": ("5be12cc0c7cfbde90f6b734281976cba498bfaa6408d79914eac6c4745f7b5c1", 7),
@@ -227,16 +233,14 @@ def test_catalog_trajectory_hashes():
 @pytest.mark.parametrize("name", sorted(MATRIX_TRAJECTORY_HASHES))
 def test_matrix_trajectory_hashes(name):
     policy, growth = name.split("/")
-    traj = build_trajectory(
-        Scenario("m", DegradationModel(0.2, GROWTHS[growth]), POLICIES[policy], 30.0)
-    )
+    traj = build_trajectory(matrix_scenario(policy, growth))
     assert (trajectory_hash(traj), len(traj.maintenance_epochs)) == MATRIX_TRAJECTORY_HASHES[name]
 
 
 @pytest.mark.parametrize("policy", sorted(POLICIES))
 @pytest.mark.parametrize("growth", sorted(ZERO_GROWTHS))
 def test_zero_growth_trajectory_hash(policy, growth):
-    scenario = Scenario("m", DegradationModel(0.2, ZERO_GROWTHS[growth]), POLICIES[policy], 30.0)
+    scenario = matrix_scenario(policy, growth, ZERO_GROWTHS)
     assert trajectory_hash(build_trajectory(scenario)) == ZERO_GROWTH_HASH
 
 

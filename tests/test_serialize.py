@@ -25,6 +25,7 @@ from riskcheck.serialize import (
     trajectory_hash,
     trajectory_to_dict,
 )
+from test_golden import GROWTHS, POLICIES, THRESHOLD_SUMMED_EPOCHS, ZERO_GROWTHS, matrix_scenario
 
 MIXED = HazardTrajectory(
     (
@@ -55,13 +56,31 @@ class TestTrajectoryRoundTrip:
         assert trajectory_hash(other) != trajectory_hash(MIXED)
 
 
+# The catalog, then every policy with every growth law of the golden matrix,
+# growing and at zero scale.
+ROUND_TRIP_SCENARIOS = {
+    **{s.label: s for s in scenario_catalog()},
+    **{f"{p}/{g}": matrix_scenario(p, g) for p in POLICIES for g in GROWTHS},
+    **{f"{p}/zero-{g}": matrix_scenario(p, g, ZERO_GROWTHS) for p in POLICIES for g in ZERO_GROWTHS},
+}
+
+
 class TestScenarioRoundTrip:
-    @pytest.mark.parametrize("scenario", scenario_catalog(), ids=lambda s: s.label)
+    @pytest.mark.parametrize(
+        "scenario", ROUND_TRIP_SCENARIOS.values(), ids=ROUND_TRIP_SCENARIOS.keys()
+    )
     def test_identity_and_build_hash(self, scenario):
         rebuilt = scenario_from_dict(scenario_to_dict(scenario))
         assert rebuilt == scenario
         assert trajectory_hash(build_trajectory(rebuilt)) == trajectory_hash(
             build_trajectory(scenario)
+        )
+
+    def test_exponential_model_json(self):
+        # h0 0.2 growing by exponential rate 0.1
+        model = scenario_to_dict(THRESHOLD_SUMMED_EPOCHS[0])["model"]
+        assert json.dumps(model, sort_keys=True) == (
+            '{"growth": {"form": "exponential_growth", "params": {"rate": 0.1}}, "h0": 0.2}'
         )
 
 
@@ -222,6 +241,41 @@ class TestSchemaErrorMessages:
         edit(d)
         with pytest.raises(SchemaError) as info:
             trajectory_from_dict(d)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "growth, message",
+        [
+            (
+                {"form": "sinusoid", "params": {"rate": 0.1}},
+                "scenario.model.growth.form must be one of "
+                "['exponential_growth', 'linear', 'power'], got 'sinusoid'",
+            ),
+            (
+                {"form": "constant", "params": {"level": 0.1}},
+                "scenario.model.growth.form must be one of "
+                "['exponential_growth', 'linear', 'power'], got 'constant'",
+            ),
+            (
+                {"form": "exponential_growth", "params": {"growth": 0.1}},
+                "scenario.model.growth.params for 'exponential_growth' must have exactly keys ['rate']",
+            ),
+            (
+                {"form": "exponential_growth", "params": {"rate": 0.1, "base": 0.2}},
+                "scenario.model.growth.params for 'exponential_growth' must have exactly keys ['rate']",
+            ),
+            (
+                {"form": "exponential_growth", "params": {"rate": math.inf}},
+                "scenario.model.growth.params.rate must be finite",
+            ),
+        ],
+        ids=["unknown-form", "constant-form", "field-name", "base-param", "rate-infinite"],
+    )
+    def test_growth_message(self, growth, message):
+        d = scenario_to_dict(scenario_catalog()[0])
+        d["model"]["growth"] = growth
+        with pytest.raises(SchemaError) as info:
+            scenario_from_dict(d)
         assert str(info.value) == message
 
     def test_unhashable_growth_form(self):
