@@ -50,7 +50,6 @@ from .sampling import (
     sample_replicates,
 )
 from .scenarios import (
-    DegradationModel,
     Scenario,
     build_trajectory,
     scenario_catalog,
@@ -86,7 +85,6 @@ __all__ = [
     "sample_many",
     "empirical_cdf",
     # scenarios
-    "DegradationModel",
     "Scenario",
     "build_trajectory",
     "scenario_catalog",

@@ -72,12 +72,6 @@ class SeededStream:
         bits.advance(self.stream_id // 4)
         return float(_exponentials(bits.random_raw(self.stream_id % 4 + 1)[-1:])[0])
 
-    def generator(self) -> np.random.Generator:
-        """An independent multi-draw stream keyed by (seed, stream_id), for
-        samplers that need more than one draw per replicate."""
-        key = ((self.stream_id & _MASK64) << 64) | (self.seed & _MASK64)
-        return np.random.Generator(np.random.Philox(key=key))
-
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:

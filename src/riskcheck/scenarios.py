@@ -1,15 +1,21 @@
 """Compile degradation models and maintenance policies into trajectories.
 
-A scenario pairs a within-cycle degradation law (how fast the hazard grows
-since the last restoration) with a maintenance policy (when restoration
-happens and how complete it is) over a planning horizon.  The compiler
-emits sawtooth-shaped trajectories: hazard growth between epochs, a drop at
-each epoch, and the final cycle's growth law extending to infinity.
+A scenario pairs a degradation model (how fast the hazard grows since the
+last restoration) with a maintenance policy (when restoration happens and
+how complete it is) over a planning horizon.  The model is the segment form
+of the first cycle: a ``Linear``, ``Power`` or ``ExponentialGrowth`` whose
+first field is the time-zero hazard h0, as in
+``Scenario("s", Linear(0.1, 0.05), PeriodicPerfect(10.0), 30.0)``.  Each
+later cycle is the same form class with the same growth parameters, rebuilt
+on the hazard that maintenance restored; a growth scale (the second field)
+of zero makes every cycle a flat ``Constant``.
 
-Perfect maintenance restores the hazard to its time-zero value h0.
-Imperfect maintenance removes a fraction ``improvement`` of the excess over
-h0: post = h0 + (1 - improvement) * (pre - h0), which keeps every
-restoration strictly below the pre-repair hazard and at or above h0 for any
+The compiler emits sawtooth-shaped trajectories: hazard growth between
+epochs, a drop at each epoch, and the final cycle's form extending to
+infinity.  Perfect maintenance restores the hazard to h0.  Imperfect
+maintenance removes a fraction ``improvement`` of the excess over h0:
+post = h0 + (1 - improvement) * (pre - h0), which keeps every restoration
+strictly below the pre-repair hazard and at or above h0 for any
 improvement in (0, 1].
 """
 
@@ -17,9 +23,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import Callable, ClassVar, Union
 
 from .hazard import (
+    _PARAMS,
     Constant,
     ExponentialGrowth,
     HazardSegment,
@@ -32,11 +39,7 @@ from .hazard import (
 )
 
 __all__ = [
-    "LinearGrowth",
-    "PowerGrowth",
-    "ExponentialRateGrowth",
     "GROWTH_FORMS",
-    "DegradationModel",
     "PeriodicPerfect",
     "PeriodicImperfect",
     "ThresholdPerfect",
@@ -48,45 +51,8 @@ __all__ = [
     "scenario_catalog",
 ]
 
-
-# A growth law is a segment form with the base left out: its fields are the
-# form's remaining parameters, in order, and the first is the growth scale
-# (zero means no growth, and the cycle is flat).
-
-
-@dataclass(frozen=True)
-class LinearGrowth:
-    """Hazard increases by ``slope`` per unit time within a cycle."""
-
-    slope: float
-    form: ClassVar[type] = Linear
-
-
-@dataclass(frozen=True)
-class PowerGrowth:
-    """Hazard increase ``coefficient * u**exponent`` within a cycle."""
-
-    coefficient: float
-    exponent: float
-    form: ClassVar[type] = Power
-
-
-@dataclass(frozen=True)
-class ExponentialRateGrowth:
-    """Hazard grows by factor exp(rate * u) within a cycle."""
-
-    rate: float
-    form: ClassVar[type] = ExponentialGrowth
-
-
-GROWTH_FORMS = (LinearGrowth, PowerGrowth, ExponentialRateGrowth)
-GrowthForm = Union[GROWTH_FORMS]
-
-
-@dataclass(frozen=True)
-class DegradationModel:
-    initial_hazard: float
-    growth: GrowthForm
+# The segment forms a scenario may grow by.
+GROWTH_FORMS = (Linear, Power, ExponentialGrowth)
 
 
 # A maintenance policy owns its schedule.  Each policy class has:
@@ -169,7 +135,7 @@ MaintenancePolicy = Union[MAINTENANCE_POLICIES]
 @dataclass(frozen=True)
 class Scenario:
     label: str
-    model: DegradationModel
+    model: SegmentForm  # the first cycle's form, one of GROWTH_FORMS
     policy: MaintenancePolicy
     horizon: float
 
@@ -182,43 +148,41 @@ class Scenario:
 MAX_EPOCHS = 10**6
 
 
-def _check_scenario(scenario: Scenario) -> float | None:
-    """Raise ValueError on an out-of-range scenario; else return its epoch step."""
+def _check_scenario(
+    scenario: Scenario,
+) -> tuple[float, Callable[[float], SegmentForm], float | None]:
+    """Raise ValueError on an out-of-range scenario; else return its h0, the
+    form of a cycle as a function of the hazard it starts at, and its epoch
+    step."""
     model, policy = scenario.model, scenario.policy
-    if not (model.initial_hazard > 0.0 and math.isfinite(model.initial_hazard)):
-        raise ValueError(f"initial hazard must be positive and finite, got {model.initial_hazard!r}")
-    growth = model.growth
-    if not isinstance(growth, GROWTH_FORMS):
-        raise ValueError(f"unknown growth form {type(growth).__name__}")
-    params = vars(growth).values()
-    # A growth law is legal when its cycle form never decreases.  Power
-    # exponents below 1 are refused even at a zero coefficient, where the
-    # cycle would be flat.
+    cls = type(model)
+    if cls not in GROWTH_FORMS:
+        raise ValueError(f"unknown growth form {cls.__name__}")
+    h0, scale, *rest = (getattr(model, p) for p in _PARAMS[cls])
+    if not (h0 > 0.0 and math.isfinite(h0)):
+        raise ValueError(f"initial hazard must be positive and finite, got {h0!r}")
+    # A model is legal when it never decreases.  Power exponents below 1 are
+    # refused even at a zero coefficient, where the cycle would be flat.
     if not (
-        all(map(math.isfinite, params))
-        and growth.form(model.initial_hazard, *params).decrease_reason() is None
-        and not (isinstance(growth, PowerGrowth) and growth.exponent < 1.0)
+        all(map(math.isfinite, (scale, *rest)))
+        and model.decrease_reason() is None
+        and not (cls is Power and model.exponent < 1.0)
     ):
-        raise ValueError(f"growth parameters out of range: {growth!r}")
+        raise ValueError(f"growth parameters out of range: {model!r}")
     if not isinstance(policy, MAINTENANCE_POLICIES):
         raise ValueError(f"unknown maintenance policy {type(policy).__name__}")
-    policy.check(model.initial_hazard)
+    policy.check(h0)
     horizon = scenario.horizon
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
-    step = policy.step(_cycle_form(growth, model.initial_hazard))
+    cycle = Constant if scale == 0.0 else lambda base: cls(base, scale, *rest)
+    step = policy.step(cycle(h0))
     if step is not None and horizon >= (MAX_EPOCHS + 1) * step:
         raise ValueError(
             f"{policy.step_name} {step!r} gives more than MAX_EPOCHS = {MAX_EPOCHS} epochs "
             f"over horizon {horizon!r}"
         )
-    return step
-
-
-def _cycle_form(growth: GrowthForm, base: float) -> SegmentForm:
-    """Segment form for one cycle starting at hazard ``base``."""
-    scale, *rest = vars(growth).values()
-    return Constant(base) if scale == 0.0 else growth.form(base, scale, *rest)
+    return h0, cycle, step
 
 
 def build_trajectory(scenario: Scenario) -> HazardTrajectory:
@@ -227,26 +191,31 @@ def build_trajectory(scenario: Scenario) -> HazardTrajectory:
     Maintenance is instantaneous.  Epochs land at policy-determined times up
     to and including the horizon; an epoch that would not strictly decrease
     the hazard (no degradation happened) is skipped rather than declared.
-    Past the last epoch the cycle's growth law extends to infinity.
+    A scenario whose hazard overflows before an epoch is refused: there is no
+    finite hazard for maintenance to reduce.  Past the last epoch the last
+    cycle's form extends to infinity.
     """
-    step = _check_scenario(scenario)
-    model, policy, horizon = scenario.model, scenario.policy, scenario.horizon
-    h0 = model.initial_hazard
+    h0, cycle, step = _check_scenario(scenario)
+    policy, horizon = scenario.policy, scenario.horizon
 
     segments: list[HazardSegment] = []
     epochs: list[MaintenanceEpoch] = []
     cycle_start = 0.0
-    form = _cycle_form(model.growth, h0)
+    form = cycle(h0)
     if step is not None:
         k, candidate = 1, policy.epoch_time(1, 0.0, step)
         while candidate <= horizon:
             left = form.value(candidate - cycle_start)
+            if not left < math.inf:
+                raise ValueError(
+                    f"hazard overflows to {left!r} before the maintenance epoch at t={candidate!r}"
+                )
             post = h0 + (1.0 - policy.improvement) * (left - h0)
             if post < left:  # else nothing degraded; a no-op is not a maintenance
                 segments.append(HazardSegment(cycle_start, form))
                 epochs.append(MaintenanceEpoch(candidate, post))
                 cycle_start = candidate
-                form = _cycle_form(model.growth, post)
+                form = cycle(post)
             k += 1
             candidate = policy.epoch_time(k, candidate, step)
 
@@ -265,31 +234,31 @@ def scenario_catalog() -> tuple[Scenario, ...]:
     return (
         Scenario(
             label="constant-control",
-            model=DegradationModel(0.5, LinearGrowth(0.0)),
+            model=Linear(0.5, 0.0),
             policy=PeriodicPerfect(10.0),
             horizon=30.0,
         ),
         Scenario(
             label="unmaintained-linear",
-            model=DegradationModel(0.1, LinearGrowth(0.05)),
+            model=Linear(0.1, 0.05),
             policy=PeriodicPerfect(60.0),  # scheduled beyond the horizon
             horizon=30.0,
         ),
         Scenario(
             label="figure1-sawtooth",
-            model=DegradationModel(0.1, LinearGrowth(0.05)),
+            model=Linear(0.1, 0.05),
             policy=PeriodicPerfect(10.0),
             horizon=30.0,
         ),
         Scenario(
             label="imperfect-drift",
-            model=DegradationModel(0.1, LinearGrowth(0.05)),
+            model=Linear(0.1, 0.05),
             policy=PeriodicImperfect(10.0, 0.5),
             horizon=40.0,
         ),
         Scenario(
             label="threshold-power",
-            model=DegradationModel(0.2, PowerGrowth(0.02, 2.0)),
+            model=Power(0.2, 0.02, 2.0),
             policy=ThresholdPerfect(0.7),
             horizon=20.0,
         ),

@@ -27,15 +27,8 @@ import json
 import math
 from pathlib import Path
 
-from .hazard import SEGMENT_FORMS, HazardSegment, HazardTrajectory, MaintenanceEpoch
-from .scenarios import (
-    GROWTH_FORMS,
-    MAINTENANCE_POLICIES,
-    DegradationModel,
-    GrowthForm,
-    MaintenancePolicy,
-    Scenario,
-)
+from .hazard import _PARAMS, SEGMENT_FORMS, HazardSegment, HazardTrajectory, MaintenanceEpoch
+from .scenarios import GROWTH_FORMS, MAINTENANCE_POLICIES, MaintenancePolicy, Scenario
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -57,17 +50,22 @@ class SchemaError(ValueError):
     """Input JSON does not match the documented schema."""
 
 
-def _registry(classes, name=lambda cls: cls.name) -> dict[str, tuple[type, tuple[str, ...]]]:
-    """Wire name -> (class, param names); the params are the dataclass fields."""
-    return {name(cls): (cls, tuple(f.name for f in dataclasses.fields(cls))) for cls in classes}
-
-
-_FORMS = _registry(SEGMENT_FORMS)
-_GROWTHS = _registry(GROWTH_FORMS, lambda cls: cls.form.name)  # named after their form
-_POLICIES = _registry(MAINTENANCE_POLICIES)
+# Wire name -> (class, param names).  The params of a form or a policy are
+# its dataclass fields.  A scenario grows by a segment form whose base is the
+# scenario's h0, so its growth params are the form's fields after the base,
+# renamed by _GROWTH_RENAMES.
+_FORMS = {cls.name: (cls, _PARAMS[cls]) for cls in SEGMENT_FORMS}
+_GROWTH_RENAMES = {"growth": "rate"}
+_GROWTHS = {
+    cls.name: (cls, tuple(_GROWTH_RENAMES.get(f, f) for f in _PARAMS[cls][1:]))
+    for cls in GROWTH_FORMS
+}
+_POLICIES = {
+    cls.name: (cls, tuple(f.name for f in dataclasses.fields(cls))) for cls in MAINTENANCE_POLICIES
+}
 _WIRE = {
     cls: (name, params)
-    for registry in (_FORMS, _GROWTHS, _POLICIES)
+    for registry in (_FORMS, _POLICIES)
     for name, (cls, params) in registry.items()
 }
 
@@ -92,7 +90,9 @@ def _mapping(obj, where: str) -> dict:
     return obj
 
 
-def _tagged(obj, where: str, tag_key: str, registry: dict) -> object:
+def _tagged(obj, where: str, tag_key: str, registry: dict, *leading: float) -> object:
+    """The registry class named by ``obj[tag_key]``, built from ``leading``
+    and then ``obj["params"]`` in registry order."""
     d = _mapping(obj, where)
     tag = d.get(tag_key)
     _require(
@@ -105,7 +105,7 @@ def _tagged(obj, where: str, tag_key: str, registry: dict) -> object:
         set(params) == set(fields),
         f"{where}.params for {tag!r} must have exactly keys {sorted(fields)}",
     )
-    return cls(*(_number(params[f], f"{where}.params.{f}") for f in fields))
+    return cls(*leading, *(_number(params[f], f"{where}.params.{f}") for f in fields))
 
 
 def _to_tagged(obj, tag_key: str) -> dict:
@@ -201,13 +201,13 @@ def trajectory_from_dict(d) -> HazardTrajectory:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
+    model = scenario.model
+    _, params = _GROWTHS[model.name]
+    h0, *values = (getattr(model, f) for f in _PARAMS[type(model)])
     return {
         "schema_version": SCHEMA_VERSION,
         "label": scenario.label,
-        "model": {
-            "h0": scenario.model.initial_hazard,
-            "growth": _to_tagged(scenario.model.growth, "form"),
-        },
+        "model": {"h0": h0, "growth": {"form": model.name, "params": dict(zip(params, values))}},
         "policy": _to_tagged(scenario.policy, "kind"),
         "horizon": scenario.horizon,
     }
@@ -220,10 +220,10 @@ def scenario_from_dict(d) -> Scenario:
     _require(isinstance(label, str) and label, "scenario.label must be a nonempty string")
     model = _mapping(d.get("model"), "scenario.model")
     h0 = _number(model.get("h0"), "scenario.model.h0")
-    growth: GrowthForm = _tagged(model.get("growth"), "scenario.model.growth", "form", _GROWTHS)
+    growth = _tagged(model.get("growth"), "scenario.model.growth", "form", _GROWTHS, h0)
     policy: MaintenancePolicy = _tagged(d.get("policy"), "scenario.policy", "kind", _POLICIES)
     horizon = _number(d.get("horizon"), "scenario.horizon")
-    return Scenario(label=label, model=DegradationModel(h0, growth), policy=policy, horizon=horizon)
+    return Scenario(label=label, model=growth, policy=policy, horizon=horizon)
 
 
 # -- files and hashing --------------------------------------------------------

@@ -109,6 +109,14 @@ def recovered_hazard(traj: HazardTrajectory, t: float, dt: float = 1e-4) -> floa
     return (r_minus - r_plus) / (2.0 * dt * r_center)
 
 
+def stream_generator(stream: SeededStream) -> np.random.Generator:
+    """An independent multi-draw stream keyed by (seed, stream_id), for
+    samplers that need more than one draw per replicate."""
+    mask = (1 << 64) - 1
+    key = ((stream.stream_id & mask) << 64) | (stream.seed & mask)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def sample_failure_time_thinning(
     traj: HazardTrajectory, horizon: float, stream: SeededStream
 ) -> float | None:
@@ -132,7 +140,7 @@ def sample_failure_time_thinning(
         bound = seg.form.value(end - seg.start_time)
         pieces.append((seg.start_time, end, bound, seg))
 
-    rng = stream.generator()
+    rng = stream_generator(stream)
     for start, end, bound, seg in pieces:
         t = start
         while True:

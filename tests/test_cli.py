@@ -41,11 +41,7 @@ from riskcheck.hazard import (
     reliability,
 )
 from riskcheck.scenarios import (
-    DegradationModel,
-    ExponentialRateGrowth,
-    LinearGrowth,
     PeriodicPerfect,
-    PowerGrowth,
     Scenario,
     ThresholdPerfect,
     build_trajectory,
@@ -57,6 +53,7 @@ from riskcheck.serialize import (
     trajectory_hash,
     trajectory_to_dict,
 )
+from test_scenarios import OVERFLOW_BEFORE_EPOCH
 
 # Rule-breaking segments whose CDF columns overflow exp (bound-check does
 # not validate its input).
@@ -322,22 +319,46 @@ class TestEdgeInputs:
         assert "h(0)" in result.stderr and "--t-max" in result.stderr
 
     @pytest.mark.parametrize(
-        "growth, policy",
+        "model, policy",
         [
-            (LinearGrowth(1e300), ThresholdPerfect(0.3)),  # step 2e-301
-            (PowerGrowth(1e300, 1.0), ThresholdPerfect(0.3)),
-            (ExponentialRateGrowth(1e300), ThresholdPerfect(0.3)),
-            (LinearGrowth(0.05), PeriodicPerfect(1e-300)),
+            (Linear(0.1, 1e300), ThresholdPerfect(0.3)),  # step 2e-301
+            (Power(0.1, 1e300, 1.0), ThresholdPerfect(0.3)),
+            (ExponentialGrowth(0.1, 1e300), ThresholdPerfect(0.3)),
+            (Linear(0.1, 0.05), PeriodicPerfect(1e-300)),
         ],
         ids=["threshold-linear", "threshold-power", "threshold-exp", "periodic"],
     )
-    def test_scenario_with_too_many_epochs_is_refused(self, tmp_path, growth, policy):
-        scenario = Scenario("tiny-step", DegradationModel(0.1, growth), policy, horizon=10.0)
+    def test_scenario_with_too_many_epochs_is_refused(self, tmp_path, model, policy):
+        scenario = Scenario("tiny-step", model, policy, horizon=10.0)
         path = write_json(tmp_path / "scenario.json", scenario_to_dict(scenario))
         result = run_module(path, tmp_path, "validate", timeout=5)
         assert result.returncode == EXIT_SCHEMA
         assert "Traceback" not in result.stderr
         assert "MAX_EPOCHS" in result.stderr
+
+
+class TestOverflowBeforeMaintenance:
+    """A scenario whose hazard overflows before a scheduled epoch exits 2."""
+
+    @pytest.mark.parametrize("command", ["validate", "eval", "sample", "compare", "distance"])
+    @pytest.mark.parametrize(
+        "scenario, epoch", OVERFLOW_BEFORE_EPOCH.values(), ids=OVERFLOW_BEFORE_EPOCH.keys()
+    )
+    def test_refused(self, tmp_path, capsys, scenario, epoch, command):
+        path = write_json(tmp_path / "scenario.json", scenario_to_dict(scenario))
+        assert main([command, "--input", str(path), "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: hazard overflows to inf before the maintenance epoch at t={epoch!r}\n"
+        )
+
+    def test_refused_without_a_traceback(self, tmp_path):
+        scenario, _ = OVERFLOW_BEFORE_EPOCH["power-perfect"]
+        path = write_json(tmp_path / "scenario.json", scenario_to_dict(scenario))
+        result = run_module(path, tmp_path, "compare")
+        assert result.returncode == EXIT_SCHEMA
+        assert result.stderr == "error: hazard overflows to inf before the maintenance epoch at t=10.0\n"
 
 
 FUZZ_PARAMS = [0.0, 1e-300, -1e-300, 1e-3, -1e-3, 0.1, -0.1, 1.0, -1.0, 1e3, -1e3, 1e300, -1e300]

@@ -13,13 +13,10 @@ import json
 import pytest
 
 from riskcheck.cli import EXIT_OK, EXIT_PRINCIPLE, main
+from riskcheck.hazard import ExponentialGrowth, Linear, Power
 from riskcheck.scenarios import (
-    DegradationModel,
-    ExponentialRateGrowth,
-    LinearGrowth,
     PeriodicImperfect,
     PeriodicPerfect,
-    PowerGrowth,
     Scenario,
     ThresholdPerfect,
     build_trajectory,
@@ -45,15 +42,16 @@ CATALOG_FILE_HASHES = {
 }
 
 
+# Scenario models: the first cycle's form, at h0 0.2.
 GROWTHS = {
-    "linear": LinearGrowth(0.05),
-    "power": PowerGrowth(0.02, 2.0),
-    "exponential": ExponentialRateGrowth(0.1),
+    "linear": Linear(0.2, 0.05),
+    "power": Power(0.2, 0.02, 2.0),
+    "exponential": ExponentialGrowth(0.2, 0.1),
 }
 ZERO_GROWTHS = {
-    "linear": LinearGrowth(0.0),
-    "power": PowerGrowth(0.0, 2.0),
-    "exponential": ExponentialRateGrowth(0.0),
+    "linear": Linear(0.2, 0.0),
+    "power": Power(0.2, 0.0, 2.0),
+    "exponential": ExponentialGrowth(0.2, 0.0),
 }
 POLICIES = {
     "periodic-perfect": PeriodicPerfect(4.0),
@@ -63,8 +61,8 @@ POLICIES = {
 
 
 def matrix_scenario(policy: str, growth: str, growths=GROWTHS) -> Scenario:
-    """h0 0.2 over horizon 30 under ``POLICIES[policy]``, growing by ``growths[growth]``."""
-    return Scenario("m", DegradationModel(0.2, growths[growth]), POLICIES[policy], 30.0)
+    """``growths[growth]`` under ``POLICIES[policy]`` over horizon 30."""
+    return Scenario("m", growths[growth], POLICIES[policy], 30.0)
 
 
 # "policy/growth" -> (trajectory hash, epoch count), h0 0.2 over horizon 30.
@@ -84,12 +82,12 @@ ZERO_GROWTH_HASH = "e4d2768957e9dfe06efe0e53ff147c4995cf6588a5ff41d7941cd345c319
 # Threshold epochs are at step, step + step, ...; 10 of these 21 differ
 # from k * step in the last bits.
 THRESHOLD_SUMMED_EPOCHS = (
-    Scenario("m", DegradationModel(0.2, ExponentialRateGrowth(0.1)), ThresholdPerfect(0.5), 200.0),
+    Scenario("m", ExponentialGrowth(0.2, 0.1), ThresholdPerfect(0.5), 200.0),
     "bdf409db112b29da59ac6b1c9d9f59bfed6267b791b70b90eec869347c3cbb09",
     21,
 )
 IMPERFECT_28_EPOCHS = (
-    Scenario("m", DegradationModel(0.1, LinearGrowth(0.05)), PeriodicImperfect(0.7, 0.3), 20.0),
+    Scenario("m", Linear(0.1, 0.05), PeriodicImperfect(0.7, 0.3), 20.0),
     "cd4803edaf31053cda650ce5055dc55299cc826a4a77862248a92a43873fbb6b",
     28,
 )

@@ -29,8 +29,6 @@ from riskcheck.hazard import (
     validate_trajectory,
 )
 from riskcheck.scenarios import (
-    DegradationModel,
-    LinearGrowth,
     PeriodicPerfect,
     Scenario,
     build_trajectory,
@@ -54,7 +52,7 @@ SAWTOOTH_STEP = HazardTrajectory(
 
 def periodic_sawtooth(period: float, horizon: float) -> HazardTrajectory:
     """Linear rise 0.1 + 0.05 u, renewed every ``period`` up to ``horizon``."""
-    model = DegradationModel(0.1, LinearGrowth(0.05))
+    model = Linear(0.1, 0.05)
     return build_trajectory(Scenario("sawtooth", model, PeriodicPerfect(period), horizon))
 
 

@@ -11,6 +11,7 @@ from oracles import (
     dkw_epsilon,
     one_sample_ks,
     sample_failure_time_thinning,
+    stream_generator,
     two_sample_epsilon,
     two_sample_ks,
 )
@@ -43,13 +44,13 @@ WEIBULL_SHAPE = HazardTrajectory((HazardSegment(0.0, Linear(0.0, 2.0)),))
 
 class TestSeededStream:
     def test_reproducible(self):
-        a = SeededStream(123, 4).generator().standard_exponential()
-        b = SeededStream(123, 4).generator().standard_exponential()
+        a = stream_generator(SeededStream(123, 4)).standard_exponential()
+        b = stream_generator(SeededStream(123, 4)).standard_exponential()
         assert a == b
 
     def test_streams_differ(self):
-        a = SeededStream(123, 0).generator().standard_exponential()
-        b = SeededStream(123, 1).generator().standard_exponential()
+        a = stream_generator(SeededStream(123, 0)).standard_exponential()
+        b = stream_generator(SeededStream(123, 1)).standard_exponential()
         assert a != b
 
     def test_negative_stream_id_rejected(self):

@@ -5,14 +5,17 @@ import pytest
 from scipy.optimize import brentq
 
 from riskcheck import scenarios
-from riskcheck.hazard import Constant, hazard_at, validate_trajectory
+from riskcheck.hazard import (
+    Constant,
+    ExponentialGrowth,
+    Linear,
+    Power,
+    hazard_at,
+    validate_trajectory,
+)
 from riskcheck.scenarios import (
-    DegradationModel,
-    ExponentialRateGrowth,
-    LinearGrowth,
     PeriodicImperfect,
     PeriodicPerfect,
-    PowerGrowth,
     Scenario,
     ThresholdPerfect,
     build_trajectory,
@@ -24,10 +27,27 @@ def _scenario(model, policy, horizon=30.0, label="test"):
     return Scenario(label=label, model=model, policy=policy, horizon=horizon)
 
 
+# name -> (scenario whose hazard overflows before a scheduled epoch, that epoch)
+OVERFLOW_BEFORE_EPOCH = {
+    "power-perfect": (_scenario(Power(0.1, 1.0, 400.0), PeriodicPerfect(10.0)), 10.0),
+    "exponential-imperfect": (
+        _scenario(ExponentialGrowth(0.1, 100.0), PeriodicImperfect(10.0, 0.5)),
+        10.0,
+    ),
+    "linear-perfect": (_scenario(Linear(0.1, 1e300), PeriodicPerfect(1e10), horizon=3e10), 1e10),
+    # the first threshold step, 1.0, leaves the value at the base, so the
+    # first epoch is a skipped no-op and the second finds the overflow
+    "power-threshold": (
+        _scenario(Power(1e20, 0.0537, 1.7e308), ThresholdPerfect(3.6e20), horizon=8.4),
+        2.0,
+    ),
+}
+
+
 class TestPeriodicPerfect:
     def test_epochs_and_resets(self):
         traj = build_trajectory(
-            _scenario(DegradationModel(0.1, LinearGrowth(0.05)), PeriodicPerfect(10.0))
+            _scenario(Linear(0.1, 0.05), PeriodicPerfect(10.0))
         )
         assert [e.time for e in traj.maintenance_epochs] == [10.0, 20.0, 30.0]
         assert all(e.post_hazard == 0.1 for e in traj.maintenance_epochs)
@@ -38,13 +58,13 @@ class TestPeriodicPerfect:
 
     def test_epoch_at_exact_horizon_included(self):
         traj = build_trajectory(
-            _scenario(DegradationModel(0.1, LinearGrowth(0.05)), PeriodicPerfect(15.0))
+            _scenario(Linear(0.1, 0.05), PeriodicPerfect(15.0))
         )
         assert [e.time for e in traj.maintenance_epochs] == [15.0, 30.0]
 
     def test_zero_growth_emits_no_epochs(self):
         traj = build_trajectory(
-            _scenario(DegradationModel(0.5, LinearGrowth(0.0)), PeriodicPerfect(10.0))
+            _scenario(Linear(0.5, 0.0), PeriodicPerfect(10.0))
         )
         assert traj.maintenance_epochs == ()
         assert len(traj.segments) == 1
@@ -53,7 +73,7 @@ class TestPeriodicPerfect:
 
     def test_last_cycle_extends_past_horizon(self):
         traj = build_trajectory(
-            _scenario(DegradationModel(0.1, LinearGrowth(0.05)), PeriodicPerfect(10.0))
+            _scenario(Linear(0.1, 0.05), PeriodicPerfect(10.0))
         )
         # beyond the horizon the final cycle keeps degrading, no more epochs
         assert hazard_at(traj, 45.0) == pytest.approx(0.1 + 0.05 * 15.0)
@@ -62,7 +82,7 @@ class TestPeriodicPerfect:
 class TestPeriodicImperfect:
     def test_first_post_value(self):
         traj = build_trajectory(
-            _scenario(DegradationModel(0.1, LinearGrowth(0.05)), PeriodicImperfect(10.0, 0.5))
+            _scenario(Linear(0.1, 0.05), PeriodicImperfect(10.0, 0.5))
         )
         # pre-epoch hazard 0.6, improvement 0.5: post = 0.1 + 0.5 * 0.5 = 0.35
         assert traj.maintenance_epochs[0].post_hazard == pytest.approx(0.35, abs=1e-15)
@@ -70,7 +90,7 @@ class TestPeriodicImperfect:
     def test_posts_increase_and_stay_above_h0(self):
         traj = build_trajectory(
             _scenario(
-                DegradationModel(0.1, LinearGrowth(0.05)), PeriodicImperfect(10.0, 0.5), horizon=80.0
+                Linear(0.1, 0.05), PeriodicImperfect(10.0, 0.5), horizon=80.0
             )
         )
         posts = [e.post_hazard for e in traj.maintenance_epochs]
@@ -85,10 +105,10 @@ class TestPeriodicImperfect:
 
     def test_full_improvement_reduces_to_perfect(self):
         imperfect = build_trajectory(
-            _scenario(DegradationModel(0.1, LinearGrowth(0.05)), PeriodicImperfect(10.0, 1.0))
+            _scenario(Linear(0.1, 0.05), PeriodicImperfect(10.0, 1.0))
         )
         perfect = build_trajectory(
-            _scenario(DegradationModel(0.1, LinearGrowth(0.05)), PeriodicPerfect(10.0))
+            _scenario(Linear(0.1, 0.05), PeriodicPerfect(10.0))
         )
         assert imperfect == perfect
 
@@ -96,7 +116,7 @@ class TestPeriodicImperfect:
 class TestThresholdPerfect:
     def test_first_epoch_from_root_oracle(self):
         traj = build_trajectory(
-            _scenario(DegradationModel(0.1, LinearGrowth(0.05)), ThresholdPerfect(0.3))
+            _scenario(Linear(0.1, 0.05), ThresholdPerfect(0.3))
         )
         oracle = brentq(lambda t: 0.1 + 0.05 * t - 0.3, 0.0, 50.0)
         assert traj.maintenance_epochs[0].time == pytest.approx(oracle, abs=1e-10)
@@ -105,7 +125,7 @@ class TestThresholdPerfect:
     def test_hazard_capped_at_trigger(self):
         trigger = 0.7
         traj = build_trajectory(
-            _scenario(DegradationModel(0.2, PowerGrowth(0.02, 2.0)), ThresholdPerfect(trigger), horizon=20.0)
+            _scenario(Power(0.2, 0.02, 2.0), ThresholdPerfect(trigger), horizon=20.0)
         )
         assert len(traj.maintenance_epochs) >= 2
         for t in np.linspace(0.0, 20.0, 801):
@@ -113,13 +133,13 @@ class TestThresholdPerfect:
 
     def test_unreachable_threshold_gives_no_epochs(self):
         traj = build_trajectory(
-            _scenario(DegradationModel(0.2, LinearGrowth(0.0)), ThresholdPerfect(0.9))
+            _scenario(Linear(0.2, 0.0), ThresholdPerfect(0.9))
         )
         assert traj.maintenance_epochs == ()
 
     def test_exponential_growth_crossing(self):
         traj = build_trajectory(
-            _scenario(DegradationModel(0.2, ExponentialRateGrowth(0.1)), ThresholdPerfect(0.5), horizon=40.0)
+            _scenario(ExponentialGrowth(0.2, 0.1), ThresholdPerfect(0.5), horizon=40.0)
         )
         oracle = brentq(lambda t: 0.2 * np.exp(0.1 * t) - 0.5, 0.0, 40.0)
         assert traj.maintenance_epochs[0].time == pytest.approx(oracle, abs=1e-9)
@@ -129,14 +149,15 @@ class TestScenarioValidation:
     @pytest.mark.parametrize(
         "model,policy",
         [
-            (DegradationModel(0.0, LinearGrowth(0.1)), PeriodicPerfect(10.0)),
-            (DegradationModel(-0.1, LinearGrowth(0.1)), PeriodicPerfect(10.0)),
-            (DegradationModel(0.1, LinearGrowth(-0.1)), PeriodicPerfect(10.0)),
-            (DegradationModel(0.1, PowerGrowth(0.1, 0.5)), PeriodicPerfect(10.0)),
-            (DegradationModel(0.1, LinearGrowth(0.1)), PeriodicPerfect(0.0)),
-            (DegradationModel(0.1, LinearGrowth(0.1)), PeriodicImperfect(10.0, 0.0)),
-            (DegradationModel(0.1, LinearGrowth(0.1)), PeriodicImperfect(10.0, 1.5)),
-            (DegradationModel(0.1, LinearGrowth(0.1)), ThresholdPerfect(0.1)),
+            (Linear(0.0, 0.1), PeriodicPerfect(10.0)),
+            (Linear(-0.1, 0.1), PeriodicPerfect(10.0)),
+            (Linear(0.1, -0.1), PeriodicPerfect(10.0)),
+            (Power(0.1, 0.1, 0.5), PeriodicPerfect(10.0)),
+            (Power(0.1, 0.0, 0.5), PeriodicPerfect(10.0)),  # flat, but the exponent is below 1
+            (Linear(0.1, 0.1), PeriodicPerfect(0.0)),
+            (Linear(0.1, 0.1), PeriodicImperfect(10.0, 0.0)),
+            (Linear(0.1, 0.1), PeriodicImperfect(10.0, 1.5)),
+            (Linear(0.1, 0.1), ThresholdPerfect(0.1)),
         ],
     )
     def test_bad_parameters_rejected(self, model, policy):
@@ -145,7 +166,7 @@ class TestScenarioValidation:
 
     def test_epoch_count_capped(self, monkeypatch):
         monkeypatch.setattr(scenarios, "MAX_EPOCHS", 10)
-        model = DegradationModel(0.1, LinearGrowth(0.1))
+        model = Linear(0.1, 0.1)
         # the threshold step is 1.0 here, like the period: h0 0.1 reaches 0.2
         for policy in (PeriodicPerfect(1.0), ThresholdPerfect(0.2)):
             traj = build_trajectory(_scenario(model, policy, horizon=10.5))
@@ -156,10 +177,10 @@ class TestScenarioValidation:
     @pytest.mark.parametrize(
         "model,policy",
         [
-            (DegradationModel(0.1, LinearGrowth(1e300)), ThresholdPerfect(0.3)),
-            (DegradationModel(1e-300, LinearGrowth(1e300)), ThresholdPerfect(2e-300)),
-            (DegradationModel(0.1, LinearGrowth(0.0)), PeriodicPerfect(1e-300)),
-            (DegradationModel(0.1, LinearGrowth(0.05)), PeriodicImperfect(1e-300, 0.5)),
+            (Linear(0.1, 1e300), ThresholdPerfect(0.3)),
+            (Linear(1e-300, 1e300), ThresholdPerfect(2e-300)),
+            (Linear(0.1, 0.0), PeriodicPerfect(1e-300)),
+            (Linear(0.1, 0.05), PeriodicImperfect(1e-300, 0.5)),
         ],
         ids=["threshold", "threshold-step-underflows", "periodic-flat", "periodic-imperfect"],
     )
@@ -167,22 +188,42 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="MAX_EPOCHS"):
             build_trajectory(_scenario(model, policy, horizon=10.0))
 
+    @pytest.mark.parametrize(
+        "scenario, epoch", OVERFLOW_BEFORE_EPOCH.values(), ids=OVERFLOW_BEFORE_EPOCH.keys()
+    )
+    def test_overflow_before_an_epoch_rejected(self, scenario, epoch):
+        # the epoch was skipped as if nothing had degraded
+        message = f"hazard overflows to inf before the maintenance epoch at t={epoch!r}"
+        with pytest.raises(ValueError) as info:
+            build_trajectory(scenario)
+        assert str(info.value) == message
+
+    def test_overflow_past_the_horizon_allowed(self):
+        scenario, _ = OVERFLOW_BEFORE_EPOCH["power-perfect"]
+        traj = build_trajectory(_scenario(scenario.model, PeriodicPerfect(10.0), horizon=9.0))
+        assert traj.maintenance_epochs == ()
+        assert hazard_at(traj, 15.0) == float("inf")
+
+    def test_constant_model_is_not_a_growth_form(self):
+        with pytest.raises(ValueError, match="^unknown growth form Constant$"):
+            build_trajectory(_scenario(Constant(0.1), PeriodicPerfect(10.0)))
+
     def test_bad_horizon_rejected(self):
         with pytest.raises(ValueError):
             build_trajectory(
-                _scenario(DegradationModel(0.1, LinearGrowth(0.1)), PeriodicPerfect(5.0), horizon=0.0)
+                _scenario(Linear(0.1, 0.1), PeriodicPerfect(5.0), horizon=0.0)
             )
 
     def test_randomized_scenarios_build_valid(self):
         rng = np.random.default_rng(505)
         growths = (
-            lambda: LinearGrowth(float(rng.uniform(0.0, 0.3))),
-            lambda: PowerGrowth(float(rng.uniform(0.0, 0.2)), float(rng.uniform(1.0, 3.0))),
-            lambda: ExponentialRateGrowth(float(rng.uniform(0.0, 0.3))),
+            lambda h0: Linear(h0, float(rng.uniform(0.0, 0.3))),
+            lambda h0: Power(h0, float(rng.uniform(0.0, 0.2)), float(rng.uniform(1.0, 3.0))),
+            lambda h0: ExponentialGrowth(h0, float(rng.uniform(0.0, 0.3))),
         )
         for k in range(60):
             h0 = float(rng.uniform(0.05, 1.0))
-            growth = growths[k % 3]()
+            model = growths[k % 3](h0)
             policy_kind = k % 4
             if policy_kind == 0:
                 policy = PeriodicPerfect(float(rng.uniform(1.0, 15.0)))
@@ -193,13 +234,13 @@ class TestScenarioValidation:
             else:
                 policy = PeriodicPerfect(float(rng.uniform(20.0, 100.0)))
             traj = build_trajectory(
-                _scenario(DegradationModel(h0, growth), policy, horizon=float(rng.uniform(5.0, 60.0)))
+                _scenario(model, policy, horizon=float(rng.uniform(5.0, 60.0)))
             )
             assert validate_trajectory(traj).valid
 
     def test_perfect_resets_make_h0_the_infimum(self):
         traj = build_trajectory(
-            _scenario(DegradationModel(0.1, LinearGrowth(0.05)), PeriodicPerfect(10.0))
+            _scenario(Linear(0.1, 0.05), PeriodicPerfect(10.0))
         )
         assert all(e.post_hazard == 0.1 for e in traj.maintenance_epochs)
         grid = np.linspace(0.0, 35.0, 1401)

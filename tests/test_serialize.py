@@ -61,7 +61,11 @@ class TestTrajectoryRoundTrip:
 ROUND_TRIP_SCENARIOS = {
     **{s.label: s for s in scenario_catalog()},
     **{f"{p}/{g}": matrix_scenario(p, g) for p in POLICIES for g in GROWTHS},
-    **{f"{p}/zero-{g}": matrix_scenario(p, g, ZERO_GROWTHS) for p in POLICIES for g in ZERO_GROWTHS},
+    **{
+        f"{p}/zero-{g}": matrix_scenario(p, g, ZERO_GROWTHS)
+        for p in POLICIES
+        for g in ZERO_GROWTHS
+    },
 }
 
 
