@@ -83,9 +83,8 @@ _MTTF_TAIL = 1e-16
 # 20-point Gauss-Legendre nodes and weights, mapped from [-1, 1] to [0, 1].
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
 _GAUSS_LEGENDRE = tuple(zip((0.5 * (1.0 + _NODES)).tolist(), (0.5 * _WEIGHTS).tolist()))
-
-_INVERSION_TIME_TOLERANCE = 1e-12
-_NEWTON_MAX_ITERATIONS = 50
+# Below this a float is subnormal and carries fewer than 53 significant bits.
+_SMALLEST_NORMAL = sys.float_info.min
 
 
 class TrajectoryStructureError(ValueError):
@@ -113,8 +112,9 @@ class PrincipleViolationError(ValueError):
 #
 # * ``name``: its JSON name; its JSON params are its dataclass fields;
 # * ``value(u)`` and ``integral(u)``, the exact antiderivative from 0;
-# * ``invert_integral(area)``: the closed-form inverse of the
-#   antiderivative, or None where there is none (callers root-find);
+# * ``invert_integral(area)``: the first u with integral(u) == area, for an
+#   area >= 0, relative to u whatever the time unit; always a float, which
+#   for a form whose hazard is not positive may be nan or inf;
 # * ``limit_at_infinity()``: the limit of the value as u grows;
 # * ``time_to_reach(level)``: the first u >= 0 with value(u) == level, or
 #   None if the form never gets there;
@@ -123,8 +123,9 @@ class PrincipleViolationError(ValueError):
 #
 # Where the value or the area overflows, value and integral saturate to the
 # signed infinity instead of raising OverflowError; an exp or ** that
-# overflows inside a finite product is taken in log space.  Adding a form
-# means writing one class and listing it in SEGMENT_FORMS.
+# overflows or underflows inside a finite product is rescaled (exp in log
+# space, ** by a power of two), so the product keeps its digits.  Adding a
+# form means writing one class and listing it in SEGMENT_FORMS.
 # ---------------------------------------------------------------------------
 
 
@@ -134,17 +135,45 @@ def _times_overflow(scale: float) -> float:
 
 
 def _exp_times(scale: float, x: float) -> float:
-    """``scale * exp(x)``, saturating to the signed infinity only where the
-    product overflows, not where exp(x) alone does."""
+    """``scale * exp(x)``, taken in log space where exp(x) alone overflows
+    or underflows, so it saturates only where the product does."""
     try:
-        return scale * math.exp(x)
+        factor = math.exp(x)
+        if _SMALLEST_NORMAL <= factor < math.inf:
+            return scale * factor
     except OverflowError:
-        if scale == 0.0:
-            return 0.0
-        try:
-            return math.copysign(math.exp(x + math.log(abs(scale))), scale)
-        except OverflowError:
-            return _times_overflow(scale)
+        pass
+    if scale == 0.0:
+        return scale  # not 0 * inf = nan where x itself is inf
+    try:
+        return math.copysign(math.exp(x + math.log(abs(scale))), scale)
+    except OverflowError:
+        return _times_overflow(scale)
+
+
+def _power_times(scale: float, u: float, exponent: float, divisor: float = 1.0) -> float:
+    """``scale * u**exponent / divisor`` for u > 0 where u**exponent alone
+    overflows or underflows but the result may not."""
+    # With u = m * 2**e and scale = s * 2**f, u**exponent is m**exponent
+    # times 2**(e * exponent), whose exponent splits exactly into an integer
+    # k and a fraction; the product then needs one ldexp, so it stays
+    # accurate to a few ulp.  Only a mantissa power out of range (an
+    # exponent past about 1000) falls back to log space.
+    (m, e), (s, f) = math.frexp(u), math.frexp(scale)
+    num, den = exponent.as_integer_ratio()
+    k, rest = divmod(e * num, den)
+    try:
+        factor = m**exponent * 2.0 ** (rest / den)
+        if _SMALLEST_NORMAL <= factor < math.inf:
+            return math.ldexp(s * factor / divisor, f + k)
+    except OverflowError:
+        pass
+    return _exp_times(scale, exponent * math.log(u) - math.log(divisor))
+
+
+def _divide(area: float, rate: float) -> float:
+    """``area / rate``; a zero rate never accumulates a nonzero area."""
+    return area / rate if rate != 0.0 else _times_overflow(area)
 
 
 def _elapsed(u: float) -> float | None:
@@ -168,8 +197,8 @@ class Constant:
     def integral(self, u: float) -> float:
         return self.level * u
 
-    def invert_integral(self, area: float) -> float | None:
-        return area / self.level
+    def invert_integral(self, area: float) -> float:
+        return _divide(area, self.level)
 
     def limit_at_infinity(self) -> float:
         return self.level
@@ -199,14 +228,15 @@ class Linear:
     def integral(self, u: float) -> float:
         return u * (self.intercept + 0.5 * self.slope * u)
 
-    def invert_integral(self, area: float) -> float | None:
+    def invert_integral(self, area: float) -> float:
         if self.slope == 0.0:
-            return area / self.intercept
-        # Stable root of slope/2 u^2 + intercept u - area = 0.
-        root = math.sqrt(self.intercept * self.intercept + 2.0 * self.slope * area)
-        if root == math.inf:  # the radicand overflowed; hypot never forms it
+            return _divide(area, self.intercept)
+        # Stable root of slope/2 u^2 + intercept u - area = 0; a falling
+        # hazard whose area never reaches `area` has a negative radicand.
+        root = math.sqrt(max(0.0, self.intercept * self.intercept + 2.0 * self.slope * area))
+        if root == math.inf and self.slope > 0.0:  # the radicand overflowed; hypot never forms it
             root = math.hypot(self.intercept, math.sqrt(self.slope) * math.sqrt(2.0 * area))
-        return 2.0 * area / (self.intercept + root)
+        return _divide(2.0 * area, self.intercept + root)
 
     def limit_at_infinity(self) -> float:
         if self.slope == 0.0:
@@ -245,9 +275,12 @@ class Power:
                 return self.base + self.coefficient
             return math.inf if self.coefficient > 0.0 else -math.inf
         try:
-            return self.base + self.coefficient * u**self.exponent
+            power = u**self.exponent
+            if power >= _SMALLEST_NORMAL:
+                return self.base + self.coefficient * power
         except OverflowError:
-            return self.base + _exp_times(self.coefficient, self.exponent * math.log(u))
+            pass
+        return self.base + _power_times(self.coefficient, u, self.exponent)
 
     def integral(self, u: float) -> float:
         if self.coefficient == 0.0:
@@ -257,24 +290,51 @@ class Power:
             return 0.0 if u == 0.0 else self.base * u + _times_overflow(self.coefficient)
         power = self.exponent + 1.0
         try:
-            return self.base * u + self.coefficient * u**power / power
+            scaled = u**power
+            if scaled >= _SMALLEST_NORMAL or u == 0.0:
+                return self.base * u + self.coefficient * scaled / power
         except OverflowError:
-            return self.base * u + _exp_times(self.coefficient, power * math.log(u) - math.log(power))
+            pass
+        return self.base * u + _power_times(self.coefficient, u, power, power)
 
-    def invert_integral(self, area: float) -> float | None:
+    def invert_integral(self, area: float) -> float:
         if self.coefficient == 0.0:
-            return area / self.base
-        if self.base == 0.0:
-            power = self.exponent + 1.0
-            ratio = power * area / self.coefficient
-            if ratio == math.inf:  # the ratio alone overflowed; its root may not
-                ratio_log = math.log(power) + math.log(area) - math.log(self.coefficient)
-                return _exp_times(1.0, ratio_log / power)
+            return _divide(area, self.base)
+        power = self.exponent + 1.0
+        if not (self.coefficient > 0.0 and power > 0.0):
+            return math.nan  # the power term is not a growing area: no root to report
+        # I(u) = base u + coefficient u**power / power is the sum of two
+        # growing terms, and each alone reaches the area at a closed-form time,
+        # u1 = area / base and u2, the root of the power term.
+        ratio = power * area / self.coefficient
+        if _SMALLEST_NORMAL <= ratio < math.inf or area == 0.0:
             try:
-                return ratio ** (1.0 / power)
+                u2 = ratio ** (1.0 / power)
             except OverflowError:  # the root itself overflows (exponent < 0)
-                return math.inf
-        return None  # no closed form; caller falls back to root finding
+                u2 = math.inf
+        else:  # the ratio alone overflowed or underflowed; its root may not
+            u2 = _exp_times(1.0, (math.log(power) + math.log(area) - math.log(self.coefficient)) / power)
+        if not self.base > 0.0:
+            return u2  # the root for base 0; a negative base breaks principle 1
+        # For exponent >= 0 the root lies in [u/2, u] with u = min(u1, u2): at
+        # u one term alone reaches the area, at u/2 neither passes half of it.
+        # Newton runs from u (downhill on a convex I) inside the bracket of
+        # signs seen so far, bisecting where a step leaves it or does not
+        # halve, and stops at a step of 4 ulp.  Nothing depends on the time
+        # unit, and a rounded u below the root only costs a step.
+        u = min(area / self.base, u2)
+        lo, hi, last = 0.0, math.inf, math.inf
+        while u < math.inf:  # else the area is not reached at a float time
+            excess = self.integral(u) - area
+            lo, hi = (lo, u) if excess > 0.0 else (u, hi)
+            step = excess / self.value(u)
+            if not (abs(step) <= 0.5 * last and lo <= u - step <= hi):
+                step = u - (lo + 0.5 * (hi - lo))
+            last = abs(step)
+            if last <= 4.0 * 2.0**-52 * u:
+                return u - step
+            u -= step
+        return u
 
     def limit_at_infinity(self) -> float:
         if self.coefficient == 0.0 or self.exponent < 0.0:
@@ -323,24 +383,27 @@ class ExponentialGrowth:
         object.__setattr__(self, "growth", float(self.growth))
 
     def value(self, u: float) -> float:
-        if self.base == 0.0:
-            return self.base  # not 0 * exp(inf) = nan once growth * u overflows
         return _exp_times(self.base, self.growth * u)
 
     def integral(self, u: float) -> float:
-        if self.growth == 0.0:
+        x = self.growth * u
+        if abs(x) < _SMALLEST_NORMAL:  # expm1(x) / x is 1 for x 0 or subnormal
             return self.base * u
         try:
-            return self.base * math.expm1(self.growth * u) / self.growth
-        except OverflowError:  # growth * u is large, so growth > 0 and expm1 is exp
-            return _exp_times(self.base, self.growth * u - math.log(self.growth))
+            return self.base * math.expm1(x) / self.growth
+        except OverflowError:  # x is large, so growth > 0 and expm1 is exp
+            return _exp_times(self.base, x - math.log(self.growth))
 
-    def invert_integral(self, area: float) -> float | None:
-        if self.growth == 0.0:
-            return area / self.base
+    def invert_integral(self, area: float) -> float:
+        if not self.base > 0.0:  # a hazard that is never positive never gathers area
+            return _times_overflow(area)
         ratio = self.growth * area / self.base
+        if abs(ratio) < _SMALLEST_NORMAL:  # log1p(r) / r is 1 for r 0 or subnormal
+            return area / self.base
         if ratio == math.inf:  # log1p(r) = log(r) for r past the float range
             return (math.log(self.growth) + math.log(area) - math.log(self.base)) / self.growth
+        if not ratio > -1.0:  # a decaying hazard whose whole area is at most `area`
+            return math.inf
         return math.log1p(ratio) / self.growth
 
     def limit_at_infinity(self) -> float:
@@ -675,10 +738,10 @@ def failure_cdf(traj: HazardTrajectory, t: float) -> float:
 def invert_cumulative_hazard(traj: HazardTrajectory, target: float) -> float:
     """First time t with cumulative hazard equal to ``target``.
 
-    Solved per segment: in closed form where the antiderivative inverts,
-    otherwise by bracketed bisection with Newton polish to absolute time
-    tolerance 1e-12.  Positivity of the hazard guarantees a finite root for
-    every target >= 0.
+    Solved per segment by the form's ``invert_integral``, to a relative
+    accuracy that does not depend on the time unit.  Positivity of the
+    hazard guarantees a finite root for every target >= 0 that H reaches
+    at a float time; past the largest float the answer is inf.
     """
     target = float(target)
     if not (target >= 0.0 and math.isfinite(target)):
@@ -688,52 +751,8 @@ def invert_cumulative_hazard(traj: HazardTrajectory, target: float) -> float:
     seg = traj.segments[i]
     remainder = target - prefix[i]
     length = (starts[i + 1] - starts[i]) if i + 1 < len(starts) else math.inf
-    u = seg.form.invert_integral(remainder)
-    if u is None:
-        u = _invert_integral_numeric(seg.form, remainder, length)
-    elif math.isfinite(length):
-        u = min(u, length)  # guard rounding past the boundary
-    return seg.start_time + u
-
-
-def _invert_integral_numeric(form: SegmentForm, area: float, span: float) -> float:
-    """Root of form.integral(u) = area on [0, span] by safeguarded Newton."""
-    if area == 0.0:
-        return 0.0
-    lo = 0.0
-    if math.isfinite(span):
-        hi = span
-    else:
-        hi = 1.0
-        while form.integral(hi) < area:
-            hi *= 2.0
-    u = 0.5 * (lo + hi)
-    for _ in range(_NEWTON_MAX_ITERATIONS):
-        f = form.integral(u) - area
-        if f > 0.0:
-            hi = u
-        elif f < 0.0:
-            lo = u
-        else:
-            return u
-        slope = form.value(u)
-        step = f / slope if slope > 0.0 else math.nan
-        candidate = u - step
-        if not (lo < candidate < hi):
-            candidate = 0.5 * (lo + hi)
-        if abs(candidate - u) <= _INVERSION_TIME_TOLERANCE:
-            return candidate
-        u = candidate
-    # Newton did not settle; finish with plain bisection.
-    while hi - lo > _INVERSION_TIME_TOLERANCE:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if form.integral(mid) - area > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    # min guards rounding past the boundary
+    return seg.start_time + min(seg.form.invert_integral(remainder), length)
 
 
 def mean_time_to_failure(traj: HazardTrajectory) -> float:

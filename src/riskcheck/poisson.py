@@ -113,7 +113,8 @@ def exact_tv_small(proc: DiscretizedFailureProcess) -> float:
     n = len(proc.probabilities)
     if n > EXACT_TV_MAX_INDICATORS:
         raise ValueError(
-            f"exact enumeration supports at most {EXACT_TV_MAX_INDICATORS} indicators, got {n}"
+            f"exact total variation is capped at EXACT_TV_MAX_INDICATORS = "
+            f"{EXACT_TV_MAX_INDICATORS} indicators, got {n}"
         )
     lam = sum(proc.probabilities)
     tv, pi = 0.0, math.exp(-lam)

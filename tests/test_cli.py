@@ -5,6 +5,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -39,6 +40,7 @@ from riskcheck.hazard import (
     failure_cdf,
     hazard_at,
     reliability,
+    validate_trajectory,
 )
 from riskcheck.scenarios import (
     PeriodicPerfect,
@@ -74,6 +76,12 @@ FAR_BOUNDARY = HazardTrajectory(
 TINY_CUBIC = HazardTrajectory((HazardSegment(0.0, Power(1.0, 1e-300, 3.0)),))
 # Valid, but H stays below 0.25 at every float time: the mean, 1e310, overflows.
 SUBNORMAL_CONSTANT = HazardTrajectory((HazardSegment(0.0, Constant(1e-310)),))
+# Valid, but H = 1000 t + 1e300 t**3 / 3 reaches the unit-exponential draws
+# near t = 1e-100, far below any absolute time tolerance.
+TINY_ROOT_POWER = HazardTrajectory((HazardSegment(0.0, Power(1000.0, 1e300, 2.0)),))
+# Valid, but growth * t underflows for t below about 2e-8, where H is still
+# base * t, 0.01 at t = 1e-302.
+NEAR_CONSTANT_EXP = HazardTrajectory((HazardSegment(0.0, ExponentialGrowth(1e300, 1e-300)),))
 
 
 def write_json(path: Path, payload) -> Path:
@@ -291,6 +299,32 @@ class TestEdgeInputs:
         assert float(last["h"]) == pytest.approx(1e9 + 1.0, rel=1e-12)
         assert float(last["H"]) == pytest.approx(1e103 + 2.5e111, rel=1e-12)
 
+    def test_failure_times_far_below_the_time_unit(self, tmp_path):
+        path = write_json(tmp_path / "power.json", trajectory_to_dict(TINY_ROOT_POWER))
+        for args in (["sample", "--n", "200"], ["compare"], ["distance", "--n", "200"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([*args, "--input", str(path), "--out", str(tmp_path)]) == EXIT_OK
+        rows = (tmp_path / "samples.csv").read_text().splitlines()[1:]
+        times = [float(row.split(",")[1]) for row in rows]
+        assert len(set(times)) == 200 and all(1e-102 < t < 1e-98 for t in times)
+        # the 1000 t term moves the mean by about 1e-97 relative
+        mean = math.gamma(4.0 / 3.0) * 3.0 ** (1.0 / 3.0) * 1e-100
+        summary = json.loads((tmp_path / "comparison_summary.json").read_text())
+        assert summary["pra"]["rate"] == pytest.approx(1.0 / mean, rel=1e-12)
+
+    def test_eval_where_growth_times_t_underflows(self, tmp_path):
+        path = write_json(tmp_path / "exp.json", trajectory_to_dict(NEAR_CONSTANT_EXP))
+        for args in (["eval", "--t-max", "1e-302"], ["bound-check"], ["compare"], ["sample"], ["distance"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main([*args, "--input", str(path), "--out", str(tmp_path)]) == EXIT_OK
+        with open(tmp_path / "eval.csv") as fh:
+            last = list(csv.DictReader(fh))[-1]
+        assert float(last["t"]) == pytest.approx(1e-302, rel=1e-15)
+        assert float(last["H"]) == pytest.approx(0.01, rel=1e-15)
+        # the mean of an Exp(1e300) failure time: growth changes it by 1e-600
+        summary = json.loads((tmp_path / "comparison_summary.json").read_text())
+        assert summary["pra"]["rate"] == pytest.approx(1e300, rel=1e-12)
+
     def test_compare_when_the_mean_overflows(self, tmp_path, capsys):
         path = write_json(tmp_path / "subnormal.json", trajectory_to_dict(SUBNORMAL_CONSTANT))
         assert main(["compare", "--input", str(path), "--out", str(tmp_path)]) == EXIT_SCHEMA
@@ -364,19 +398,24 @@ class TestOverflowBeforeMaintenance:
 FUZZ_PARAMS = [0.0, 1e-300, -1e-300, 1e-3, -1e-3, 0.1, -0.1, 1.0, -1.0, 1e3, -1e3, 1e300, -1e300]
 FUZZ_EXPONENTS = [-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
 FUZZ_LATER_STARTS = [0.5, 1.0, 10.0, 800.0, 1e6, 1e200]
-_param = st.sampled_from(FUZZ_PARAMS)
-FUZZ_FORMS = st.one_of(
-    st.builds(Constant, _param),
-    st.builds(Linear, _param, _param),
-    st.builds(Power, _param, _param, st.sampled_from(FUZZ_EXPONENTS)),
-    st.builds(ExponentialGrowth, _param, _param),
-)
+
+
+def fuzz_forms(params):
+    return st.one_of(
+        st.builds(Constant, params),
+        st.builds(Linear, params, params),
+        st.builds(Power, params, params, st.sampled_from(FUZZ_EXPONENTS)),
+        st.builds(ExponentialGrowth, params, params),
+    )
+
+
+FUZZ_FORMS = fuzz_forms(st.sampled_from(FUZZ_PARAMS))
 
 
 @st.composite
-def fuzz_trajectories(draw):
+def fuzz_trajectories(draw, forms=FUZZ_FORMS):
     """1-3 segments starting at 0, valid or not."""
-    forms = draw(st.lists(FUZZ_FORMS, min_size=1, max_size=3))
+    forms = draw(st.lists(forms, min_size=1, max_size=3))
     later = draw(
         st.lists(
             st.sampled_from(FUZZ_LATER_STARTS),
@@ -561,6 +600,40 @@ class TestExitCodeContract:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
         assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_PRINCIPLE, EXIT_ORDERING)
+
+
+# Negative parameters never give a valid trajectory, so drawing only the
+# others yields the same valid trajectories for less filtering.
+VALID_FUZZ = fuzz_trajectories(fuzz_forms(st.sampled_from([p for p in FUZZ_PARAMS if p >= 0.0])))
+
+
+class TestValidInput:
+    """Every command that evaluates exits 0 on every valid trajectory: a
+    valid input gets a number, not an error."""
+
+    @given(
+        VALID_FUZZ.filter(lambda traj: validate_trajectory(traj).valid),
+        st.sampled_from(["eval", "sample", "bound-check", "compare", "distance"]),
+        st.sampled_from([None, "0.5", "2000"]),
+    )
+    @example(TINY_ROOT_POWER, "compare", None)
+    @example(TINY_ROOT_POWER, "distance", None)
+    @example(NEAR_CONSTANT_EXP, "bound-check", None)
+    @example(NEAR_CONSTANT_EXP, "compare", "0.5")
+    @example(NEAR_CONSTANT_EXP, "distance", "2000")
+    @settings(max_examples=150, deadline=None)
+    def test_exits_zero(self, traj, command, t_max):
+        with tempfile.TemporaryDirectory() as out:
+            path = write_json(Path(out) / "trajectory.json", trajectory_to_dict(traj))
+            argv = [command, "--input", str(path), "--out", out]
+            accepted = _SUBCOMMANDS[command][1]
+            for option, value in (("--t-max", t_max), ("--n", "50")):
+                if option in accepted and value is not None:
+                    argv += [option, value]
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+        assert code == EXIT_OK, stderr.getvalue()
 
 
 class TestImportFootprint:

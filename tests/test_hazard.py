@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import math
+import sys
 import weakref
 
 import numpy as np
@@ -28,10 +29,12 @@ from riskcheck.hazard import (
     reliability,
     validate_trajectory,
 )
+from riskcheck.sampling import sample_replicates
 from riskcheck.scenarios import (
     PeriodicPerfect,
     Scenario,
     build_trajectory,
+    scenario_catalog,
 )
 from riskcheck.serialize import trajectory_hash
 from trajgen import random_valid_trajectory
@@ -155,11 +158,11 @@ class TestInversion:
         t = invert_cumulative_hazard(traj, target)
         assert cumulative_hazard(traj, t) == pytest.approx(target, abs=1e-9)
 
-    def test_power_segment_falls_back_to_root_finding(self):
+    def test_power_segment_with_a_nonzero_base(self):
         traj = HazardTrajectory((HazardSegment(0.0, Power(0.2, 0.3, 2.5)),))
         for target in (0.01, 1.0, 8.0, 30.0):
             t = invert_cumulative_hazard(traj, target)
-            assert cumulative_hazard(traj, t) == pytest.approx(target, abs=1e-9)
+            assert cumulative_hazard(traj, t) == pytest.approx(target, rel=1e-14)
 
     def test_negative_target_rejected(self):
         with pytest.raises(ValueError):
@@ -300,7 +303,8 @@ class TestMeanTimeToFailure:
 
 
 class TestFormOverflow:
-    """Kernels saturate to the signed infinity where exp or ** overflows."""
+    """Kernels saturate to the signed infinity where exp or ** overflows, and
+    keep their digits where it underflows inside a normal result."""
 
     @pytest.mark.parametrize(
         "form, u, value, integral",
@@ -347,6 +351,21 @@ class TestFormOverflow:
         # exponent -0.5: the root is the square of 5e199 and overflows itself
         assert Power(0.0, 1.0, -0.5).invert_integral(1e200) == math.inf
 
+    def test_power_keeps_its_digits_where_the_power_of_u_underflows(self):
+        # u**3.13 is about 1e-326, past the smallest float, while the area
+        # term coefficient * u**3.13 / 3.13 is 3.6e-30, 1e11 times base * u
+        form = Power(3.6633886071016536e63, 9.712677532473918e296, 2.133994121982634)
+        assert form.integral(1e-104) == pytest.approx(3.5962684777795535e-30, rel=1e-15)
+        # u**3 = 1e-330 underflows; the hazard, 1e-30, does not
+        assert Power(0.0, 1e300, 3.0).value(1e-110) == pytest.approx(1.0000000000000002e-30, rel=1e-15)
+
+    def test_exponential_is_its_constant_limit_where_growth_times_u_underflows(self):
+        form = ExponentialGrowth(1e300, 1e-300)
+        for u in (1e-302, 1e-20, 1e-9):
+            assert form.integral(u) == Constant(1e300).integral(u)
+            assert form.invert_integral(form.integral(u)) == pytest.approx(u, rel=1e-15)
+        assert form.integral(1e-302) == pytest.approx(0.01, rel=1e-15)
+
     @pytest.mark.parametrize(
         "form, area",
         [
@@ -372,6 +391,7 @@ EXPONENT = st.one_of(
     st.sampled_from([-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 3.0]), st.floats(-3.0, 3.0)
 )
 ELAPSED = st.one_of(st.just(0.0), st.floats(1e-3, 1e300))
+AREA = st.floats(0.0, sys.float_info.max)
 FORMS = st.one_of(
     st.builds(Constant, MAGNITUDE),
     st.builds(Linear, MAGNITUDE, MAGNITUDE),
@@ -403,6 +423,39 @@ class TestFormProtocol:
             scale = max(abs(target), abs(dataclasses.astuple(form)[0]))
             step = abs(form.value(math.nextafter(found, math.inf)) - form.value(found))
             assert abs(form.value(found) - target) <= 1e-9 * scale + step
+
+    @given(FORMS, AREA)
+    @example(Constant(0.0), 1.0)
+    @example(Linear(-1.0, 1.0), 0.0)  # intercept + root is 0
+    @example(Linear(1.0, -1.0), 1.0)  # the area peaks at 0.5
+    @example(Power(1.0, -1.0, 2.0), 1.0)  # a negative (exponent + 1) * area / coefficient
+    @example(Power(0.0, 1.8e297, 0.5), 5.7e-233)  # the root underflows to 0
+    @example(Power(0.0, 1.0, -0.5), 1e200)  # the root overflows
+    @example(ExponentialGrowth(0.0, 1.0), 1.0)
+    @example(ExponentialGrowth(1.0, -1.0), 2.0)  # past the whole area, 1
+    @settings(max_examples=300, deadline=None)
+    def test_invert_integral_always_answers_a_float(self, form, area):
+        # nan or inf where a hazard that is not positive has no root
+        assert type(form.invert_integral(area)) is float
+
+    @given(
+        st.floats(1e-3, 1e300),
+        st.one_of(st.just(0.0), st.floats(1e-3, 1e300)),
+        st.one_of(EXPONENT.filter(lambda e: e >= 1.0), st.floats(1.0, 100.0)),
+        st.floats(1e-16, 1e300),
+    )
+    @example(1000.0, 1e300, 2.0, 0.28)  # the root is 9e-101
+    @example(3.6633886071016536e63, 9.712677532473918e296, 2.133994121982634, 3.6e-30)
+    @example(0.2, 0.02, 2.0, 1.4356332420208728)
+    @settings(max_examples=300, deadline=None)
+    def test_power_inverse_round_trip(self, base, coefficient, exponent, area):
+        form = Power(base, coefficient, exponent)
+        u = form.invert_integral(area)
+        assert 0.0 < u < math.inf
+        # Relative to the area, widened by how much the area moves over one
+        # float step of the answer.
+        step = form.integral(math.nextafter(u, math.inf)) - form.integral(u)
+        assert abs(form.integral(u) - area) <= 1e-14 * area + step
 
     @given(FORMS, MAGNITUDE)
     @settings(max_examples=400, deadline=None)
@@ -460,6 +513,60 @@ class TestFormProtocol:
     )
     def test_time_to_reach_examples(self, form, level, expected):
         assert form.time_to_reach(level) == pytest.approx(expected, rel=1e-15)
+
+
+def rescaled(traj: HazardTrajectory, c: float) -> HazardTrajectory:
+    """The trajectory of hazard h(t / c) / c: the same system with time in a
+    unit 1/c times as long, so its failure time is c T."""
+
+    def form(f):
+        if isinstance(f, Constant):
+            return Constant(f.level / c)
+        if isinstance(f, Linear):
+            return Linear(f.intercept / c, f.slope / c / c)
+        if isinstance(f, Power):
+            # The antiderivative's exponent, not exponent + 1 in reals: q has
+            # rounded, and c**q moves by |log c| ulp with it.
+            q = f.exponent + 1.0
+            return Power(f.base / c, f.coefficient / c ** (q / 2.0) / c ** (q / 2.0), f.exponent)
+        return ExponentialGrowth(f.base / c, f.growth / c)
+
+    return HazardTrajectory(
+        tuple(HazardSegment(c * seg.start_time, form(seg.form)) for seg in traj.segments),
+        tuple(MaintenanceEpoch(c * e.time, e.post_hazard / c) for e in traj.maintenance_epochs),
+    )
+
+
+TIME_SCALES = (1e-90, 1e-30, 1e30, 1e90)
+
+
+class TestTimeScaleInvariance:
+    """Draws and the mean do not depend on the time unit: h(t / c) / c gives
+    c T and c E[T], to rounding."""
+
+    @staticmethod
+    def check(traj, n, seed):
+        draws, mean = sample_replicates(traj, n, seed), mean_time_to_failure(traj)
+        for c in TIME_SCALES:
+            scaled = rescaled(traj, c)
+            pairs = [
+                pair
+                for seg, new in zip(traj.segments, scaled.segments)
+                for pair in zip(dataclasses.astuple(seg.form), dataclasses.astuple(new.form))
+            ]
+            if not all(p == 0.0 or sys.float_info.min <= abs(q) < math.inf for p, q in pairs):
+                continue  # no float form of h(t / c) / c: a coefficient / c**3 left the range
+            np.testing.assert_allclose(sample_replicates(scaled, n, seed), c * draws, rtol=1e-14, atol=0.0)
+            assert mean_time_to_failure(scaled) == pytest.approx(c * mean, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("scenario", scenario_catalog(), ids=lambda s: s.label)
+    def test_catalog(self, scenario):
+        self.check(build_trajectory(scenario), 500, 17)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_generated(self, seed):
+        self.check(random_valid_trajectory(np.random.default_rng(seed)), 100, seed)
 
 
 class TestCompiledProfile:

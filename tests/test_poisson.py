@@ -166,7 +166,7 @@ class TestExactTv:
         assert exact_tv_small(proc) == pytest.approx(capped_exact_tv(proc), rel=0.0, abs=1e-14)
 
     def test_too_many_indicators_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="EXACT_TV_MAX_INDICATORS = 20 indicators, got 21"):
             exact_tv_small(DiscretizedFailureProcess((0.1,) * 21))
 
     def test_tv_from_trajectory_discretization(self):

@@ -134,8 +134,8 @@ class TestInversionSampler:
         assert one_sample_ks(pit, lambda u: u) < dkw_epsilon(n)
 
     def test_power_form_ks_under_dkw(self):
-        # the power antiderivative has no closed inverse, so this drives the
-        # bracketed-Newton path through a distributional check
+        # the power antiderivative with a nonzero base has no closed inverse,
+        # so this drives Power's Newton inversion through a distributional check
         traj = HazardTrajectory((HazardSegment(0.0, Power(0.2, 0.3, 2.5)),))
         n = 20_000
         draws = np.sort(sample_replicates(traj, n, seed=246))
