@@ -44,13 +44,7 @@ from .hazard import (
     reliability,
     validate_trajectory,
 )
-from .poisson import (
-    EXACT_TV_MAX_INDICATORS,
-    discretize,
-    exact_tv_small,
-    ks_distance,
-    stein_chen_tv_bound,
-)
+from .poisson import discretize, exact_tv_small, ks_distance, stein_chen_tv_bound
 from .sampling import sample_many, sample_replicates, write_samples_csv
 from .scenarios import build_trajectory, scenario_catalog
 from .serialize import (
@@ -157,9 +151,10 @@ def _write_comparison(config: RunConfig, traj, report, model: PraModel | None) -
 
 
 def _cmd_bound_check(config: RunConfig) -> int:
-    # Deliberately no principle validation: the point of this command is the
-    # numeric ordering check itself, and a rule-breaking trajectory is
-    # exactly what should be able to trip exit code 4.
+    # Deliberately no principle validation of a trajectory file: the point of
+    # this command is the numeric ordering check itself, and a rule-breaking
+    # trajectory is exactly what should be able to trip exit code 4.  A
+    # scenario is still validated, by build_trajectory when it compiles.
     traj = _load_trajectory(config)
     grid = default_time_grid(traj, config.grid_points, config.t_max)
     report = check_stochastic_order(traj, grid)
@@ -198,16 +193,13 @@ def _cmd_distance(config: RunConfig) -> int:
     proc = discretize(traj, grid)
     lam = sum(proc.probabilities)
     bound = stein_chen_tv_bound(proc)
-    exact = (
-        exact_tv_small(proc) if len(proc.probabilities) <= EXACT_TV_MAX_INDICATORS else None
-    )
     model = pra_rate_from_mttf(mean_time_to_failure(traj))
     dist = sample_many(traj, config.n, config.seed)
     report = {
-        "schema_version": 1,
+        "schema_version": 2,
         "lambda": lam,
         "bound": bound,
-        "exact_tv": exact,
+        "exact_tv": exact_tv_small(proc),
         "ks": ks_distance(dist, model),
         "n": len(proc.probabilities),
         "grid_hash": grid_hash(grid),

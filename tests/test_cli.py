@@ -42,6 +42,7 @@ from riskcheck.hazard import (
     reliability,
     validate_trajectory,
 )
+from riskcheck.poisson import discretize
 from riskcheck.scenarios import (
     PeriodicPerfect,
     Scenario,
@@ -55,6 +56,7 @@ from riskcheck.serialize import (
     trajectory_hash,
     trajectory_to_dict,
 )
+from oracles import capped_exact_tv
 from test_scenarios import OVERFLOW_BEFORE_EPOCH
 
 # Rule-breaking segments whose CDF columns overflow exp (bound-check does
@@ -324,6 +326,20 @@ class TestEdgeInputs:
         # the mean of an Exp(1e300) failure time: growth changes it by 1e-600
         summary = json.loads((tmp_path / "comparison_summary.json").read_text())
         assert summary["pra"]["rate"] == pytest.approx(1e300, rel=1e-12)
+
+    def test_near_constant_exp_growth_matches_constant(self, tmp_path):
+        # growth * t_max is subnormal, so every column is Constant(base)'s
+        outs = []
+        for name, form in (("exp", ExponentialGrowth(0.5, 1e-320)), ("const", Constant(0.5))):
+            traj = HazardTrajectory((HazardSegment(0.0, form),))
+            path = write_json(tmp_path / f"{name}.json", trajectory_to_dict(traj))
+            out = tmp_path / f"out-{name}"
+            for command in ("eval", "compare"):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main([command, "--input", str(path), "--out", str(out)]) == EXIT_OK
+            outs.append(out)
+        for artifact in ("eval.csv", "comparison.csv"):
+            assert (outs[0] / artifact).read_bytes() == (outs[1] / artifact).read_bytes()
 
     def test_compare_when_the_mean_overflows(self, tmp_path, capsys):
         path = write_json(tmp_path / "subnormal.json", trajectory_to_dict(SUBNORMAL_CONSTANT))
@@ -734,12 +750,17 @@ class TestDistance:
         assert report["exact_tv"] is not None
         assert report["exact_tv"] <= report["bound"]
 
-    def test_exact_tv_omitted_on_large_grids(self, scenario_file, tmp_path):
+    def test_exact_tv_on_the_default_grid(self, scenario_file, tmp_path):
         assert run(
             RunConfig("distance", input=scenario_file, out=tmp_path, grid_points=64, n=200)
         ) == EXIT_OK
         report = json.loads((tmp_path / "distance.json").read_text())
-        assert report["exact_tv"] is None
+        traj = build_trajectory(load_input(scenario_file)[1])
+        proc = discretize(traj, default_time_grid(traj, 64)[1:])
+        assert report["n"] == 64
+        assert isinstance(report["exact_tv"], float)
+        assert report["exact_tv"] <= report["bound"]
+        assert report["exact_tv"] == pytest.approx(capped_exact_tv(proc), rel=0.0, abs=1e-12)
 
 
 class TestCatalog:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from oracles import periodic_linear_mttf, quad_cumulative_hazard, quad_mttf, recovered_hazard
+from riskcheck.compare import default_time_grid
 from riskcheck.hazard import (
     Constant,
     ExponentialGrowth,
@@ -541,12 +542,13 @@ TIME_SCALES = (1e-90, 1e-30, 1e30, 1e90)
 
 
 class TestTimeScaleInvariance:
-    """Draws and the mean do not depend on the time unit: h(t / c) / c gives
-    c T and c E[T], to rounding."""
+    """Draws, the mean and the CDF do not depend on the time unit: h(t / c) / c
+    gives c T, c E[T] and F(c t), to rounding."""
 
     @staticmethod
     def check(traj, n, seed):
         draws, mean = sample_replicates(traj, n, seed), mean_time_to_failure(traj)
+        grid = default_time_grid(traj)
         for c in TIME_SCALES:
             scaled = rescaled(traj, c)
             pairs = [
@@ -558,6 +560,8 @@ class TestTimeScaleInvariance:
                 continue  # no float form of h(t / c) / c: a coefficient / c**3 left the range
             np.testing.assert_allclose(sample_replicates(scaled, n, seed), c * draws, rtol=1e-14, atol=0.0)
             assert mean_time_to_failure(scaled) == pytest.approx(c * mean, rel=1e-14, abs=0.0)
+            for t in grid:
+                assert failure_cdf(scaled, c * t) == pytest.approx(failure_cdf(traj, t), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("scenario", scenario_catalog(), ids=lambda s: s.label)
     def test_catalog(self, scenario):

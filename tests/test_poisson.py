@@ -122,6 +122,15 @@ class TestSteinChenBound:
         assert grown >= 0.0 and base >= 0.0
 
 
+def mixed_probabilities(n, seed):
+    """n indicator probabilities, each drawn from (0, 1], [1e-13, 1e-11] or
+    {1}, in proportions that vary with the seed."""
+    rng = np.random.default_rng(seed)
+    kinds = rng.choice(3, size=n, p=rng.dirichlet(np.ones(3)))
+    choices = [1.0 - rng.random(n), rng.uniform(1e-13, 1e-11, n), np.ones(n)]
+    return [float(p) for p in np.choose(kinds, choices)]
+
+
 class TestExactTv:
     def test_single_half_by_direct_arithmetic(self):
         proc = DiscretizedFailureProcess((0.5,))
@@ -165,9 +174,15 @@ class TestExactTv:
         proc = DiscretizedFailureProcess(tuple(probs))
         assert exact_tv_small(proc) == pytest.approx(capped_exact_tv(proc), rel=0.0, abs=1e-14)
 
-    def test_too_many_indicators_rejected(self):
-        with pytest.raises(ValueError, match="EXACT_TV_MAX_INDICATORS = 20 indicators, got 21"):
-            exact_tv_small(DiscretizedFailureProcess((0.1,) * 21))
+    @given(st.builds(mixed_probabilities, st.integers(21, 1000), st.integers(0, 2**32 - 1)))
+    @example([0.9] * 1000)  # lambda = 900: exp(-lambda) alone underflows to 0
+    @settings(max_examples=60, deadline=None)
+    def test_matches_capped_reference_on_large_grids(self, probs):
+        proc = DiscretizedFailureProcess(tuple(probs))
+        exact = exact_tv_small(proc)
+        assert exact == pytest.approx(capped_exact_tv(proc), rel=0.0, abs=1e-12)
+        assert exact <= stein_chen_tv_bound(proc) + 1e-12
+        assert float(poisson_binomial_pmf(probs).sum()) == pytest.approx(1.0, rel=0.0, abs=1e-12)
 
     def test_tv_from_trajectory_discretization(self):
         grid = [0.25 * k for k in range(1, 13)]

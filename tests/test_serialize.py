@@ -147,8 +147,8 @@ class TestSchemaStrictness:
             scenario_from_dict(d)
 
 
-# Two segments and an epoch; each case below breaks the second segment or the
-# epoch, so the checks that run before it pass on the first segment.
+# Two segments and an epoch; each case below breaks the version, the segment
+# list, the second segment or the epoch, so the checks that run before it pass.
 PLAIN = {
     "schema_version": 1,
     "segments": [
@@ -174,6 +174,18 @@ def _drop(key):
 
 # case -> (edit of PLAIN, the SchemaError message)
 MESSAGES = {
+    "schema-version-wrong": (
+        lambda d: d.__setitem__("schema_version", 2),
+        "trajectory.schema_version must be 1",
+    ),
+    "segments-empty-array": (
+        lambda d: d.__setitem__("segments", []),
+        "trajectory.segments must be a nonempty array",
+    ),
+    "segments-object": (
+        lambda d: d.__setitem__("segments", {}),
+        "trajectory.segments must be a nonempty array",
+    ),
     "segment-not-object": (
         lambda d: d["segments"].__setitem__(1, 3.0),
         "trajectory.segments[1] must be an object",
