@@ -4,7 +4,9 @@ Pins the catalog's trajectory hashes and scenario files, the trajectory
 hashes of a matrix of scenarios (every maintenance policy with every growth
 law), and the exact ``validate`` report for one rule-breaking trajectory
 per segment form, covering every principle-3 message and the principle-1
-zero crossing (reported at t=inf when it lies beyond the largest float).
+zero crossing (reported at t=inf when it lies beyond the largest float),
+and the ``samples.csv`` of the catalog scenarios whose draws use only
++ - * / and sqrt, so they do not move with the ufunc implementation.
 """
 
 import hashlib
@@ -39,6 +41,15 @@ CATALOG_FILE_HASHES = {
     "figure1-sawtooth": "4300d88c0dc1fd5562422d44a432e33dcec306a2c9e9ca0f54f1628e6d88bae5",
     "imperfect-drift": "ae02476afdede38dad4305ee8cb6b247665b1dcd24fa7c1accb8ca5e407eb089",
     "threshold-power": "9379b323ea161b581eeeb9ffbd677dcd5603a00ca34e2b7fef1acf7a19970ac4",
+}
+
+# sha256 of samples.csv from `riskcheck sample --n 4000 --seed 1` on the
+# catalog scenarios built of Constant and Linear segments.
+CATALOG_SAMPLES_HASHES = {
+    "constant-control": "de2737646b40ff59ec10c4fcdec766d7967662c8071bd0e47a311263e87b07ef",
+    "unmaintained-linear": "a89e6a56051e1df98248ea866cbe503f505778b53d3281795552c4a4b6395ee6",
+    "figure1-sawtooth": "6502037f6745ea00830b10ade98d77d49f4cc74f20fc0af01ae5f4adc1a14296",
+    "imperfect-drift": "42a7e99eb486aa26093fe05f05ef2e1db17e058ed56ab951c59c22f868b20c71",
 }
 
 
@@ -259,6 +270,17 @@ def test_catalog_scenario_files(tmp_path, capsys):
         for label in CATALOG_FILE_HASHES
     }
     assert hashes == CATALOG_FILE_HASHES
+
+
+@pytest.mark.parametrize("label", sorted(CATALOG_SAMPLES_HASHES))
+def test_catalog_samples_bytes(label, tmp_path, capsys):
+    assert main(["catalog", "--out", str(tmp_path)]) == EXIT_OK
+    scenario, out = tmp_path / f"{label}.json", tmp_path / "samples"
+    argv = ["sample", "--input", str(scenario), "--out", str(out), "--n", "4000", "--seed", "1"]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    digest = hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest()
+    assert digest == CATALOG_SAMPLES_HASHES[label]
 
 
 @pytest.mark.parametrize("name", sorted(VALIDATE_CASES))
