@@ -30,6 +30,7 @@ from .hazard import (
     failure_cdf,
     hazard_at,
     invert_cumulative_hazard,
+    invert_cumulative_hazard_array,
     mean_time_to_failure,
     reliability,
     validate_trajectory,
@@ -77,6 +78,7 @@ __all__ = [
     "failure_cdf",
     "mean_time_to_failure",
     "invert_cumulative_hazard",
+    "invert_cumulative_hazard_array",
     # sampling
     "SeededStream",
     "EmpiricalDistribution",

@@ -22,11 +22,16 @@ cumulative hazard (:func:`mean_time_to_failure`).
 
 Cost model: the first calculus call on a trajectory object compiles its
 segment profile (start times and the cumulative hazard at each start) in
-O(segments) and memoizes it on that object; every later ``hazard_at``,
-``cumulative_hazard`` or ``invert_cumulative_hazard`` call is one bisect
-plus one form call, O(log segments).  There is no process-wide cache: the
-profile lives and dies with its trajectory, and equal but distinct objects
-each compile their own.
+O(segments) and memoizes it on that object; every later ``hazard_at`` or
+``cumulative_hazard`` call is one bisect plus one form call,
+O(log segments).  Inversion is array-native: the first inversion compiles
+the profile's array columns (starts, prefix, lengths, and each form class's
+parameters) once more in O(segments), and then a batch of up to 65,536
+targets costs one ``searchsorted`` plus one kernel call per form class
+present, however many segments there are; a larger batch runs in blocks of
+that size.  ``invert_cumulative_hazard`` is a batch of one.  There is no
+process-wide cache: the profile and its columns live and die with their
+trajectory, and equal but distinct objects each compile their own.
 
 All types are immutable after construction and all operations are pure, so
 everything here is safe to share across threads; the profile memo is
@@ -67,6 +72,7 @@ __all__ = [
     "failure_probability",
     "mean_time_to_failure",
     "invert_cumulative_hazard",
+    "invert_cumulative_hazard_array",
     "MTTF_CUTOFF_CUMULATIVE_HAZARD",
 ]
 
@@ -79,6 +85,7 @@ __all__ = [
 # to the integral so far, and at the latest at H = 746, where R underflows.
 _MTTF_LEVELS = tuple(2.0 * 8.0**-k for k in range(14, 0, -1)) + tuple(2.0 * k for k in range(1, 374))
 MTTF_CUTOFF_CUMULATIVE_HAZARD = 40.0
+_MTTF_HEAD = _MTTF_LEVELS.index(MTTF_CUTOFF_CUMULATIVE_HAZARD) + 1
 _MTTF_TAIL = 1e-16
 # 20-point Gauss-Legendre nodes and weights, mapped from [-1, 1] to [0, 1].
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
@@ -112,9 +119,13 @@ class PrincipleViolationError(ValueError):
 #
 # * ``name``: its JSON name; its JSON params are its dataclass fields;
 # * ``value(u)`` and ``integral(u)``, the exact antiderivative from 0;
-# * ``invert_integral(area)``: the first u with integral(u) == area, for an
-#   area >= 0, relative to u whatever the time unit; always a float, which
-#   for a form whose hazard is not positive may be nan or inf;
+# * ``invert_integral_array(area, *params)``: the first u with
+#   integral(u) == area, lane by lane, for arrays of areas >= 0 and of the
+#   form's parameters in ``_PARAMS`` order; relative to u whatever the time
+#   unit; nan or inf where a hazard that is not positive has no root.  The
+#   kernel is the form's only inverse: it runs under
+#   ``np.errstate(all="ignore")`` and masks every edge case, and
+#   ``invert_integral(area)``, shared by all forms, is one lane of it;
 # * ``limit_at_infinity()``: the limit of the value as u grows;
 # * ``time_to_reach(level)``: the first u >= 0 with value(u) == level, or
 #   None if the form never gets there;
@@ -171,9 +182,27 @@ def _power_times(scale: float, u: float, exponent: float, divisor: float = 1.0) 
     return _exp_times(scale, exponent * math.log(u) - math.log(divisor))
 
 
-def _divide(area: float, rate: float) -> float:
-    """``area / rate``; a zero rate never accumulates a nonzero area."""
-    return area / rate if rate != 0.0 else _times_overflow(area)
+def _patch(out: np.ndarray, where: np.ndarray, kernel, *columns: np.ndarray) -> np.ndarray:
+    """``out`` with the lanes ``where`` holds replaced by ``kernel`` of those
+    lanes of ``columns``: a branch only the lanes that take it pay for."""
+    count = np.count_nonzero(where)
+    if count == out.size:  # every lane: no gather
+        return kernel(*columns)
+    if count:
+        lanes = where.nonzero()[0]
+        out[lanes] = kernel(*(c[lanes] for c in columns))
+    return out
+
+
+def _saturate(area: np.ndarray) -> np.ndarray:
+    """What a zero rate accumulates: the signed infinity, or 0 for a zero area."""
+    return np.where(area != 0.0, np.copysign(np.inf, area), 0.0)
+
+
+def _divide(area: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """``area / rate`` lane by lane; a zero rate never accumulates a nonzero
+    area, and saturates a nonzero one."""
+    return _patch(area / rate, rate == 0.0, _saturate, area)
 
 
 def _elapsed(u: float) -> float | None:
@@ -181,8 +210,19 @@ def _elapsed(u: float) -> float | None:
     return u if 0.0 <= u < math.inf else None
 
 
+class _ScalarInverse:
+    """The scalar inverse every segment form shares: one lane of its
+    ``invert_integral_array``."""
+
+    def invert_integral(self, area: float) -> float:
+        cls = type(self)
+        params = [np.array([getattr(self, p)]) for p in _PARAMS[cls]]
+        with np.errstate(all="ignore"):
+            return float(cls.invert_integral_array(np.array([float(area)]), *params)[0])
+
+
 @dataclass(frozen=True)
-class Constant:
+class Constant(_ScalarInverse):
     """Flat hazard ``level``."""
 
     level: float
@@ -197,8 +237,9 @@ class Constant:
     def integral(self, u: float) -> float:
         return self.level * u
 
-    def invert_integral(self, area: float) -> float:
-        return _divide(area, self.level)
+    @staticmethod
+    def invert_integral_array(area: np.ndarray, level: np.ndarray) -> np.ndarray:
+        return _divide(area, level)
 
     def limit_at_infinity(self) -> float:
         return self.level
@@ -211,7 +252,7 @@ class Constant:
 
 
 @dataclass(frozen=True)
-class Linear:
+class Linear(_ScalarInverse):
     """Hazard ``intercept + slope * u``."""
 
     intercept: float
@@ -228,15 +269,20 @@ class Linear:
     def integral(self, u: float) -> float:
         return u * (self.intercept + 0.5 * self.slope * u)
 
-    def invert_integral(self, area: float) -> float:
-        if self.slope == 0.0:
-            return _divide(area, self.intercept)
+    @staticmethod
+    def invert_integral_array(
+        area: np.ndarray, intercept: np.ndarray, slope: np.ndarray
+    ) -> np.ndarray:
         # Stable root of slope/2 u^2 + intercept u - area = 0; a falling
         # hazard whose area never reaches `area` has a negative radicand.
-        root = math.sqrt(max(0.0, self.intercept * self.intercept + 2.0 * self.slope * area))
-        if root == math.inf and self.slope > 0.0:  # the radicand overflowed; hypot never forms it
-            root = math.hypot(self.intercept, math.sqrt(self.slope) * math.sqrt(2.0 * area))
-        return _divide(2.0 * area, self.intercept + root)
+        radicand = intercept * intercept + 2.0 * slope * area
+        root = np.sqrt(np.where(radicand > 0.0, radicand, 0.0))
+        # Where the radicand overflowed, hypot never forms it.
+        spilled = (root == np.inf) & (slope > 0.0)
+        root = _patch(
+            root, spilled, lambda i, s, a: np.hypot(i, np.sqrt(s) * np.sqrt(2.0 * a)), intercept, slope, area
+        )
+        return _patch(_divide(2.0 * area, intercept + root), slope == 0.0, _divide, area, intercept)
 
     def limit_at_infinity(self) -> float:
         if self.slope == 0.0:
@@ -253,7 +299,7 @@ class Linear:
 
 
 @dataclass(frozen=True)
-class Power:
+class Power(_ScalarInverse):
     """Hazard ``base + coefficient * u**exponent``."""
 
     base: float
@@ -297,44 +343,18 @@ class Power:
             pass
         return self.base * u + _power_times(self.coefficient, u, power, power)
 
-    def invert_integral(self, area: float) -> float:
-        if self.coefficient == 0.0:
-            return _divide(area, self.base)
-        power = self.exponent + 1.0
-        if not (self.coefficient > 0.0 and power > 0.0):
-            return math.nan  # the power term is not a growing area: no root to report
-        # I(u) = base u + coefficient u**power / power is the sum of two
-        # growing terms, and each alone reaches the area at a closed-form time,
-        # u1 = area / base and u2, the root of the power term.
-        ratio = power * area / self.coefficient
-        if _SMALLEST_NORMAL <= ratio < math.inf or area == 0.0:
-            try:
-                u2 = ratio ** (1.0 / power)
-            except OverflowError:  # the root itself overflows (exponent < 0)
-                u2 = math.inf
-        else:  # the ratio alone overflowed or underflowed; its root may not
-            u2 = _exp_times(1.0, (math.log(power) + math.log(area) - math.log(self.coefficient)) / power)
-        if not self.base > 0.0:
-            return u2  # the root for base 0; a negative base breaks principle 1
-        # For exponent >= 0 the root lies in [u/2, u] with u = min(u1, u2): at
-        # u one term alone reaches the area, at u/2 neither passes half of it.
-        # Newton runs from u (downhill on a convex I) inside the bracket of
-        # signs seen so far, bisecting where a step leaves it or does not
-        # halve, and stops at a step of 4 ulp.  Nothing depends on the time
-        # unit, and a rounded u below the root only costs a step.
-        u = min(area / self.base, u2)
-        lo, hi, last = 0.0, math.inf, math.inf
-        while u < math.inf:  # else the area is not reached at a float time
-            excess = self.integral(u) - area
-            lo, hi = (lo, u) if excess > 0.0 else (u, hi)
-            step = excess / self.value(u)
-            if not (abs(step) <= 0.5 * last and lo <= u - step <= hi):
-                step = u - (lo + 0.5 * (hi - lo))
-            last = abs(step)
-            if last <= 4.0 * 2.0**-52 * u:
-                return u - step
-            u -= step
-        return u
+    @staticmethod
+    def invert_integral_array(
+        area: np.ndarray, base: np.ndarray, coefficient: np.ndarray, exponent: np.ndarray
+    ) -> np.ndarray:
+        # A power term that is not a growing area has no root to report.
+        grows = (coefficient > 0.0) & (exponent + 1.0 > 0.0)
+        u = _power_start(area, base, coefficient, exponent + 1.0)
+        # Newton polishes a finite start; at an infinite one the area is not
+        # reached at a float time.
+        newton = grows & (base > 0.0) & (u < np.inf)
+        u = np.where(grows, _patch(u, newton, _power_newton, area, base, coefficient, exponent, u), np.nan)
+        return _patch(u, coefficient == 0.0, _divide, area, base)
 
     def limit_at_infinity(self) -> float:
         if self.coefficient == 0.0 or self.exponent < 0.0:
@@ -371,7 +391,7 @@ class Power:
 
 
 @dataclass(frozen=True)
-class ExponentialGrowth:
+class ExponentialGrowth(_ScalarInverse):
     """Hazard ``base * exp(growth * u)``."""
 
     base: float
@@ -394,17 +414,19 @@ class ExponentialGrowth:
         except OverflowError:  # x is large, so growth > 0 and expm1 is exp
             return _exp_times(self.base, x - math.log(self.growth))
 
-    def invert_integral(self, area: float) -> float:
-        if not self.base > 0.0:  # a hazard that is never positive never gathers area
-            return _times_overflow(area)
-        ratio = self.growth * area / self.base
-        if abs(ratio) < _SMALLEST_NORMAL:  # log1p(r) / r is 1 for r 0 or subnormal
-            return area / self.base
-        if ratio == math.inf:  # log1p(r) = log(r) for r past the float range
-            return (math.log(self.growth) + math.log(area) - math.log(self.base)) / self.growth
-        if not ratio > -1.0:  # a decaying hazard whose whole area is at most `area`
-            return math.inf
-        return math.log1p(ratio) / self.growth
+    @staticmethod
+    def invert_integral_array(area: np.ndarray, base: np.ndarray, growth: np.ndarray) -> np.ndarray:
+        ratio = growth * area / base
+        # A decaying hazard whose whole area is at most `area` never reaches it.
+        u = np.where(ratio > -1.0, np.log1p(ratio) / growth, np.inf)
+        # log1p(r) = log(r) for r past the float range
+        u = _patch(
+            u, ratio == np.inf, lambda g, a, b: (np.log(g) + np.log(a) - np.log(b)) / g, growth, area, base
+        )
+        # log1p(r) / r is 1 for r 0 or subnormal
+        u = _patch(u, np.abs(ratio) < _SMALLEST_NORMAL, np.divide, area, base)
+        # A hazard that is never positive never gathers area.
+        return _patch(u, ~(base > 0.0), _saturate, area)
 
     def limit_at_infinity(self) -> float:
         if self.growth == 0.0 or self.base == 0.0:
@@ -427,6 +449,85 @@ class ExponentialGrowth:
         if self.growth > 0.0 and self.base < 0.0:
             return f"negative base {self.base:g} with positive growth {self.growth:g}"
         return None
+
+
+def _power_start(area, base, coefficient, power) -> np.ndarray:
+    """Where ``Power``'s Newton starts, min(u1, u2), for a growing power term.
+
+    I(u) = base u + coefficient u**power / power is the sum of two growing
+    terms, and each alone reaches the area at a closed-form time,
+    u1 = area / base and u2, the root of the power term; where the ratio
+    alone overflowed or underflowed, its root may not.  u2 is the root for
+    base 0; a negative base breaks principle 1.
+    """
+    ratio = power * area / coefficient
+    normal = ((_SMALLEST_NORMAL <= ratio) & (ratio < np.inf)) | (area == 0.0)
+    u2 = _patch(np.power(ratio, 1.0 / power), ~normal, _log_root, power, area, coefficient)
+    return np.where(base > 0.0, np.minimum(area / base, u2), u2)
+
+
+def _log_root(power: np.ndarray, area: np.ndarray, coefficient: np.ndarray) -> np.ndarray:
+    """(power * area / coefficient) ** (1 / power) in log space, for a ratio
+    that alone overflowed or underflowed while its root may not."""
+    return np.exp((np.log(power) + np.log(area) - np.log(coefficient)) / power)
+
+
+def _power_newton(
+    area: np.ndarray, base: np.ndarray, coefficient: np.ndarray, exponent: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """The roots of base u + coefficient u**(exponent + 1) / (exponent + 1)
+    = area, lane by lane, for base, coefficient and exponent + 1 positive,
+    from a finite start u = min(u1, u2) (see :func:`_power_start`).
+
+    For exponent >= 0 the root lies in [u/2, u]: at u one term alone reaches
+    the area, at u/2 neither passes half of it.  Newton runs from u
+    (downhill on a convex I) inside the bracket of signs seen so far,
+    bisecting where a step leaves it or does not halve, and a lane stops at
+    a step of 4 ulp.  Nothing depends on the time unit, and a rounded u
+    below the root only costs a step.  Each lane's iterates depend on that
+    lane alone, and a lane leaves the arrays once it stops.
+    """
+    out, lanes = np.empty_like(u), np.arange(u.size)
+    lo, hi, last = np.zeros_like(u), np.full_like(u, np.inf), np.full_like(u, np.inf)
+    while lanes.size:
+        u, lo, hi, last, done = _newton_step(area, base, coefficient, exponent, u, lo, hi, last)
+        finished = done.nonzero()[0]
+        if finished.size:
+            out[lanes[finished]] = u[finished]
+            keep = ~done
+            lanes, u, lo, hi, last = lanes[keep], u[keep], lo[keep], hi[keep], last[keep]
+            area, base, coefficient, exponent = area[keep], base[keep], coefficient[keep], exponent[keep]
+    return out
+
+
+def _newton_step(area, base, coefficient, exponent, u, lo, hi, last) -> tuple[np.ndarray, ...]:
+    """One safeguarded Newton step on every lane of ``_power_newton``: the
+    next u, the new bracket [lo, hi], the step length, and which lanes stop
+    (at a step of 4 ulp, or past the largest float)."""
+    params, power = (u, base, coefficient, exponent), exponent + 1.0
+    term = np.power(u, power)
+    excess = _or_scalar(Power.integral, base * u + coefficient * term / power, term, *params) - area
+    above = excess > 0.0
+    lo, hi = np.where(above, lo, u), np.where(above, u, hi)
+    term = np.power(u, exponent)
+    step = excess / _or_scalar(Power.value, base + coefficient * term, term, *params)
+    new = u - step
+    bisect = ~((np.abs(step) <= 0.5 * last) & (lo <= new) & (new <= hi))
+    if np.count_nonzero(bisect):  # most steps are Newton steps in every lane
+        step = np.where(bisect, u - (lo + 0.5 * (hi - lo)), step)
+        new = u - step
+    last = np.abs(step)
+    return new, lo, hi, last, (last <= 4.0 * 2.0**-52 * u) | ~(new < np.inf)
+
+
+def _or_scalar(kernel, result, term, u, base, coefficient, exponent) -> np.ndarray:
+    """``result`` where the power of u in it, ``term``, is normal, else
+    ``Power``'s scalar ``kernel`` at u: that one handles u = 0 and rescales
+    a power that left the normal range."""
+    for j in (~((term >= _SMALLEST_NORMAL) & (term < np.inf))).nonzero()[0].tolist():
+        form = Power(float(base[j]), float(coefficient[j]), float(exponent[j]))
+        result[j] = kernel(form, float(u[j]))
+    return result
 
 
 SEGMENT_FORMS = (Constant, Linear, Power, ExponentialGrowth)
@@ -498,6 +599,25 @@ class HazardTrajectory:
         for seg, nxt in zip(self.segments, starts[1:]):
             prefix.append(prefix[-1] + seg.form.integral(nxt - seg.start_time))
         return starts, tuple(prefix)
+
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple]:
+        """The profile as arrays, for batch inversion: segment starts, the
+        cumulative hazard at each start, segment lengths (inf for the last),
+        each segment's form class as an index into ``SEGMENT_FORMS``, and per
+        class present ``(index, class, parameter columns)``.  A class's
+        columns run over all segments, in ``_PARAMS`` order; only the rows of
+        its own segments are read."""
+        starts, prefix = (np.array(x) for x in self._profile)
+        forms = [seg.form for seg in self.segments]
+        kinds = np.array([SEGMENT_FORMS.index(type(form)) for form in forms], dtype=np.int8)
+        classes = []
+        for k in sorted(set(kinds.tolist())):
+            cls = SEGMENT_FORMS[k]
+            columns = tuple(np.array([getattr(f, p, 0.0) for f in forms]) for p in _PARAMS[cls])
+            classes.append((k, cls, columns))
+        lengths = np.concatenate((starts[1:] - starts[:-1], [np.inf]))
+        return starts, prefix, lengths, kinds, tuple(classes)
 
 
 @dataclass(frozen=True)
@@ -736,23 +856,49 @@ def failure_cdf(traj: HazardTrajectory, t: float) -> float:
 
 
 def invert_cumulative_hazard(traj: HazardTrajectory, target: float) -> float:
-    """First time t with cumulative hazard equal to ``target``.
+    """First time t with cumulative hazard equal to ``target``: a batch of
+    one for :func:`invert_cumulative_hazard_array`."""
+    return float(invert_cumulative_hazard_array(traj, [float(target)])[0])
 
-    Solved per segment by the form's ``invert_integral``, to a relative
-    accuracy that does not depend on the time unit.  Positivity of the
-    hazard guarantees a finite root for every target >= 0 that H reaches
-    at a float time; past the largest float the answer is inf.
+
+def invert_cumulative_hazard_array(traj: HazardTrajectory, targets) -> np.ndarray:
+    """First times t with cumulative hazard equal to each of ``targets``.
+
+    One ``searchsorted`` on the compiled prefix finds each target's segment,
+    then each form class present inverts its lanes in one kernel call, to a
+    relative accuracy that does not depend on the time unit; a batch past
+    ``_BLOCK`` targets runs block by block.  Each answer depends on its own
+    target alone, whatever the batch around it.  Positivity of the hazard
+    guarantees a finite root for every target >= 0 that H reaches at a float
+    time; past the largest float the answer is inf.
     """
-    target = float(target)
-    if not (target >= 0.0 and math.isfinite(target)):
-        raise ValueError(f"target cumulative hazard must be finite and nonnegative, got {target!r}")
-    starts, prefix = traj._profile
-    i = bisect_right(prefix, target) - 1
-    seg = traj.segments[i]
-    remainder = target - prefix[i]
-    length = (starts[i + 1] - starts[i]) if i + 1 < len(starts) else math.inf
-    # min guards rounding past the boundary
-    return seg.start_time + min(seg.form.invert_integral(remainder), length)
+    targets = np.atleast_1d(np.asarray(targets, dtype=np.float64))
+    bad = (~((targets >= 0.0) & (targets < np.inf))).nonzero()[0]
+    if bad.size:
+        first = float(targets[bad[0]])
+        raise ValueError(f"target cumulative hazard must be finite and nonnegative, got {first!r}")
+    out = np.empty_like(targets)
+    for lo in range(0, targets.size, _BLOCK):
+        out[lo : lo + _BLOCK] = _invert_block(traj._columns, targets[lo : lo + _BLOCK])
+    return out
+
+
+# Most targets one kernel call inverts.  A Power batch holds about 30 arrays
+# of its length at once, so this bounds a batch's working memory to about
+# 16 MB without adding numpy calls to a batch of fewer targets.
+_BLOCK = 1 << 16
+
+
+def _invert_block(columns: tuple, targets: np.ndarray) -> np.ndarray:
+    starts, prefix, lengths, kinds, classes = columns
+    i = prefix.searchsorted(targets, side="right") - 1
+    area, kind = targets - prefix[i], kinds[i]
+    u = np.empty_like(area)
+    with np.errstate(all="ignore"):
+        for k, cls, params in classes:
+            u = _patch(u, kind == k, cls.invert_integral_array, area, *(c[i] for c in params))
+    # minimum guards rounding past the boundary
+    return starts[i] + np.minimum(u, lengths[i])
 
 
 def mean_time_to_failure(traj: HazardTrajectory) -> float:
@@ -778,8 +924,13 @@ def mean_time_to_failure(traj: HazardTrajectory) -> float:
     starts, prefix = traj._profile
     h0 = traj.segments[0].form.value(0.0)
     total, a = 0.0, 0.0
-    for level in _MTTF_LEVELS:
-        b = max(a, invert_cumulative_hazard(traj, level))
+    # The level times up to the cutoff in one batch; the rest in a second
+    # only if the tail bound is still unmet there.
+    times = invert_cumulative_hazard_array(traj, _MTTF_LEVELS[:_MTTF_HEAD]).tolist()
+    for k, level in enumerate(_MTTF_LEVELS):
+        if k == len(times):
+            times += invert_cumulative_hazard_array(traj, _MTTF_LEVELS[k:]).tolist()
+        b = max(a, times[k])
         unreached = b == math.inf
         if unreached:
             b = sys.float_info.max

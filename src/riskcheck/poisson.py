@@ -122,8 +122,6 @@ def ks_distance(dist: EmpiricalDistribution, model: PraModel) -> float:
     if dist.n == 0:
         raise ValueError("empirical distribution is empty")
     n = dist.n
-    d = 0.0
-    for i, t in enumerate(dist.times):
-        f = -math.expm1(-model.rate * t)
-        d = max(d, abs(i / n - f), abs((i + 1) / n - f))
-    return d
+    f = -np.expm1(-model.rate * np.array(dist.times))
+    below = np.arange(n) / n  # each i / n correctly rounded, as in Python
+    return float(max(np.max(np.abs(below - f)), np.max(np.abs((np.arange(1, n + 1) / n) - f))))

@@ -5,14 +5,16 @@ which is exact.
 
 Randomness comes from one counter-based Philox (4x64) stream keyed by the
 seed: replicate ``i`` reads 64-bit word ``i`` of that stream, which is lane
-``i % 4`` of counter block ``i // 4``.  Draw ``i`` is therefore a pure
-function of (trajectory, seed, i), whatever ``n`` or the evaluation order,
-and ``n`` draws cost one vectorized ``random_raw`` call.
+``i % 4`` of counter block ``i // 4``.  ``n`` draws cost one vectorized
+``random_raw`` call, one ``-log(U)`` over the words, and one batch
+inversion (:func:`~riskcheck.hazard.invert_cumulative_hazard_array`): a
+``searchsorted`` plus one kernel call per segment-form class present.  Each
+lane of that batch depends on its own word alone, so draw ``i`` is a pure
+function of (trajectory, seed, i), whatever ``n`` or the evaluation order.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import numpy.random  # noqa: F401  loaded here, not lazily on first use inside a command
 
-from .hazard import HazardTrajectory, invert_cumulative_hazard
+from .hazard import HazardTrajectory, invert_cumulative_hazard, invert_cumulative_hazard_array
 from .serialize import dump_json
 
 __all__ = [
@@ -35,9 +37,12 @@ __all__ = [
 ]
 
 # Pinned draw rule: replicate i of seed s is word i of numpy's Philox (4x64)
-# keyed by s, turned into a unit exponential by ``_exponentials``.  Changing
-# either the word assignment or the transform changes the name.
-GENERATOR_NAME = "numpy-philox4x64-counter"
+# keyed by s, turned into a unit exponential by ``_exponentials`` and into a
+# failure time by the array inverse.  Changing the word assignment, the
+# transform or the inverse's arithmetic changes the name.  "-v2": the Power
+# and ExponentialGrowth inverses run on numpy's power, exp, log and log1p,
+# which may round differently from ``math``'s.
+GENERATOR_NAME = "numpy-philox4x64-counter-v2"
 
 _MASK64 = (1 << 64) - 1
 
@@ -82,13 +87,13 @@ class EmpiricalDistribution:
     seed: int
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
-        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "times", tuple(map(float, self.times)))
+        times = np.array(self.times, ndmin=1)
         if self.n != len(times):
             raise ValueError(f"n={self.n} does not match {len(times)} samples")
-        if any(b < a for a, b in zip(times, times[1:])):
+        if np.any(times[1:] < times[:-1]):
             raise ValueError("times must be sorted ascending")
-        if any(not (t > 0.0 and math.isfinite(t)) for t in times):
+        if not np.all((times > 0.0) & (times < np.inf)):
             raise ValueError("all failure times must be finite and positive")
 
 
@@ -110,9 +115,7 @@ def sample_replicates(traj: HazardTrajectory, n: int, seed: int) -> np.ndarray:
     if not isinstance(seed, int):
         raise ValueError("seed must be an integer")
     draws = _exponentials(np.random.Philox(key=seed & _MASK64).random_raw(n))
-    return np.fromiter(
-        (invert_cumulative_hazard(traj, e) for e in draws.tolist()), np.float64, count=n
-    )
+    return invert_cumulative_hazard_array(traj, draws)
 
 
 def sample_many(traj: HazardTrajectory, n: int, seed: int) -> EmpiricalDistribution:

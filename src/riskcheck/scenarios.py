@@ -64,13 +64,17 @@ GROWTH_FORMS = (Linear, Power, ExponentialGrowth)
 #   given the previous candidate's time (0 for the first);
 # * ``improvement``: the share of the excess over h0 that maintenance
 #   removes (1 restores h0);
-# * ``step_name``: what the step is called in error messages.
+# * ``step_name``: what the step is called in error messages;
+# * ``no_op_refused``: whether an epoch candidate where nothing degraded
+#   means the step missed the hazard it was derived from, so the scenario is
+#   refused, rather than a scheduled time with nothing to repair, skipped.
 
 
 class _Periodic:
     """Maintenance at every multiple of ``period``."""
 
     step_name: ClassVar[str] = "maintenance period"
+    no_op_refused: ClassVar[bool] = False
 
     def check(self, h0: float) -> None:
         if not (self.period > 0.0 and math.isfinite(self.period)):
@@ -111,6 +115,7 @@ class ThresholdPerfect:
     name: ClassVar[str] = "threshold_perfect"
     improvement: ClassVar[float] = 1.0
     step_name: ClassVar[str] = "threshold step"
+    no_op_refused: ClassVar[bool] = True
 
     def check(self, h0: float) -> None:
         if not (self.trigger_hazard > h0 and math.isfinite(self.trigger_hazard)):
@@ -192,15 +197,17 @@ def build_trajectory(scenario: Scenario) -> HazardTrajectory:
     to and including the horizon; an epoch that would not strictly decrease
     the hazard (no degradation happened) is skipped rather than declared.
     A scenario whose hazard overflows before an epoch is refused: there is no
-    finite hazard for maintenance to reduce.  Past the last epoch the last
-    cycle's form extends to infinity.
+    finite hazard for maintenance to reduce.  So is a threshold scenario
+    with a skipped epoch: its step rounded to a time where the hazard has not
+    left h0, and the epochs it should have placed are missing.  Past the
+    last epoch the last cycle's form extends to infinity.
     """
     h0, cycle, step = _check_scenario(scenario)
     policy, horizon = scenario.policy, scenario.horizon
 
     segments: list[HazardSegment] = []
     epochs: list[MaintenanceEpoch] = []
-    cycle_start = 0.0
+    cycle_start, skipped = 0.0, None
     form = cycle(h0)
     if step is not None:
         k, candidate = 1, policy.epoch_time(1, 0.0, step)
@@ -216,8 +223,15 @@ def build_trajectory(scenario: Scenario) -> HazardTrajectory:
                 epochs.append(MaintenanceEpoch(candidate, post))
                 cycle_start = candidate
                 form = cycle(post)
+            elif skipped is None:
+                skipped = candidate
             k += 1
             candidate = policy.epoch_time(k, candidate, step)
+    if skipped is not None and policy.no_op_refused:
+        raise ValueError(
+            f"{policy.step_name} {step!r} leaves the hazard at {h0!r} at the maintenance epoch "
+            f"at t={skipped!r}"
+        )
 
     segments.append(HazardSegment(cycle_start, form))
     return ensure_valid(HazardTrajectory(tuple(segments), tuple(epochs)))

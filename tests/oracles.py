@@ -8,18 +8,32 @@ values (never the inverted antiderivative), the Poisson-binomial pmf from
 explicit outcome enumeration (never the convolution), the exact Poisson
 total-variation distance from scipy's Poisson pmf and survival function
 (never the positive-part recurrence), and KS statistics from first
-principles.
+principles.  The one exception is the scalar inverse below: it is the
+library's own earlier per-form inverse, one area at a time in ``math``,
+kept as the reference its array kernels are checked against.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 
 import numpy as np
 from scipy import integrate, stats
 
-from riskcheck.hazard import HazardTrajectory, hazard_at, reliability
+from riskcheck.hazard import (
+    _SMALLEST_NORMAL,
+    Constant,
+    ExponentialGrowth,
+    HazardTrajectory,
+    Linear,
+    Power,
+    _exp_times,
+    _times_overflow,
+    hazard_at,
+    reliability,
+)
 from riskcheck.poisson import DiscretizedFailureProcess, poisson_binomial_pmf
 from riskcheck.sampling import SeededStream
 
@@ -107,6 +121,80 @@ def recovered_hazard(traj: HazardTrajectory, t: float, dt: float = 1e-4) -> floa
     if r_center <= 0.0:
         raise ValueError(f"reliability underflowed to zero at t={t:g}")
     return (r_minus - r_plus) / (2.0 * dt * r_center)
+
+
+def _divide(area: float, rate: float) -> float:
+    """``area / rate``; a zero rate never accumulates a nonzero area."""
+    return area / rate if rate != 0.0 else _times_overflow(area)
+
+
+def _invert_power(form: Power, area: float) -> float:
+    if form.coefficient == 0.0:
+        return _divide(area, form.base)
+    power = form.exponent + 1.0
+    if not (form.coefficient > 0.0 and power > 0.0):
+        return math.nan
+    ratio = power * area / form.coefficient
+    if _SMALLEST_NORMAL <= ratio < math.inf or area == 0.0:
+        try:
+            u2 = ratio ** (1.0 / power)
+        except OverflowError:
+            u2 = math.inf
+    else:
+        u2 = _exp_times(1.0, (math.log(power) + math.log(area) - math.log(form.coefficient)) / power)
+    if not form.base > 0.0:
+        return u2
+    u = min(area / form.base, u2)
+    lo, hi, last = 0.0, math.inf, math.inf
+    while u < math.inf:
+        excess = form.integral(u) - area
+        lo, hi = (lo, u) if excess > 0.0 else (u, hi)
+        step = excess / form.value(u)
+        if not (abs(step) <= 0.5 * last and lo <= u - step <= hi):
+            step = u - (lo + 0.5 * (hi - lo))
+        last = abs(step)
+        if last <= 4.0 * 2.0**-52 * u:
+            return u - step
+        u -= step
+    return u
+
+
+def scalar_invert_integral(form, area: float) -> float:
+    """The first u with ``form.integral(u) == area``, one area at a time in
+    ``math``: the per-form scalar inverses the library had before its array
+    kernels, branch for branch."""
+    if isinstance(form, Constant):
+        return _divide(area, form.level)
+    if isinstance(form, Linear):
+        if form.slope == 0.0:
+            return _divide(area, form.intercept)
+        root = math.sqrt(max(0.0, form.intercept * form.intercept + 2.0 * form.slope * area))
+        if root == math.inf and form.slope > 0.0:
+            root = math.hypot(form.intercept, math.sqrt(form.slope) * math.sqrt(2.0 * area))
+        return _divide(2.0 * area, form.intercept + root)
+    if isinstance(form, Power):
+        return _invert_power(form, area)
+    assert isinstance(form, ExponentialGrowth)
+    if not form.base > 0.0:
+        return _times_overflow(area)
+    ratio = form.growth * area / form.base
+    if abs(ratio) < _SMALLEST_NORMAL:
+        return area / form.base
+    if ratio == math.inf:
+        return (math.log(form.growth) + math.log(area) - math.log(form.base)) / form.growth
+    if not ratio > -1.0:
+        return math.inf
+    return math.log1p(ratio) / form.growth
+
+
+def scalar_invert_cumulative_hazard(traj: HazardTrajectory, target: float) -> float:
+    """The first time H reaches ``target``: a bisect on the compiled prefix,
+    then :func:`scalar_invert_integral` on that segment."""
+    starts, prefix = traj._profile
+    i = bisect_right(prefix, target) - 1
+    seg = traj.segments[i]
+    length = (starts[i + 1] - starts[i]) if i + 1 < len(starts) else math.inf
+    return seg.start_time + min(scalar_invert_integral(seg.form, target - prefix[i]), length)
 
 
 def stream_generator(stream: SeededStream) -> np.random.Generator:

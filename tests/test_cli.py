@@ -57,7 +57,7 @@ from riskcheck.serialize import (
     trajectory_to_dict,
 )
 from oracles import capped_exact_tv
-from test_scenarios import OVERFLOW_BEFORE_EPOCH
+from test_scenarios import OVERFLOW_BEFORE_EPOCH, SKIPPED_THRESHOLD_EPOCH
 
 # Rule-breaking segments whose CDF columns overflow exp (bound-check does
 # not validate its input).
@@ -410,6 +410,14 @@ class TestOverflowBeforeMaintenance:
         assert result.returncode == EXIT_SCHEMA
         assert result.stderr == "error: hazard overflows to inf before the maintenance epoch at t=10.0\n"
 
+    @pytest.mark.parametrize("command", ["validate", "eval", "sample", "compare", "distance"])
+    def test_skipped_threshold_epoch_refused_without_a_traceback(self, tmp_path, command):
+        scenario, message = SKIPPED_THRESHOLD_EPOCH
+        path = write_json(tmp_path / "scenario.json", scenario_to_dict(scenario))
+        result = run_module(path, tmp_path / "out", command)
+        assert result.returncode == EXIT_SCHEMA
+        assert (result.stdout, result.stderr) == ("", f"error: {message}\n")
+
 
 FUZZ_PARAMS = [0.0, 1e-300, -1e-300, 1e-3, -1e-3, 0.1, -0.1, 1.0, -1.0, 1e3, -1e3, 1e300, -1e300]
 FUZZ_EXPONENTS = [-3.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
@@ -685,7 +693,7 @@ class TestSample:
         traj = build_trajectory(load_input(scenario_file)[1])
         assert meta["seed"] == 7
         assert meta["n"] == 200
-        assert meta["generator"] == "numpy-philox4x64-counter"
+        assert meta["generator"] == "numpy-philox4x64-counter-v2"
         assert meta["trajectory_hash"] == trajectory_hash(traj)
 
     def test_byte_identical_across_runs(self, scenario_file, tmp_path):

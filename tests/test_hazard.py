@@ -4,15 +4,23 @@ import dataclasses
 import gc
 import math
 import sys
+import warnings
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from oracles import periodic_linear_mttf, quad_cumulative_hazard, quad_mttf, recovered_hazard
+from oracles import (
+    periodic_linear_mttf,
+    quad_cumulative_hazard,
+    quad_mttf,
+    recovered_hazard,
+    scalar_invert_cumulative_hazard,
+    scalar_invert_integral,
+)
 from riskcheck.compare import default_time_grid
 from riskcheck.hazard import (
     Constant,
@@ -26,11 +34,12 @@ from riskcheck.hazard import (
     failure_cdf,
     hazard_at,
     invert_cumulative_hazard,
+    invert_cumulative_hazard_array,
     mean_time_to_failure,
     reliability,
     validate_trajectory,
 )
-from riskcheck.sampling import sample_replicates
+from riskcheck.sampling import _exponentials, sample_replicates
 from riskcheck.scenarios import (
     PeriodicPerfect,
     Scenario,
@@ -541,6 +550,20 @@ def rescaled(traj: HazardTrajectory, c: float) -> HazardTrajectory:
 TIME_SCALES = (1e-90, 1e-30, 1e30, 1e90)
 
 
+def rescalings(traj: HazardTrajectory):
+    """(c, h(t / c) / c) for each c in TIME_SCALES where that hazard has a
+    float form: none of its coefficients left the normal range."""
+    for c in TIME_SCALES:
+        scaled = rescaled(traj, c)
+        pairs = [
+            pair
+            for seg, new in zip(traj.segments, scaled.segments)
+            for pair in zip(dataclasses.astuple(seg.form), dataclasses.astuple(new.form))
+        ]
+        if all(p == 0.0 or sys.float_info.min <= abs(q) < math.inf for p, q in pairs):
+            yield c, scaled
+
+
 class TestTimeScaleInvariance:
     """Draws, the mean and the CDF do not depend on the time unit: h(t / c) / c
     gives c T, c E[T] and F(c t), to rounding."""
@@ -549,15 +572,7 @@ class TestTimeScaleInvariance:
     def check(traj, n, seed):
         draws, mean = sample_replicates(traj, n, seed), mean_time_to_failure(traj)
         grid = default_time_grid(traj)
-        for c in TIME_SCALES:
-            scaled = rescaled(traj, c)
-            pairs = [
-                pair
-                for seg, new in zip(traj.segments, scaled.segments)
-                for pair in zip(dataclasses.astuple(seg.form), dataclasses.astuple(new.form))
-            ]
-            if not all(p == 0.0 or sys.float_info.min <= abs(q) < math.inf for p, q in pairs):
-                continue  # no float form of h(t / c) / c: a coefficient / c**3 left the range
+        for c, scaled in rescalings(traj):
             np.testing.assert_allclose(sample_replicates(scaled, n, seed), c * draws, rtol=1e-14, atol=0.0)
             assert mean_time_to_failure(scaled) == pytest.approx(c * mean, rel=1e-14, abs=0.0)
             for t in grid:
@@ -571,6 +586,110 @@ class TestTimeScaleInvariance:
     @settings(max_examples=25, deadline=None)
     def test_generated(self, seed):
         self.check(random_valid_trajectory(np.random.default_rng(seed)), 100, seed)
+
+
+# Four ulp relative: the stop of Power's Newton, and room for the ulp by
+# which numpy's power, exp, log and log1p may differ from math's.
+FOUR_ULP = 4.0 * 2.0**-52
+
+# Forms whose inverse overflows, underflows or leaves the normal range
+# somewhere between the areas below (from TestFormOverflow).
+EXTREME_FORMS = [
+    Linear(1e300, 1e300),
+    Linear(1.0, 1e308),
+    Linear(1e-300, 1e-300),
+    Power(0.0, 1e-300, 3.0),
+    Power(0.0, 1.0, -0.5),
+    Power(1.0, 1e-300, 3.0),
+    Power(1000.0, 1e300, 2.0),
+    Power(3.6633886071016536e63, 9.712677532473918e296, 2.133994121982634),
+    Power(0.5, 2.0, 400.0),
+    ExponentialGrowth(1e-300, 1e10),
+    ExponentialGrowth(1e-300, 1e300),
+    ExponentialGrowth(1.0, 1e300),
+    ExponentialGrowth(1e300, 1e-300),
+    ExponentialGrowth(0.1, 1.0),
+]
+AREAS = [0.0, 5e-324, 1e-300, 1e-30, 1e-3, 0.28, 1.0, 40.0, 1e10, 1e300, sys.float_info.max]
+
+
+def inverse_without_warnings(form, areas) -> np.ndarray:
+    """``form.invert_integral`` at each area, with numpy warnings raised as
+    errors; the same areas as one batch on a one-segment trajectory must
+    give the same bits (plus its start, 0)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = invert_cumulative_hazard_array(HazardTrajectory((HazardSegment(0.0, form),)), areas)
+        single = np.array([form.invert_integral(a) for a in areas])
+    assert np.array_equal(batch, 0.0 + single, equal_nan=True)
+    return single
+
+
+class TestArrayInverse:
+    """The array inverse matches the scalar per-form reference (the library's
+    earlier inverse, in ``math``) lane for lane, and inverts H."""
+
+    @staticmethod
+    def check(traj, n, seed):
+        targets = _exponentials(np.random.Philox(key=seed).random_raw(n)).tolist()
+        draws = sample_replicates(traj, n, seed)
+        reference = [scalar_invert_cumulative_hazard(traj, e) for e in targets]
+        np.testing.assert_allclose(draws, reference, rtol=FOUR_ULP, atol=0.0)
+        for t, e in zip(draws.tolist(), targets):
+            # relative to E, widened by how much H moves over one float step of T
+            step = cumulative_hazard(traj, math.nextafter(t, math.inf)) - cumulative_hazard(traj, t)
+            assert abs(cumulative_hazard(traj, t) - e) <= 1e-14 * e + step
+
+    @pytest.mark.parametrize("scenario", scenario_catalog(), ids=lambda s: s.label)
+    def test_catalog_at_every_time_scale(self, scenario):
+        traj = build_trajectory(scenario)
+        self.check(traj, 500, 17)
+        for _, scaled in rescalings(traj):
+            self.check(scaled, 500, 17)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_generated_at_every_time_scale(self, seed):
+        traj = random_valid_trajectory(np.random.default_rng(seed))
+        self.check(traj, 100, seed)
+        for _, scaled in rescalings(traj):
+            self.check(scaled, 100, seed)
+
+    @pytest.mark.parametrize("form", EXTREME_FORMS, ids=repr)
+    def test_extreme_forms(self, form):
+        reference = [scalar_invert_integral(form, a) for a in AREAS]
+        u = inverse_without_warnings(form, AREAS)
+        np.testing.assert_allclose(u, reference, rtol=FOUR_ULP, atol=0.0)
+
+    @given(FORMS, st.lists(AREA, min_size=1, max_size=8))
+    @example(Constant(0.0), [0.0, 1.0])
+    @example(Linear(-1.0, 1.0), [0.0])  # intercept + root is 0
+    @example(Linear(1.0, -1.0), [0.25, 1.0])  # the area peaks at 0.5
+    @example(Linear(1e200, -1e300), [1e300])  # a nan radicand
+    @example(Power(1.0, -1.0, 2.0), [1.0])  # a negative (exponent + 1) * area / coefficient
+    @example(Power(1.0, 1.0, -2.0), [1.0])  # the area from 0 diverges
+    @example(Power(0.0, 1.8e297, 0.5), [5.7e-233])  # the root underflows to 0
+    @example(Power(0.0, 1.0, -0.5), [1e200])  # the root overflows
+    @example(Power(0.0, 1e300, 2.0), [5e-324, 1e-300])  # the ratio underflows
+    @example(Power(1.0, 1e300, 2.0), [5e-324, 1e-300])
+    @example(Power(1.0, 1e-300, 2.0), [1e300])  # the ratio overflows
+    @example(ExponentialGrowth(0.0, 1.0), [1.0])
+    @example(ExponentialGrowth(1.0, -1.0), [0.5, 1.0, 2.0])  # past the whole area, 1
+    @example(ExponentialGrowth(1.0, -1e300), [1e10])  # the ratio is -inf
+    @settings(max_examples=300, deadline=None)
+    def test_every_edge_takes_the_reference_branch(self, form, areas):
+        # The same branch as the reference: nan, inf, 0 and sign where it has
+        # them.  Finite answers are compared loosely here, since a log form
+        # amplifies an ulp of log(area) into many ulp of the root; the
+        # 4-ulp match is checked on the trajectories and forms above.
+        # Newton's bracket needs a power exponent >= 0: below it, with a
+        # nonzero base, one ulp of u**(exponent + 1) may end one side at a
+        # root and send the other to inf.
+        assume(not (isinstance(form, Power) and min(form.base, form.coefficient) > 0.0 > form.exponent))
+        u = inverse_without_warnings(form, areas)
+        reference = np.array([scalar_invert_integral(form, a) for a in areas])
+        np.testing.assert_allclose(u, reference, rtol=1e-9, atol=0.0)
+        assert np.array_equal(np.signbit(u), np.signbit(reference))
 
 
 class TestCompiledProfile:
@@ -625,3 +744,22 @@ class TestCompiledProfile:
         assert calls == {"value": 0, "integral": 1, "__hash__": 0, "__eq__": 0}
         hazard_at(traj, 777.77)
         assert calls == {"value": 1, "integral": 1, "__hash__": 0, "__eq__": 0}
+
+    def test_one_kernel_call_per_batch(self, monkeypatch):
+        # A batch does not loop over the segments its draws hit.
+        traj = periodic_sawtooth(0.1, 1000.0)
+        assert len(traj.segments) >= 10_000
+        invert_cumulative_hazard(traj, 1.0)  # compiles the profile and its columns
+        calls = dict.fromkeys(["invert_integral_array", "invert_integral", "value", "integral"], 0)
+        for name in calls:
+            original = getattr(Linear, name)
+
+            def wrapper(*args, original=original, name=name):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(Linear, name, wrapper)
+        draws = sample_replicates(traj, 10_000, 9)
+        assert calls == {"invert_integral_array": 1, "invert_integral": 0, "value": 0, "integral": 0}
+        starts = [seg.start_time for seg in traj.segments]
+        assert np.unique(np.searchsorted(starts, draws, side="right")).size > 500

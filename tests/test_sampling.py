@@ -16,7 +16,9 @@ from oracles import (
     two_sample_ks,
 )
 from riskcheck.hazard import (
+    SEGMENT_FORMS,
     Constant,
+    ExponentialGrowth,
     HazardSegment,
     HazardTrajectory,
     Linear,
@@ -24,6 +26,8 @@ from riskcheck.hazard import (
     Power,
     cumulative_hazard,
     failure_cdf,
+    invert_cumulative_hazard_array,
+    validate_trajectory,
 )
 from riskcheck.sampling import (
     EmpiricalDistribution,
@@ -40,6 +44,17 @@ from trajgen import random_valid_trajectory
 CONSTANT_HALF = HazardTrajectory((HazardSegment(0.0, Constant(0.5)),))
 CONSTANT_ONE = HazardTrajectory((HazardSegment(0.0, Constant(1.0)),))
 WEIBULL_SHAPE = HazardTrajectory((HazardSegment(0.0, Linear(0.0, 2.0)),))
+# One segment of each form, each gathering a share of the unit-exponential
+# draws: maintenance at t=2 and t=4, a shock up to 0.3 at t=6.
+EVERY_FORM = HazardTrajectory(
+    (
+        HazardSegment(0.0, Linear(0.1, 0.05)),
+        HazardSegment(2.0, Power(0.1, 0.02, 2.0)),
+        HazardSegment(4.0, ExponentialGrowth(0.1, 0.3)),
+        HazardSegment(6.0, Constant(0.3)),
+    ),
+    (MaintenanceEpoch(2.0, 0.1), MaintenanceEpoch(4.0, 0.1)),
+)
 
 
 class TestSeededStream:
@@ -79,6 +94,58 @@ class TestDrawContract:
         m = data.draw(st.integers(1, n - 1))
         longer = sample_replicates(self.SAWTOOTH, n, seed)
         assert np.array_equal(sample_replicates(self.SAWTOOTH, m, seed), longer[:m])
+
+    def test_prefixes_and_single_lanes_are_the_batch(self):
+        assert validate_trajectory(EVERY_FORM).valid
+        full = sample_replicates(EVERY_FORM, 70, 12)
+        for n in range(1, 71):
+            assert np.array_equal(sample_replicates(EVERY_FORM, n, 12), full[:n])
+        for i in range(70):
+            assert sample_failure_time(EVERY_FORM, SeededStream(12, i)) == full[i]
+
+    def test_reversed_and_shuffled_chunks_are_the_batch(self):
+        n = 2000
+        targets = _exponentials(np.random.Philox(key=34).random_raw(n))
+        full = sample_replicates(EVERY_FORM, n, 34)
+        # every form class inverts a share of the lanes
+        segment = np.searchsorted([0.0, 2.0, 4.0, 6.0], full, side="right")
+        assert np.bincount(segment)[1:].min() > 100
+        rng = np.random.default_rng(56)
+        chunks = np.array_split(np.arange(n), 13)
+        reversed_chunks = [chunk[::-1] for chunk in chunks[::-1]]
+        shuffled_chunks = [rng.permutation(chunks[k]) for k in rng.permutation(len(chunks))]
+        for order in (reversed_chunks, shuffled_chunks):
+            out = np.full(n, np.nan)
+            for lanes in order:
+                out[lanes] = invert_cumulative_hazard_array(EVERY_FORM, targets[lanes])
+            assert np.array_equal(out, full)
+
+    def test_a_batch_past_one_block_is_its_chunks(self):
+        n = 70_000  # more than one block of 65,536 lanes
+        targets = _exponentials(np.random.Philox(key=90).random_raw(n))
+        full = invert_cumulative_hazard_array(EVERY_FORM, targets)
+        chunks = [invert_cumulative_hazard_array(EVERY_FORM, c) for c in np.array_split(targets[::-1], 7)]
+        assert np.array_equal(np.concatenate(chunks)[::-1], full)
+
+    def test_one_kernel_call_per_form_class(self, monkeypatch):
+        sample_replicates(EVERY_FORM, 1, 0)  # compiles the columns
+        calls = dict.fromkeys([cls.name for cls in SEGMENT_FORMS] + ["invert_integral"], 0)
+        for cls in SEGMENT_FORMS:
+            original = cls.invert_integral_array
+
+            def kernel(*args, original=original, name=cls.name):
+                calls[name] += 1
+                return original(*args)
+
+            def scalar(*args):
+                calls["invert_integral"] += 1
+
+            monkeypatch.setattr(cls, "invert_integral_array", kernel)
+            monkeypatch.setattr(cls, "invert_integral", scalar)
+        sample_replicates(EVERY_FORM, 2000, 78)
+        assert calls == {
+            "constant": 1, "linear": 1, "power": 1, "exponential_growth": 1, "invert_integral": 0
+        }
 
     def test_edge_words_give_finite_positive_draws(self):
         e = _exponentials(np.array([0, 2**64 - 1], dtype=np.uint64))

@@ -43,6 +43,14 @@ OVERFLOW_BEFORE_EPOCH = {
     ),
 }
 
+# The threshold step rounds to 1.0, where h0 + 0.0537 * u**1.7e308 is still
+# h0, so the epoch there would be a no-op; past it the hazard is inf from
+# about t = 1.000000000000001 on.  The message names the skipped epoch.
+SKIPPED_THRESHOLD_EPOCH = (
+    _scenario(Power(1e20, 0.0537, 1.7e308), ThresholdPerfect(3.6e20), horizon=1.5),
+    "threshold step 1.0 leaves the hazard at 1e+20 at the maintenance epoch at t=1.0",
+)
+
 
 class TestPeriodicPerfect:
     def test_epochs_and_resets(self):
@@ -194,6 +202,12 @@ class TestScenarioValidation:
     def test_overflow_before_an_epoch_rejected(self, scenario, epoch):
         # the epoch was skipped as if nothing had degraded
         message = f"hazard overflows to inf before the maintenance epoch at t={epoch!r}"
+        with pytest.raises(ValueError) as info:
+            build_trajectory(scenario)
+        assert str(info.value) == message
+
+    def test_skipped_threshold_epoch_rejected(self):
+        scenario, message = SKIPPED_THRESHOLD_EPOCH
         with pytest.raises(ValueError) as info:
             build_trajectory(scenario)
         assert str(info.value) == message
