@@ -14,7 +14,6 @@ variable or ``--seed``.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import json
 import os
@@ -80,13 +79,16 @@ class RunConfig:
     pra_rate: float | None = None
 
 
-def _load_trajectory(config: RunConfig) -> HazardTrajectory:
+def _load_trajectory(config: RunConfig, *, check: bool) -> HazardTrajectory:
+    """The input's trajectory; with ``check``, a trajectory file must pass
+    :func:`ensure_valid`.  A scenario is always valid here, since
+    ``build_trajectory`` checks what it compiles."""
     if config.input is None:
         raise SchemaError(f"command {config.command!r} requires --input")
     kind, obj = load_input(config.input)
     if kind == "scenario":
         return build_trajectory(obj)
-    return obj
+    return ensure_valid(obj) if check else obj
 
 
 def _out_dir(config: RunConfig) -> Path:
@@ -108,13 +110,13 @@ def _report_plot(config: RunConfig, grid, report, title: str) -> None:
 
 
 def _cmd_validate(config: RunConfig) -> int:
-    report = validate_trajectory(_load_trajectory(config))
+    report = validate_trajectory(_load_trajectory(config, check=False))
     print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
     return EXIT_OK if report.valid else EXIT_PRINCIPLE
 
 
 def _cmd_eval(config: RunConfig) -> int:
-    traj = ensure_valid(_load_trajectory(config))
+    traj = _load_trajectory(config, check=True)
     grid = default_time_grid(traj, config.grid_points, config.t_max)
     path = _out_dir(config) / "eval.csv"
     with open(path, "w", newline="\n") as fh:
@@ -129,7 +131,7 @@ def _cmd_eval(config: RunConfig) -> int:
 
 
 def _cmd_sample(config: RunConfig) -> int:
-    traj = ensure_valid(_load_trajectory(config))
+    traj = _load_trajectory(config, check=True)
     draws = sample_replicates(traj, config.n, config.seed)
     csv_path, meta_path = write_samples_csv(
         _out_dir(config), draws, config.seed, trajectory_hash(traj)
@@ -155,7 +157,7 @@ def _cmd_bound_check(config: RunConfig) -> int:
     # this command is the numeric ordering check itself, and a rule-breaking
     # trajectory is exactly what should be able to trip exit code 4.  A
     # scenario is still validated, by build_trajectory when it compiles.
-    traj = _load_trajectory(config)
+    traj = _load_trajectory(config, check=False)
     grid = default_time_grid(traj, config.grid_points, config.t_max)
     report = check_stochastic_order(traj, grid)
     _write_comparison(config, traj, report, model=None)
@@ -171,7 +173,7 @@ def _cmd_bound_check(config: RunConfig) -> int:
 
 
 def _cmd_compare(config: RunConfig) -> int:
-    traj = ensure_valid(_load_trajectory(config))
+    traj = _load_trajectory(config, check=True)
     if config.pra_rate is not None:
         model = PraModel(rate=config.pra_rate, provenance="given")
     else:
@@ -188,7 +190,7 @@ def _cmd_compare(config: RunConfig) -> int:
 
 
 def _cmd_distance(config: RunConfig) -> int:
-    traj = ensure_valid(_load_trajectory(config))
+    traj = _load_trajectory(config, check=True)
     grid = default_time_grid(traj, config.grid_points, config.t_max)[1:]  # drop t=0
     proc = discretize(traj, grid)
     lam = sum(proc.probabilities)
@@ -252,7 +254,8 @@ def _default_seed() -> int:
     return DEFAULT_SEED
 
 
-# Each option's add_argument keywords; defaults live only in RunConfig.
+# Each option's add_argument keywords, whose `type` and `dest` the plain
+# parser reads too; defaults live only in RunConfig.
 _OPTIONS = {
     "--input": {"type": Path, "required": True, "help": "trajectory or scenario JSON"},
     "--out": {"type": Path, "help": "output directory (default: .)"},
@@ -295,44 +298,74 @@ _SUBCOMMANDS = {
 }
 
 
-def _with_options(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Add subcommand ``name``'s options to its parser."""
-    for option in _SUBCOMMANDS[name][1]:
-        parser.add_argument(option, **_OPTIONS[option])
-    return parser
+def build_parser():
+    """The full ``argparse`` parser: the only source of usage, help and
+    error text.  argparse is imported here, so a plain command line never
+    loads it (nor gettext, which it uses for every message)."""
+    import argparse
 
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riskcheck",
         description="Hazard-trajectory reliability calculus and exponential-approximation checks.",
     )
     parser.add_argument("--version", action="version", version=f"riskcheck {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, *_) in _SUBCOMMANDS.items():
+    for name, (help_text, options, _) in _SUBCOMMANDS.items():
         # Options left off the command line stay absent, so RunConfig's
         # defaults apply.
-        _with_options(sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS), name)
+        subparser = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        for option in options:
+            subparser.add_argument(option, **_OPTIONS[option])
     return parser
 
 
-def _parse_options(argv: list[str]) -> dict:
-    """The parsed options of ``argv``, as ``build_parser()`` gives them.
+def _parse_plain(argv: list[str]) -> dict | None:
+    """The parsed options of a plain command line, or None for any other.
 
-    A command line that starts with a subcommand is parsed by that
-    subcommand's parser alone, built as ``build_parser()`` builds it, so its
-    help and errors are the same.  Anything else, and any argument that
-    parser leaves over (the full parser reports those under its own usage
-    line), goes to the full parser.
+    A plain line is a subcommand followed only by its own options, each
+    given once by its exact name, each value option's value the next token,
+    not starting with "-" and converted by the option's ``type``, and
+    ``--input`` wherever the subcommand takes it.  On such a line argparse
+    would give the same dict.
     """
-    if argv and argv[0] in _SUBCOMMANDS:
-        parser = argparse.ArgumentParser(
-            prog=f"riskcheck {argv[0]}", argument_default=argparse.SUPPRESS
-        )
-        options, rest = _with_options(parser, argv[0]).parse_known_args(argv[1:])
-        if not rest:
-            return {"command": argv[0], **vars(options)}
-    return vars(build_parser().parse_args(argv))
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    accepted = _SUBCOMMANDS[argv[0]][1]
+    options = {"command": argv[0]}
+    tokens = iter(argv[1:])
+    for option in tokens:
+        if option not in accepted:
+            return None
+        spec = _OPTIONS[option]
+        dest = spec.get("dest", option[2:].replace("-", "_"))
+        if dest in options:
+            return None
+        if "type" not in spec:  # --plot, a flag
+            options[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            options[dest] = spec["type"](value)
+        except (TypeError, ValueError):
+            return None
+    if "--input" in accepted and "input" not in options:
+        return None
+    return options
+
+
+def _parse_options(argv: list[str]) -> dict:
+    """The parsed options of ``argv``, as ``vars(build_parser().parse_args(argv))``
+    gives them.
+
+    A plain command line (see :func:`_parse_plain`) is parsed from the
+    option table; argparse is imported and built only for the rest: help,
+    ``--version``, errors, abbreviations, ``--opt=value``, ``--``, repeats,
+    negative numbers and unknown commands.
+    """
+    options = _parse_plain(argv)
+    return vars(build_parser().parse_args(argv)) if options is None else options
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -482,10 +482,11 @@ def _power_newton(
     For exponent >= 0 the root lies in [u/2, u]: at u one term alone reaches
     the area, at u/2 neither passes half of it.  Newton runs from u
     (downhill on a convex I) inside the bracket of signs seen so far,
-    bisecting where a step leaves it or does not halve, and a lane stops at
-    a step of 4 ulp.  Nothing depends on the time unit, and a rounded u
-    below the root only costs a step.  Each lane's iterates depend on that
-    lane alone, and a lane leaves the arrays once it stops.
+    bisecting where a step leaves it or does not halve (doubling u while no
+    iterate lies above the root), and a lane stops at a step of 4 ulp.
+    Nothing depends on the time unit, and a rounded u below the root only
+    costs a step.  Each lane's iterates depend on that lane alone, and a
+    lane leaves the arrays once it stops.
     """
     out, lanes = np.empty_like(u), np.arange(u.size)
     lo, hi, last = np.zeros_like(u), np.full_like(u, np.inf), np.full_like(u, np.inf)
@@ -514,7 +515,10 @@ def _newton_step(area, base, coefficient, exponent, u, lo, hi, last) -> tuple[np
     new = u - step
     bisect = ~((np.abs(step) <= 0.5 * last) & (lo <= new) & (new <= hi))
     if np.count_nonzero(bisect):  # most steps are Newton steps in every lane
-        step = np.where(bisect, u - (lo + 0.5 * (hi - lo)), step)
+        # With no iterate above the root yet, the root lies past u: double u
+        # rather than take a midpoint with hi still inf.
+        target = np.where(hi < np.inf, lo + 0.5 * (hi - lo), 2.0 * u)
+        step = np.where(bisect, u - target, step)
         new = u - step
     last = np.abs(step)
     return new, lo, hi, last, (last <= 4.0 * 2.0**-52 * u) | ~(new < np.inf)

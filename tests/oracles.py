@@ -151,7 +151,8 @@ def _invert_power(form: Power, area: float) -> float:
         lo, hi = (lo, u) if excess > 0.0 else (u, hi)
         step = excess / form.value(u)
         if not (abs(step) <= 0.5 * last and lo <= u - step <= hi):
-            step = u - (lo + 0.5 * (hi - lo))
+            # Bisect, or double u while no iterate lies above the root.
+            step = u - (lo + 0.5 * (hi - lo) if hi < math.inf else 2.0 * u)
         last = abs(step)
         if last <= 4.0 * 2.0**-52 * u:
             return u - step

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import riskcheck.cli
 from riskcheck.cli import (
+    _OPTIONS,
     _SUBCOMMANDS,
     DEFAULT_SEED,
     EXIT_OK,
@@ -167,6 +168,14 @@ class TestExitCodes:
 
     def test_sample_on_invalid_trajectory_exits_three(self, invalid_file, tmp_path):
         assert run(RunConfig("sample", input=invalid_file, out=tmp_path, n=10)) == EXIT_PRINCIPLE
+
+    @pytest.mark.parametrize("command", ["eval", "compare", "distance"])
+    def test_a_checking_command_refuses_an_invalid_trajectory_file(
+        self, command, invalid_file, tmp_path, capsys
+    ):
+        assert run(RunConfig(command, input=invalid_file, out=tmp_path, n=10)) == EXIT_PRINCIPLE
+        assert capsys.readouterr().err.startswith("error: trajectory violates the hazard principles")
+        assert list(tmp_path.iterdir()) == [invalid_file]
 
     def test_unknown_command_exits_two(self, tmp_path):
         assert run(RunConfig("frobnicate", out=tmp_path)) == EXIT_SCHEMA
@@ -527,8 +536,9 @@ def _outcome(call):
     return result, code, out.getvalue(), err.getvalue()
 
 
-# Command lines that reach the argument parser: help, version, errors,
-# abbreviations, "--", repeats and unknown commands.
+# Command lines on both sides of the plain path's boundary: plain lines,
+# and lines for the full parser (help, version, errors, abbreviations, "--",
+# repeats, negative numbers and unknown commands).
 PARSER_CASES = [
     [],
     ["--help"],
@@ -557,28 +567,85 @@ PARSER_CASES = [
     ["bound-check", "--input", "in.json", "--plot", "--workers", "2"],
     ["catalog"],
     ["catalog", "--input", "in.json"],
+    ["catalog", "--out", "o"],
+    ["validate", "--input", "in.json", "--out", ""],
+    ["validate", "--input", "in.json", "--out", "-o"],
+    ["bound-check", "--input", "in.json", "--plot", "--plot"],
+    ["validate", "--input", "in.json", "--n", "5"],
+    ["validate", "--out", "o", "--input"],
+    ["eval", "--grid-points", "5"],
+    ["sample", "--input", "in.json", "--n", "1_000"],
+    ["eval", "--input", "in.json", "--t-max", "inf"],
+    ["eval", "--input", "in.json", "--t-max", "nan"],
+    ["eval", "--input", "in.json", "--grid-points", " 5 "],
+    ["compare", "--pra-rate", "0.1", "--plot", "--t-max", "2.5", "--input", "in.json", "--out", "o"],
+    ["distance", "--input", "in.json", "--seed", "3", "--n", "7", "--grid-points", "5"],
 ]
+
+# Tokens that the parity property puts into command lines: names, values
+# good and bad, "--opt=value" forms, "--" and help.
+PARSER_TOKENS = st.sampled_from(
+    [
+        *_SUBCOMMANDS, *_OPTIONS, "--version", "-h", "--",
+        "--input=in.json", "--n=5", "--plot=1", "--inp",
+        "in.json", "o", "5", "0.5", "1e3", "1_000", "-3", "-1e3", "", " 5 ", "ten", "nan",
+    ]
+)
+
+
+@st.composite
+def parser_lines(draw):
+    """A subcommand with some of its options in any order, each value option
+    followed by a value (some not of its type), then up to two tokens
+    inserted or replaced anywhere."""
+    command = draw(st.sampled_from(list(_SUBCOMMANDS)))
+    options = draw(st.permutations(_SUBCOMMANDS[command][1]))
+    argv = [command]
+    for option in options[: draw(st.integers(0, len(options)))]:
+        argv.append(option)
+        if "type" in _OPTIONS[option]:
+            argv.append(draw(st.sampled_from(["5", " 5 ", "1_000", "0.5", "in.json"])))
+    for _ in range(draw(st.integers(0, 2))):
+        at, token = draw(st.integers(0, len(argv))), draw(PARSER_TOKENS)
+        if at < len(argv) and draw(st.booleans()):
+            argv[at] = token
+        else:
+            argv.insert(at, token)
+    return argv
+
+
+def assert_same_as_the_full_parser(argv):
+    """``main(argv)``, with ``run`` stubbed, gives the result, exit code,
+    stdout and stderr of ``build_parser().parse_args(argv)``."""
+    configs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("RISKCHECK_SEED", raising=False)
+        mp.setattr(riskcheck.cli, "run", lambda config: configs.append(config) or EXIT_OK)
+        code, exit_code, out, err = _outcome(lambda: main(list(argv)))
+    options, *expected = _outcome(lambda: vars(build_parser().parse_args(list(argv))))
+    assert [exit_code, out, err] == expected
+    if options is None:
+        assert code is None and configs == []
+    else:
+        assert code == EXIT_OK
+        # repr, so that a nan --t-max compares equal to itself
+        assert repr(configs) == repr([RunConfig(**{"seed": DEFAULT_SEED, **options})])
 
 
 class TestArgumentParser:
-    """main builds only the invoked subcommand's parser, with the same
-    result, help and errors as the full parser."""
+    """main parses a plain command line from the option table, with the
+    same result as the full parser, and leaves every other line to it."""
 
     @pytest.mark.parametrize("argv", PARSER_CASES, ids=lambda argv: " ".join(argv) or "<none>")
-    def test_same_as_the_full_parser(self, argv, monkeypatch):
-        monkeypatch.delenv("RISKCHECK_SEED", raising=False)
-        configs = []
-        monkeypatch.setattr(riskcheck.cli, "run", lambda config: configs.append(config) or EXIT_OK)
-        code, exit_code, out, err = _outcome(lambda: main(list(argv)))
-        options, *expected = _outcome(lambda: vars(build_parser().parse_args(list(argv))))
-        assert [exit_code, out, err] == expected
-        if options is None:
-            assert code is None and configs == []
-        else:
-            assert code == EXIT_OK
-            assert configs == [RunConfig(**{"seed": DEFAULT_SEED, **options})]
+    def test_same_as_the_full_parser(self, argv):
+        assert_same_as_the_full_parser(argv)
 
-    def test_a_subcommand_builds_one_parser(self, valid_file, tmp_path, monkeypatch):
+    @given(parser_lines())
+    @settings(max_examples=400, deadline=None)
+    def test_every_line_same_as_the_full_parser(self, argv):
+        assert_same_as_the_full_parser(argv)
+
+    def test_a_plain_line_builds_no_parser(self, valid_file, tmp_path, monkeypatch):
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -589,7 +656,7 @@ class TestArgumentParser:
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
         code, *_ = _outcome(lambda: main(["validate", "--input", str(valid_file), "--out", str(tmp_path)]))
         assert code == EXIT_OK
-        assert built == ["riskcheck validate"]
+        assert built == []
 
 
 class TestExitCodeContract:
@@ -680,6 +747,41 @@ class TestImportFootprint:
         # up front so that a process which imports riskcheck once and forks a
         # child per command does not pay for it in every child
         assert result.stdout.split() == ["[]", "True"]
+
+    def test_a_plain_command_loads_no_argparse(self, scenario_file, tmp_path):
+        # argparse and the gettext it uses for every message cost a few ms of
+        # each CLI start; gettext's first translation lookup loads locale too
+        loaded = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, riskcheck.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))",
+            ],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert loaded.stdout.split() == ["[]"]
+        result = subprocess.run(
+            [
+                sys.executable, "-X", "importtime", "-m", "riskcheck",
+                "validate", "--input", str(scenario_file), "--out", str(tmp_path),
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == EXIT_OK
+        imported = {line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()}
+        assert "riskcheck.cli" in imported
+        assert not {"argparse", "gettext", "locale"} & imported
+
+    def test_help_still_works(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "riskcheck", "--help"], capture_output=True, text=True
+        )
+        assert result.returncode == 0
+        assert result.stdout.startswith("usage: riskcheck")
+        assert "validate" in result.stdout
 
 
 class TestSample:
