@@ -210,6 +210,15 @@ def _elapsed(u: float) -> float | None:
     return u if 0.0 <= u < math.inf else None
 
 
+def _as_floats(obj, *names: str) -> None:
+    """Store the fields ``names`` of a frozen dataclass as exact floats.
+    Its callers check first, so a float from JSON is never written twice."""
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is not float:
+            object.__setattr__(obj, name, float(value))
+
+
 class _ScalarInverse:
     """The scalar inverse every segment form shares: one lane of its
     ``invert_integral_array``."""
@@ -229,7 +238,8 @@ class Constant(_ScalarInverse):
     name: ClassVar[str] = "constant"
 
     def __post_init__(self):
-        object.__setattr__(self, "level", float(self.level))
+        if type(self.level) is not float:
+            _as_floats(self, "level")
 
     def value(self, u: float) -> float:
         return self.level
@@ -260,8 +270,8 @@ class Linear(_ScalarInverse):
     name: ClassVar[str] = "linear"
 
     def __post_init__(self):
-        object.__setattr__(self, "intercept", float(self.intercept))
-        object.__setattr__(self, "slope", float(self.slope))
+        if not type(self.intercept) is type(self.slope) is float:
+            _as_floats(self, "intercept", "slope")
 
     def value(self, u: float) -> float:
         return self.intercept + self.slope * u
@@ -308,9 +318,8 @@ class Power(_ScalarInverse):
     name: ClassVar[str] = "power"
 
     def __post_init__(self):
-        object.__setattr__(self, "base", float(self.base))
-        object.__setattr__(self, "coefficient", float(self.coefficient))
-        object.__setattr__(self, "exponent", float(self.exponent))
+        if not type(self.base) is type(self.coefficient) is type(self.exponent) is float:
+            _as_floats(self, "base", "coefficient", "exponent")
 
     def value(self, u: float) -> float:
         if u == 0.0:
@@ -399,8 +408,8 @@ class ExponentialGrowth(_ScalarInverse):
     name: ClassVar[str] = "exponential_growth"
 
     def __post_init__(self):
-        object.__setattr__(self, "base", float(self.base))
-        object.__setattr__(self, "growth", float(self.growth))
+        if not type(self.base) is type(self.growth) is float:
+            _as_floats(self, "base", "growth")
 
     def value(self, u: float) -> float:
         return _exp_times(self.base, self.growth * u)
@@ -482,10 +491,11 @@ def _power_newton(
     For exponent >= 0 the root lies in [u/2, u]: at u one term alone reaches
     the area, at u/2 neither passes half of it.  Newton runs from u
     (downhill on a convex I) inside the bracket of signs seen so far,
-    bisecting where a step leaves it or does not halve (doubling u while no
-    iterate lies above the root), and a lane stops at a step of 4 ulp.
-    Nothing depends on the time unit, and a rounded u below the root only
-    costs a step.  Each lane's iterates depend on that lane alone, and a
+    bisecting where a step leaves it or does not halve, and a lane stops at
+    a step of 4 ulp.  Nothing depends on the time unit, and a start rounded
+    below the root costs a step or two: while no iterate lies above the
+    root, a step that does not halve is rounding noise and the lane stops
+    after it.  Each lane's iterates depend on that lane alone, and a
     lane leaves the arrays once it stops.
     """
     out, lanes = np.empty_like(u), np.arange(u.size)
@@ -504,7 +514,7 @@ def _power_newton(
 def _newton_step(area, base, coefficient, exponent, u, lo, hi, last) -> tuple[np.ndarray, ...]:
     """One safeguarded Newton step on every lane of ``_power_newton``: the
     next u, the new bracket [lo, hi], the step length, and which lanes stop
-    (at a step of 4 ulp, or past the largest float)."""
+    (at a step of 4 ulp, past the largest float, or at rounding noise)."""
     params, power = (u, base, coefficient, exponent), exponent + 1.0
     term = np.power(u, power)
     excess = _or_scalar(Power.integral, base * u + coefficient * term / power, term, *params) - area
@@ -513,15 +523,16 @@ def _newton_step(area, base, coefficient, exponent, u, lo, hi, last) -> tuple[np
     term = np.power(u, exponent)
     step = excess / _or_scalar(Power.value, base + coefficient * term, term, *params)
     new = u - step
-    bisect = ~((np.abs(step) <= 0.5 * last) & (lo <= new) & (new <= hi))
+    # With no iterate above the root yet, u is the start rounded below the
+    # root, and a step up that does not halve is rounding noise: the lane
+    # takes it and stops.
+    halves, below = np.abs(step) <= 0.5 * last, hi == np.inf
+    bisect = ~((halves | below) & (lo <= new) & (new <= hi))
     if np.count_nonzero(bisect):  # most steps are Newton steps in every lane
-        # With no iterate above the root yet, the root lies past u: double u
-        # rather than take a midpoint with hi still inf.
-        target = np.where(hi < np.inf, lo + 0.5 * (hi - lo), 2.0 * u)
-        step = np.where(bisect, u - target, step)
+        step = np.where(bisect, u - (lo + 0.5 * (hi - lo)), step)
         new = u - step
     last = np.abs(step)
-    return new, lo, hi, last, (last <= 4.0 * 2.0**-52 * u) | ~(new < np.inf)
+    return new, lo, hi, last, (last <= 4.0 * 2.0**-52 * u) | ~(new < np.inf) | (below & ~halves & ~bisect)
 
 
 def _or_scalar(kernel, result, term, u, base, coefficient, exponent) -> np.ndarray:
@@ -556,7 +567,8 @@ class HazardSegment:
     form: SegmentForm
 
     def __post_init__(self):
-        object.__setattr__(self, "start_time", float(self.start_time))
+        if type(self.start_time) is not float:
+            _as_floats(self, "start_time")
 
 
 @dataclass(frozen=True)
@@ -568,8 +580,8 @@ class MaintenanceEpoch:
     post_hazard: float
 
     def __post_init__(self):
-        object.__setattr__(self, "time", float(self.time))
-        object.__setattr__(self, "post_hazard", float(self.post_hazard))
+        if not type(self.time) is type(self.post_hazard) is float:
+            _as_floats(self, "time", "post_hazard")
 
 
 @dataclass(frozen=True)
@@ -658,8 +670,10 @@ def _check_structure(traj: HazardTrajectory) -> None:
     for seg in traj.segments:
         if not math.isfinite(seg.start_time):
             raise TrajectoryStructureError("segment start times must be finite")
-        if not all(math.isfinite(getattr(seg.form, p)) for p in _PARAMS[type(seg.form)]):
-            raise TrajectoryStructureError("segment parameters must be finite")
+        form = seg.form
+        for p in _PARAMS[type(form)]:
+            if not math.isfinite(getattr(form, p)):
+                raise TrajectoryStructureError("segment parameters must be finite")
     if starts[0] != 0.0:
         raise TrajectoryStructureError(f"first segment must start at 0, got {starts[0]!r}")
     for a, b in zip(starts, starts[1:]):
@@ -702,17 +716,19 @@ def validate_trajectory(traj: HazardTrajectory) -> ValidationReport:
     violations: list[Violation] = []
     notes: list[str] = []
 
-    h0 = segments[0].form.value(0.0)
+    # Each segment's start value and end value (its left limit at the next
+    # boundary, or its limit at infinity), computed once: the boundary checks
+    # below read them again.
+    lengths = [b - a for a, b in zip(starts, starts[1:])] + [math.inf]
+    firsts = [seg.form.value(0.0) for seg in segments]
+    ends = [
+        seg.form.value(length) if math.isfinite(length) else seg.form.limit_at_infinity()
+        for seg, length in zip(segments, lengths)
+    ]
+    h0 = firsts[0]
     epoch_at = {epoch.time: epoch for epoch in traj.maintenance_epochs}
 
-    for i, seg in enumerate(segments):
-        start = starts[i]
-        length = (starts[i + 1] - start) if i + 1 < n else math.inf
-        v0 = seg.form.value(0.0)
-        end_value = (
-            seg.form.value(length) if math.isfinite(length) else seg.form.limit_at_infinity()
-        )
-
+    for seg, start, length, v0, end_value in zip(segments, starts, lengths, firsts, ends):
         # Principle 1: positive and finite on the whole span.
         if not (v0 > 0.0 and math.isfinite(v0)):
             violations.append(
@@ -745,10 +761,7 @@ def validate_trajectory(traj: HazardTrajectory) -> ValidationReport:
             )
 
     for i in range(1, n):
-        boundary = starts[i]
-        prev = segments[i - 1]
-        prev_left = prev.form.value(boundary - prev.start_time)
-        next_v0 = segments[i].form.value(0.0)
+        boundary, prev_left, next_v0 = starts[i], ends[i - 1], firsts[i]
         epoch = epoch_at.get(boundary)
         if epoch is None:
             if next_v0 < prev_left:

@@ -25,6 +25,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from operator import attrgetter
 from pathlib import Path
 
 from .hazard import _PARAMS, SEGMENT_FORMS, HazardSegment, HazardTrajectory, MaintenanceEpoch
@@ -262,10 +263,46 @@ def _canonical_json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+# The canonical JSON of a trajectory, ``_canonical_json(trajectory_to_dict(traj))``,
+# formatted straight from templates: the frame, one for an epoch, and one per
+# segment form class, keys sorted and each number a %r.
+_TRAJECTORY_FRAME = '{"maintenance_epochs":[%s],"schema_version":' + str(SCHEMA_VERSION) + ',"segments":[%s]}'
+_EPOCH_TEMPLATE = '{"post_hazard":%r,"time":%r}'
+
+
+def _segment_template(name: str, params: tuple[str, ...]) -> tuple[str, attrgetter]:
+    """The template of a segment whose form has wire name ``name`` and
+    ``params``, and the getter of its numbers in template order."""
+    keys = sorted(params)
+    numbers = ",".join(json.dumps(key) + ":%r" for key in keys)
+    template = '{"form":' + json.dumps(name) + ',"params":{' + numbers + '},"start":%r}'
+    return template, attrgetter(*(f"form.{key}" for key in keys), "start_time")
+
+
+_SEGMENT_TEMPLATES = {cls: _segment_template(name, params) for name, (cls, params) in _FORMS.items()}
+# json spells the non-finite floats its own way.  Every number follows a
+# colon, and no other colon is followed by these letters.
+_NON_FINITE = ((":inf", ":Infinity"), (":-inf", ":-Infinity"), (":nan", ":NaN"))
+
+
+def _canonical_trajectory_json(traj: HazardTrajectory) -> str:
+    segments = []
+    for seg in traj.segments:
+        template, numbers = _SEGMENT_TEMPLATES[type(seg.form)]
+        segments.append(template % numbers(seg))
+    epochs = [_EPOCH_TEMPLATE % (e.post_hazard, e.time) for e in traj.maintenance_epochs]
+    text = _TRAJECTORY_FRAME % (",".join(epochs), ",".join(segments))
+    for python, spelled in _NON_FINITE:
+        text = text.replace(python, spelled)
+    return text
+
+
 def trajectory_hash(traj: HazardTrajectory) -> str:
     """sha256 of the canonical trajectory JSON; stable across round trips
-    because floats serialize via their shortest lossless repr."""
-    return hashlib.sha256(_canonical_json(trajectory_to_dict(traj)).encode()).hexdigest()
+    because floats serialize via their shortest lossless repr.  Its
+    O(segments) cost is that repr: the text comes from per-form templates,
+    with no dict tree built."""
+    return hashlib.sha256(_canonical_trajectory_json(traj).encode()).hexdigest()
 
 
 def grid_hash(grid) -> str:

@@ -8,14 +8,17 @@ values (never the inverted antiderivative), the Poisson-binomial pmf from
 explicit outcome enumeration (never the convolution), the exact Poisson
 total-variation distance from scipy's Poisson pmf and survival function
 (never the positive-part recurrence), and KS statistics from first
-principles.  The one exception is the scalar inverse below: it is the
-library's own earlier per-form inverse, one area at a time in ``math``,
-kept as the reference its array kernels are checked against.
+principles.  The exceptions are references kept from the library's own
+earlier code: the scalar inverse, one area at a time in ``math``, that its
+array kernels are checked against; the principle validator that called
+``value`` at every boundary; and the canonical trajectory JSON built as a
+dict tree and dumped by ``json``.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from bisect import bisect_right
 
@@ -23,12 +26,16 @@ import numpy as np
 from scipy import integrate, stats
 
 from riskcheck.hazard import (
+    _PARAMS,
     _SMALLEST_NORMAL,
     Constant,
     ExponentialGrowth,
     HazardTrajectory,
     Linear,
     Power,
+    TrajectoryStructureError,
+    ValidationReport,
+    Violation,
     _exp_times,
     _times_overflow,
     hazard_at,
@@ -36,6 +43,7 @@ from riskcheck.hazard import (
 )
 from riskcheck.poisson import DiscretizedFailureProcess, poisson_binomial_pmf
 from riskcheck.sampling import SeededStream
+from riskcheck.serialize import trajectory_to_dict
 
 QUAD_REL_TOL = 1e-10
 
@@ -150,9 +158,11 @@ def _invert_power(form: Power, area: float) -> float:
         excess = form.integral(u) - area
         lo, hi = (lo, u) if excess > 0.0 else (u, hi)
         step = excess / form.value(u)
-        if not (abs(step) <= 0.5 * last and lo <= u - step <= hi):
-            # Bisect, or double u while no iterate lies above the root.
-            step = u - (lo + 0.5 * (hi - lo) if hi < math.inf else 2.0 * u)
+        halves, below = abs(step) <= 0.5 * last, hi == math.inf
+        if not ((halves or below) and lo <= u - step <= hi):
+            step = u - (lo + 0.5 * (hi - lo))  # bisect
+        elif below and not halves:
+            return u - step  # a step up from below that does not halve: noise
         last = abs(step)
         if last <= 4.0 * 2.0**-52 * u:
             return u - step
@@ -196,6 +206,153 @@ def scalar_invert_cumulative_hazard(traj: HazardTrajectory, target: float) -> fl
     seg = traj.segments[i]
     length = (starts[i + 1] - starts[i]) if i + 1 < len(starts) else math.inf
     return seg.start_time + min(scalar_invert_integral(seg.form, target - prefix[i]), length)
+
+
+def reference_check_structure(traj: HazardTrajectory) -> None:
+    """The structure check the library had before it read each segment's
+    numbers once, statement for statement."""
+    if not isinstance(traj, HazardTrajectory):
+        raise TrajectoryStructureError(f"expected HazardTrajectory, got {type(traj).__name__}")
+    if len(traj.segments) < 1:
+        raise TrajectoryStructureError("trajectory needs at least one segment")
+    starts = [seg.start_time for seg in traj.segments]
+    for seg in traj.segments:
+        if not math.isfinite(seg.start_time):
+            raise TrajectoryStructureError("segment start times must be finite")
+        if not all(math.isfinite(getattr(seg.form, p)) for p in _PARAMS[type(seg.form)]):
+            raise TrajectoryStructureError("segment parameters must be finite")
+    if starts[0] != 0.0:
+        raise TrajectoryStructureError(f"first segment must start at 0, got {starts[0]!r}")
+    for a, b in zip(starts, starts[1:]):
+        if not b > a:
+            raise TrajectoryStructureError(
+                f"segment start times must be strictly increasing ({a!r} then {b!r})"
+            )
+    boundary_set = set(starts[1:])
+    prev_time = 0.0
+    for epoch in traj.maintenance_epochs:
+        if not (math.isfinite(epoch.time) and math.isfinite(epoch.post_hazard)):
+            raise TrajectoryStructureError("maintenance epoch fields must be finite")
+        if epoch.time <= prev_time:
+            raise TrajectoryStructureError(
+                "maintenance epochs must be strictly increasing and positive"
+            )
+        if epoch.time not in boundary_set:
+            raise TrajectoryStructureError(
+                f"maintenance epoch at t={epoch.time!r} does not coincide with a segment boundary"
+            )
+        prev_time = epoch.time
+
+
+def reference_validate_trajectory(traj: HazardTrajectory) -> ValidationReport:
+    """The principle validator the library had before it computed each
+    segment's start and end values once, statement for statement: it calls
+    ``value`` again at every boundary.
+    """
+    reference_check_structure(traj)
+    segments = traj.segments
+    n = len(segments)
+    starts = [seg.start_time for seg in segments]
+    violations: list[Violation] = []
+    notes: list[str] = []
+
+    h0 = segments[0].form.value(0.0)
+    epoch_at = {epoch.time: epoch for epoch in traj.maintenance_epochs}
+
+    for i, seg in enumerate(segments):
+        start = starts[i]
+        length = (starts[i + 1] - start) if i + 1 < n else math.inf
+        v0 = seg.form.value(0.0)
+        end_value = (
+            seg.form.value(length) if math.isfinite(length) else seg.form.limit_at_infinity()
+        )
+
+        # Principle 1: positive and finite on the whole span.
+        if not (v0 > 0.0 and math.isfinite(v0)):
+            violations.append(
+                Violation(1, start, f"hazard at segment start is {v0!r}, must be positive and finite")
+            )
+        elif end_value < 0.0:
+            # A decaying exponential only approaches zero and stays legal;
+            # anything whose (limit) value goes negative crosses zero first.
+            # No crossing time means it lies beyond the largest float.
+            crossing = seg.form.time_to_reach(0.0)
+            where = start + crossing if crossing is not None else math.inf
+            violations.append(
+                Violation(1, where, "hazard reaches zero inside the segment")
+            )
+        elif math.isfinite(length) and not math.isfinite(end_value):
+            violations.append(
+                Violation(1, start + length, "hazard overflows to a non-finite value inside the segment")
+            )
+
+        # Principle 3: per-form sufficient conditions for non-decrease.
+        reason = seg.form.decrease_reason()
+        if reason is not None:
+            violations.append(Violation(3, start, f"segment decreases within its span ({reason})"))
+
+        # Principle 5: no segment may dip below the time-zero hazard.
+        # For the first segment v0 == h(0), so this reduces to its end value.
+        if min(v0, end_value) < h0:
+            violations.append(
+                Violation(5, start, f"segment hazard falls below h(0)={h0:g}")
+            )
+
+    for i in range(1, n):
+        boundary = starts[i]
+        prev = segments[i - 1]
+        prev_left = prev.form.value(boundary - prev.start_time)
+        next_v0 = segments[i].form.value(0.0)
+        epoch = epoch_at.get(boundary)
+        if epoch is None:
+            if next_v0 < prev_left:
+                violations.append(
+                    Violation(
+                        4,
+                        boundary,
+                        f"hazard drops {prev_left:g} -> {next_v0:g} without a declared maintenance epoch",
+                    )
+                )
+            elif next_v0 > prev_left:
+                notes.append(
+                    f"upward jump {prev_left:g} -> {next_v0:g} at t={boundary:g} (shock; permitted)"
+                )
+        else:
+            if epoch.post_hazard != next_v0:
+                violations.append(
+                    Violation(
+                        2,
+                        boundary,
+                        f"declared post-maintenance hazard {epoch.post_hazard:g} does not match "
+                        f"the right-limit {next_v0:g} of the following segment",
+                    )
+                )
+            if not epoch.post_hazard < prev_left:
+                violations.append(
+                    Violation(
+                        4,
+                        boundary,
+                        f"declared maintenance does not strictly decrease the hazard "
+                        f"({prev_left:g} -> {epoch.post_hazard:g})",
+                    )
+                )
+            if epoch.post_hazard < h0:
+                violations.append(
+                    Violation(
+                        5,
+                        boundary,
+                        f"post-maintenance hazard {epoch.post_hazard:g} below h(0)={h0:g}",
+                    )
+                )
+
+    violations.sort(key=lambda v: (v.location, v.principle))
+    return ValidationReport(valid=not violations, violations=tuple(violations), notes=tuple(notes))
+
+
+def reference_canonical_json(traj: HazardTrajectory) -> str:
+    """The canonical trajectory JSON as the library first built it: the
+    whole ``trajectory_to_dict`` tree, dumped with sorted keys."""
+    return json.dumps(trajectory_to_dict(traj), sort_keys=True, separators=(",", ":"))
 
 
 def stream_generator(stream: SeededStream) -> np.random.Generator:

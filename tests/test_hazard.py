@@ -21,6 +21,7 @@ from oracles import (
     scalar_invert_cumulative_hazard,
     scalar_invert_integral,
 )
+from riskcheck import hazard
 from riskcheck.compare import default_time_grid
 from riskcheck.hazard import (
     Constant,
@@ -690,6 +691,82 @@ class TestArrayInverse:
         reference = np.array([scalar_invert_integral(form, a) for a in areas])
         np.testing.assert_allclose(u, reference, rtol=1e-9, atol=0.0)
         assert np.array_equal(np.signbit(u), np.signbit(reference))
+
+    @pytest.mark.parametrize(
+        "form, area",
+        [
+            # The start lies 140 ulp below the root, where the computed area
+            # is flat until it overflows.
+            (Power(1.0, 1.0, 0.53125), 1.7976931348622758e308),
+            (Power(1.0, 1.0277740865694584e16, -0.9890703042199349), 1.0277740865694602e16),
+            (Power(0.2, 0.02, 2.0), 1.4356332420208728),  # a long-inverse draw
+        ],
+        ids=repr,
+    )
+    def test_newton_takes_at_most_eight_steps(self, form, area, monkeypatch):
+        steps = []
+        original = hazard._newton_step
+
+        def spy(*args):
+            steps.append(args[4].size)
+            return original(*args)
+
+        monkeypatch.setattr(hazard, "_newton_step", spy)
+        u = form.invert_integral(area)
+        assert len(steps) <= 8
+        assert u == pytest.approx(scalar_invert_integral(form, area), rel=1e-12, abs=0.0)
+
+
+class FloatSubclass(float):
+    def __repr__(self):
+        return "FloatSubclass()"
+
+
+# Each class with its float fields, built from a tuple of their values.
+FLOAT_FIELDS = {
+    Constant: lambda v: Constant(*v),
+    Linear: lambda v: Linear(*v),
+    Power: lambda v: Power(*v),
+    ExponentialGrowth: lambda v: ExponentialGrowth(*v),
+    HazardSegment: lambda v: HazardSegment(*v, Linear(0.5, 0.25)),
+    MaintenanceEpoch: lambda v: MaintenanceEpoch(*v),
+}
+# The values each argument type is tried with, and the floats they stand for.
+ARGUMENTS = {
+    "int": ((2, 3, 1), (2.0, 3.0, 1.0)),
+    "bool": ((True, False, True), (1.0, 0.0, 1.0)),
+    "np.float64": ((np.float64(0.1), np.float64(-0.0), np.float64(2.5)), (0.1, -0.0, 2.5)),
+    "float subclass": ((FloatSubclass(0.3), FloatSubclass(1e-5), FloatSubclass(1e16)), (0.3, 1e-5, 1e16)),
+    "mixed": ((0.5, 3, np.float64(2.0)), (0.5, 3.0, 2.0)),
+}
+
+
+class TestConstructors:
+    """Every float field holds an exact float, whatever number type built it."""
+
+    @pytest.mark.parametrize("cls", FLOAT_FIELDS, ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("kind", ARGUMENTS)
+    def test_fields_are_exact_floats(self, cls, kind):
+        given_values, floats = ARGUMENTS[kind]
+        names = [f.name for f in dataclasses.fields(cls) if f.name != "form"]
+        built, plain = (FLOAT_FIELDS[cls](v[: len(names)]) for v in (given_values, floats))
+        for name in names:
+            assert type(getattr(built, name)) is float
+        assert dataclasses.astuple(built) == dataclasses.astuple(plain)
+        assert built == plain and hash(built) == hash(plain) and repr(built) == repr(plain)
+
+    @pytest.mark.parametrize("kind", ARGUMENTS)
+    def test_same_trajectory_hash(self, kind):
+        def trajectory(v):
+            a, b, c = v
+            forms = (Constant(a), Linear(a, b), Power(a, b, c), ExponentialGrowth(a, c))
+            return HazardTrajectory(
+                tuple(HazardSegment(k * c, form) for k, form in enumerate(forms)),
+                (MaintenanceEpoch(c, b), MaintenanceEpoch(2 * c, a)),
+            )
+
+        given_values, floats = ARGUMENTS[kind]
+        assert trajectory_hash(trajectory(given_values)) == trajectory_hash(trajectory(floats))
 
 
 class TestCompiledProfile:

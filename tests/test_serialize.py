@@ -1,10 +1,14 @@
 """JSON schemas: round trips, strictness, hashing, input sniffing."""
 
 import copy
+import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from riskcheck.hazard import (
     Constant,
@@ -16,8 +20,10 @@ from riskcheck.hazard import (
     Power,
 )
 from riskcheck.scenarios import build_trajectory, scenario_catalog
+from oracles import reference_canonical_json
 from riskcheck.serialize import (
     SchemaError,
+    _canonical_trajectory_json,
     load_input,
     scenario_from_dict,
     scenario_to_dict,
@@ -26,6 +32,7 @@ from riskcheck.serialize import (
     trajectory_to_dict,
 )
 from test_golden import GROWTHS, POLICIES, THRESHOLD_SUMMED_EPOCHS, ZERO_GROWTHS, matrix_scenario
+from trajgen import random_valid_trajectory
 
 MIXED = HazardTrajectory(
     (
@@ -56,6 +63,56 @@ class TestTrajectoryRoundTrip:
         assert trajectory_hash(other) != trajectory_hash(MIXED)
 
 
+# Trajectories built through the API, which need not be valid: any float,
+# nan and the infinities included, in every field of every form class.
+ANY_FLOAT = st.floats()
+API_FORMS = st.one_of(
+    st.builds(Constant, ANY_FLOAT),
+    st.builds(Linear, ANY_FLOAT, ANY_FLOAT),
+    st.builds(Power, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT),
+    st.builds(ExponentialGrowth, ANY_FLOAT, ANY_FLOAT),
+)
+API_TRAJECTORIES = st.builds(
+    HazardTrajectory,
+    st.lists(st.builds(HazardSegment, ANY_FLOAT, API_FORMS), min_size=1, max_size=6),
+    st.lists(st.builds(MaintenanceEpoch, ANY_FLOAT, ANY_FLOAT), max_size=4),
+)
+
+
+def one_segment(start, form, epochs=()):
+    return HazardTrajectory((HazardSegment(start, form),), epochs)
+
+
+class TestCanonicalJson:
+    """The hash's text, formatted from per-form templates, is the JSON the
+    dict tree dumps to (``oracles.reference_canonical_json``), byte for byte."""
+
+    @staticmethod
+    def check(traj):
+        text = _canonical_trajectory_json(traj)
+        assert text == reference_canonical_json(traj)
+        assert trajectory_hash(traj) == hashlib.sha256(text.encode()).hexdigest()
+
+    @given(API_TRAJECTORIES)
+    @example(one_segment(-0.0, Linear(-0.0, 1.0), (MaintenanceEpoch(1.0, -0.0),)))
+    @example(one_segment(0.0, Power(math.inf, -math.inf, math.nan)))
+    @example(one_segment(0.0, ExponentialGrowth(-math.inf, 0.5), (MaintenanceEpoch(math.nan, math.inf),)))
+    @example(one_segment(5e-324, Constant(5e-324), (MaintenanceEpoch(5e-324, -5e-324),)))
+    @example(one_segment(1e16, Linear(1e-5, 9999999999999998.0), (MaintenanceEpoch(1e16, 0.0001),)))
+    @example(one_segment(0.30000000000000004, Constant(0.30000000000000004)))
+    @settings(max_examples=300, deadline=None)
+    def test_api_built_trajectories(self, traj):
+        self.check(traj)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_generated_trajectories(self, seed):
+        self.check(random_valid_trajectory(np.random.default_rng(seed), max_segments=12))
+
+    def test_every_form_class(self):
+        self.check(MIXED)
+
+
 # The catalog, then every policy with every growth law of the golden matrix,
 # growing and at zero scale.
 ROUND_TRIP_SCENARIOS = {
@@ -79,6 +136,7 @@ class TestScenarioRoundTrip:
         assert trajectory_hash(build_trajectory(rebuilt)) == trajectory_hash(
             build_trajectory(scenario)
         )
+        TestCanonicalJson.check(build_trajectory(scenario))
 
     def test_exponential_model_json(self):
         # h0 0.2 growing by exponential rate 0.1

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_validate_trajectory
 from riskcheck.hazard import (
     Constant,
     ExponentialGrowth,
@@ -20,7 +23,9 @@ from riskcheck.hazard import (
 )
 from trajgen import (
     MUTATION_CLASSES,
+    STRUCTURE_BREAKS,
     TARGET_PRINCIPLE,
+    break_structure,
     mutate,
     random_growing_trajectory,
     random_valid_trajectory,
@@ -218,3 +223,54 @@ class TestMutationDetection:
             report = validate_trajectory(mutate(base, mutation, rng))
             assert not report.valid
             assert TARGET_PRINCIPLE[mutation] in principles(report)
+
+
+def outcome(validate, traj) -> str:
+    """The report, or the structure error, as text: repr keeps every field,
+    the order of the violations and notes, and the spelling of each float."""
+    try:
+        return repr(validate(traj))
+    except TrajectoryStructureError as exc:
+        return f"TrajectoryStructureError: {exc}"
+
+
+class TestSameAsTheReference:
+    """The validator reports exactly what its earlier form did, which called
+    ``value`` again at every boundary (``oracles.reference_validate_trajectory``)."""
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from((None, *MUTATION_CLASSES)),
+        st.none() | st.sampled_from(STRUCTURE_BREAKS),  # half the candidates keep their structure
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_same_report_or_error(self, seed, mutation, breakage):
+        rng = np.random.default_rng(seed)
+        if mutation is None:
+            traj = random_valid_trajectory(rng, max_segments=8)
+        else:
+            traj = mutate(random_growing_trajectory(rng), mutation, rng)
+        if breakage is not None:
+            traj = break_structure(traj, breakage, rng)
+        assert outcome(validate_trajectory, traj) == outcome(reference_validate_trajectory, traj)
+
+    @pytest.mark.parametrize("candidate", [[], None, HazardTrajectory(())], ids=repr)
+    def test_same_error_on_a_candidate_that_is_no_trajectory(self, candidate):
+        assert outcome(validate_trajectory, candidate) == outcome(reference_validate_trajectory, candidate)
+
+    def test_at_most_two_value_calls_per_segment(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        traj = random_valid_trajectory(rng, max_segments=40)
+        while len(traj.segments) < 20:
+            traj = random_valid_trajectory(rng, max_segments=40)
+        calls = []
+        for cls in (Constant, Linear, Power, ExponentialGrowth):
+            original = cls.value
+
+            def wrapper(self, u, original=original):
+                calls.append(u)
+                return original(self, u)
+
+            monkeypatch.setattr(cls, "value", wrapper)
+        assert validate_trajectory(traj).valid
+        assert len(calls) <= 2 * len(traj.segments)

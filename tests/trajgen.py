@@ -5,9 +5,13 @@ drop, upward shock, continuous form change) and all four segment forms.
 ``random_growing_trajectory`` is the mutation substrate: every segment
 strictly grows and every boundary is a declared epoch, which leaves room
 to inject one targeted violation without disturbing its neighbours.
+``break_structure`` makes a candidate that is not a trajectory at all, one
+``TrajectoryStructureError`` per break class.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
@@ -185,3 +189,46 @@ def mutate(traj: HazardTrajectory, mutation: str, rng: np.random.Generator) -> H
         return HazardTrajectory(tuple(segments), tuple(epochs))
 
     raise ValueError(f"unknown mutation class {mutation!r}")
+
+
+STRUCTURE_BREAKS = (
+    "no_segments",
+    "nonfinite_start",
+    "nonfinite_parameter",
+    "first_start_not_zero",
+    "unordered_starts",
+    "nonfinite_epoch",
+    "epoch_not_increasing",
+    "epoch_off_boundary",
+)
+
+_NON_FINITE = (np.inf, -np.inf, np.nan)
+
+
+def break_structure(traj: HazardTrajectory, kind: str, rng: np.random.Generator) -> HazardTrajectory:
+    """``traj`` with one structural fault of class ``kind`` at a random place."""
+    segments = list(traj.segments)
+    epochs = list(traj.maintenance_epochs)
+    i = int(rng.integers(0, len(segments)))
+    bad = float(rng.choice(_NON_FINITE))
+    if kind == "no_segments":
+        segments = []
+    elif kind == "nonfinite_start":
+        segments[i] = HazardSegment(bad, segments[i].form)
+    elif kind == "nonfinite_parameter":
+        form = segments[i].form
+        field = dataclasses.fields(form)[int(rng.integers(0, len(dataclasses.fields(form))))]
+        segments[i] = HazardSegment(segments[i].start_time, dataclasses.replace(form, **{field.name: bad}))
+    elif kind == "first_start_not_zero":
+        segments[0] = HazardSegment(float(rng.uniform(-1.0, 1.0)), segments[0].form)
+    elif kind == "unordered_starts":
+        segments.insert(i, segments[i])  # a repeated start
+    elif kind == "nonfinite_epoch":
+        epochs.insert(0, MaintenanceEpoch(*rng.permutation([segments[-1].start_time, bad])))
+    elif kind == "epoch_not_increasing":
+        epochs.append(MaintenanceEpoch(segments[i].start_time, 0.5))
+    elif kind == "epoch_off_boundary":
+        epochs.append(MaintenanceEpoch(segments[-1].start_time + float(rng.uniform(0.1, 1.0)), 0.5))
+    else:
+        raise ValueError(f"unknown structure break {kind!r}")
+    return HazardTrajectory(tuple(segments), tuple(epochs))
