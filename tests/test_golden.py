@@ -5,8 +5,9 @@ hashes of a matrix of scenarios (every maintenance policy with every growth
 law), and the exact ``validate`` report for one rule-breaking trajectory
 per segment form, covering every principle-3 message and the principle-1
 zero crossing (reported at t=inf when it lies beyond the largest float),
-and the ``samples.csv`` of the catalog scenarios whose draws use only
-+ - * / and sqrt, so they do not move with the ufunc implementation.
+and the ``samples.csv`` and ``distance.json`` of the catalog scenarios
+whose draws use only + - * / and sqrt, so they do not move with the ufunc
+implementation.
 """
 
 import hashlib
@@ -50,6 +51,15 @@ CATALOG_SAMPLES_HASHES = {
     "unmaintained-linear": "a89e6a56051e1df98248ea866cbe503f505778b53d3281795552c4a4b6395ee6",
     "figure1-sawtooth": "6502037f6745ea00830b10ade98d77d49f4cc74f20fc0af01ae5f4adc1a14296",
     "imperfect-drift": "42a7e99eb486aa26093fe05f05ef2e1db17e058ed56ab951c59c22f868b20c71",
+}
+
+# sha256 of distance.json from `riskcheck distance --n 4000 --seed 1` on the
+# same scenarios.
+CATALOG_DISTANCE_HASHES = {
+    "constant-control": "120f83f0e427838c97931a20884b10138f39214c88939dc7dc47ea2e4539c8c0",
+    "unmaintained-linear": "b07000ed737e7db32557e5bb095236be59fb411bbcf2732869abe6837966d1cd",
+    "figure1-sawtooth": "9a1d2211b6ba9f614ca9a38ecce681901834ab16d44f274d3c8f6a2efc590c83",
+    "imperfect-drift": "33a2067bf6a27f4572a85e6a491cc4244efb304ff98c6c97429440fa09b78b1d",
 }
 
 
@@ -281,6 +291,17 @@ def test_catalog_samples_bytes(label, tmp_path, capsys):
     capsys.readouterr()
     digest = hashlib.sha256((out / "samples.csv").read_bytes()).hexdigest()
     assert digest == CATALOG_SAMPLES_HASHES[label]
+
+
+@pytest.mark.parametrize("label", sorted(CATALOG_DISTANCE_HASHES))
+def test_catalog_distance_bytes(label, tmp_path, capsys):
+    assert main(["catalog", "--out", str(tmp_path)]) == EXIT_OK
+    scenario, out = tmp_path / f"{label}.json", tmp_path / "distance"
+    argv = ["distance", "--input", str(scenario), "--out", str(out), "--n", "4000", "--seed", "1"]
+    assert main(argv) == EXIT_OK
+    capsys.readouterr()
+    digest = hashlib.sha256((out / "distance.json").read_bytes()).hexdigest()
+    assert digest == CATALOG_DISTANCE_HASHES[label]
 
 
 @pytest.mark.parametrize("name", sorted(VALIDATE_CASES))
