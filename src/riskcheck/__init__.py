@@ -8,9 +8,7 @@ from .compare import (
     PraModel,
     check_stochastic_order,
     default_time_grid,
-    exponential_bound,
     pra_rate_from_mttf,
-    pra_reliability,
     underestimation_report,
 )
 from .hazard import (
@@ -29,7 +27,6 @@ from .hazard import (
     ensure_valid,
     failure_cdf,
     hazard_at,
-    invert_cumulative_hazard,
     invert_cumulative_hazard_array,
     mean_time_to_failure,
     reliability,
@@ -42,14 +39,7 @@ from .poisson import (
     ks_distance,
     stein_chen_tv_bound,
 )
-from .sampling import (
-    EmpiricalDistribution,
-    SeededStream,
-    empirical_cdf,
-    sample_failure_time,
-    sample_many,
-    sample_replicates,
-)
+from .sampling import sample_replicates
 from .scenarios import (
     Scenario,
     build_trajectory,
@@ -77,15 +67,9 @@ __all__ = [
     "reliability",
     "failure_cdf",
     "mean_time_to_failure",
-    "invert_cumulative_hazard",
     "invert_cumulative_hazard_array",
     # sampling
-    "SeededStream",
-    "EmpiricalDistribution",
-    "sample_failure_time",
     "sample_replicates",
-    "sample_many",
-    "empirical_cdf",
     # scenarios
     "Scenario",
     "build_trajectory",
@@ -94,8 +78,6 @@ __all__ = [
     "PraModel",
     "ComparisonReport",
     "pra_rate_from_mttf",
-    "pra_reliability",
-    "exponential_bound",
     "default_time_grid",
     "check_stochastic_order",
     "underestimation_report",

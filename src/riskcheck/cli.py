@@ -5,11 +5,11 @@ catalog.  Inputs are trajectory or scenario JSON files (scenarios are
 compiled first).  Outputs are CSV/JSON artifacts, plus an SVG overlay of
 the CDF comparators with ``--plot``.
 
-Exit codes: 0 success, 2 schema/structure error or unwritable output,
-3 principle violation, 4 ordering violation (bound-check).  All outputs are
-deterministic for a fixed (input, config); the sampling seed defaults to
-DEFAULT_SEED and can be overridden by the RISKCHECK_SEED environment
-variable or ``--seed``.
+Exit codes: 0 success, 2 schema/structure error, unwritable output or a
+size too large to allocate, 3 principle violation, 4 ordering violation
+(bound-check).  All outputs are deterministic for a fixed (input, config);
+the sampling seed defaults to DEFAULT_SEED and can be overridden by the
+RISKCHECK_SEED environment variable or ``--seed``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .hazard import (
     validate_trajectory,
 )
 from .poisson import discretize, exact_tv_small, ks_distance, stein_chen_tv_bound
-from .sampling import sample_many, sample_replicates, write_samples_csv
+from .sampling import sample_replicates, write_samples_csv
 from .scenarios import build_trajectory, scenario_catalog
 from .serialize import (
     SchemaError,
@@ -196,13 +196,12 @@ def _cmd_distance(config: RunConfig) -> int:
     lam = sum(proc.probabilities)
     bound = stein_chen_tv_bound(proc)
     model = pra_rate_from_mttf(mean_time_to_failure(traj))
-    dist = sample_many(traj, config.n, config.seed)
     report = {
         "schema_version": 2,
         "lambda": lam,
         "bound": bound,
         "exact_tv": exact_tv_small(proc),
-        "ks": ks_distance(dist, model),
+        "ks": ks_distance(sample_replicates(traj, config.n, config.seed), model),
         "n": len(proc.probabilities),
         "grid_hash": grid_hash(grid),
         "ks_samples": config.n,
@@ -241,6 +240,9 @@ def run(config: RunConfig) -> int:
         # OSError here comes from creating or writing an output.
         where = exc.filename or config.out
         print(f"error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_SCHEMA
+    except MemoryError as exc:  # a --n or --grid-points too large to allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_SCHEMA
 
 

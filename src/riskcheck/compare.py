@@ -21,21 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .hazard import (
-    HazardTrajectory,
-    _require_nonnegative_time,
-    failure_cdf,
-    failure_probability,
-    hazard_at,
-)
+from .hazard import HazardTrajectory, failure_cdf, failure_probability, hazard_at
 
 __all__ = [
     "ORDERING_TOLERANCE",
     "PraModel",
     "ComparisonReport",
     "pra_rate_from_mttf",
-    "pra_reliability",
-    "exponential_bound",
     "default_time_grid",
     "check_stochastic_order",
     "underestimation_report",
@@ -87,17 +79,6 @@ def pra_rate_from_mttf(mttf: float) -> PraModel:
     if not (mttf > 0.0 and math.isfinite(mttf)):
         raise ValueError(f"mean time to failure must be positive and finite, got {mttf!r}")
     return PraModel(rate=1.0 / mttf, provenance="derived_from_mttf")
-
-
-def pra_reliability(model: PraModel, t: float) -> float:
-    """Survival exp(-rate * t) under the exponential model."""
-    return math.exp(-model.rate * _require_nonnegative_time(t))
-
-
-def exponential_bound(traj: HazardTrajectory, t: float) -> float:
-    """exp(-h(0) t): an upper bound on reliability(traj, t) for every valid
-    trajectory, with equality exactly in the constant-hazard case."""
-    return math.exp(-hazard_at(traj, 0.0) * _require_nonnegative_time(t))
 
 
 def default_time_grid(

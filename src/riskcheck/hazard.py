@@ -29,9 +29,11 @@ the profile's array columns (starts, prefix, lengths, and each form class's
 parameters) once more in O(segments), and then a batch of up to 65,536
 targets costs one ``searchsorted`` plus one kernel call per form class
 present, however many segments there are; a larger batch runs in blocks of
-that size.  ``invert_cumulative_hazard`` is a batch of one.  There is no
-process-wide cache: the profile and its columns live and die with their
-trajectory, and equal but distinct objects each compile their own.
+that size.  That array inverse is the only one: a single target is a batch
+of one, and a form's scalar ``invert_integral`` is one lane of its kernel.
+There is no process-wide cache: the profile and its columns live and die
+with their trajectory, and equal but distinct objects each compile their
+own.
 
 All types are immutable after construction and all operations are pure, so
 everything here is safe to share across threads; the profile memo is
@@ -71,7 +73,6 @@ __all__ = [
     "failure_cdf",
     "failure_probability",
     "mean_time_to_failure",
-    "invert_cumulative_hazard",
     "invert_cumulative_hazard_array",
     "MTTF_CUTOFF_CUMULATIVE_HAZARD",
 ]
@@ -870,12 +871,6 @@ def failure_probability(cumulative: float) -> float:
 def failure_cdf(traj: HazardTrajectory, t: float) -> float:
     """Probability of failure by time t, 1 - R(t)."""
     return failure_probability(cumulative_hazard(traj, t))
-
-
-def invert_cumulative_hazard(traj: HazardTrajectory, target: float) -> float:
-    """First time t with cumulative hazard equal to ``target``: a batch of
-    one for :func:`invert_cumulative_hazard_array`."""
-    return float(invert_cumulative_hazard_array(traj, [float(target)])[0])
 
 
 def invert_cumulative_hazard_array(traj: HazardTrajectory, targets) -> np.ndarray:

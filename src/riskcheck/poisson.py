@@ -14,8 +14,8 @@ available on any grid: the sum lives on {0, ..., n}, so
     d_TV(sum, Poisson(lambda)) = sum_{k <= n} (P(sum = k) - pi_k)^+
 
 exactly, with the Poisson pmf pi_k needed only up to k = n; that is what
-the bound is tested against.  A Kolmogorov-Smirnov distance between an
-empirical sample and an exponential model rounds out the desk-scale metrics.
+the bound is tested against.  A Kolmogorov-Smirnov distance between sampled
+failure times and an exponential model rounds out the desk-scale metrics.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 
 from .compare import PraModel, _check_grid
 from .hazard import HazardTrajectory, cumulative_hazard
-from .sampling import EmpiricalDistribution
 
 __all__ = [
     "DiscretizedFailureProcess",
@@ -117,11 +116,16 @@ def exact_tv_small(proc: DiscretizedFailureProcess) -> float:
     return tv
 
 
-def ks_distance(dist: EmpiricalDistribution, model: PraModel) -> float:
-    """sup_t |F_hat(t) - (1 - exp(-rate t))|, exact over the step points."""
-    if dist.n == 0:
+def ks_distance(times, model: PraModel) -> float:
+    """sup_t |F_hat(t) - (1 - exp(-rate t))| for the empirical law of the
+    failure times ``times``, in any order; exact over the step points."""
+    times = np.array(times, dtype=np.float64, ndmin=1)
+    n = times.size
+    if n == 0:
         raise ValueError("empirical distribution is empty")
-    n = dist.n
-    f = -np.expm1(-model.rate * np.array(dist.times))
+    if not np.all((times > 0.0) & (times < np.inf)):
+        raise ValueError("all failure times must be finite and positive")
+    times.sort()
+    f = -np.expm1(-model.rate * times)
     below = np.arange(n) / n  # each i / n correctly rounded, as in Python
     return float(max(np.max(np.abs(below - f)), np.max(np.abs((np.arange(1, n + 1) / n) - f))))

@@ -11,30 +11,21 @@ inversion (:func:`~riskcheck.hazard.invert_cumulative_hazard_array`): a
 ``searchsorted`` plus one kernel call per segment-form class present.  Each
 lane of that batch depends on its own word alone, so draw ``i`` is a pure
 function of (trajectory, seed, i), whatever ``n`` or the evaluation order.
+:func:`sample_replicates` is the one sampler: ``sample`` writes its draws
+and ``distance`` passes them to ``ks_distance`` as they come.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import numpy.random  # noqa: F401  loaded here, not lazily on first use inside a command
 
-from .hazard import HazardTrajectory, invert_cumulative_hazard, invert_cumulative_hazard_array
+from .hazard import HazardTrajectory, invert_cumulative_hazard_array
 from .serialize import dump_json
 
-__all__ = [
-    "GENERATOR_NAME",
-    "SeededStream",
-    "EmpiricalDistribution",
-    "sample_failure_time",
-    "sample_replicates",
-    "sample_many",
-    "empirical_cdf",
-    "write_samples_csv",
-]
+__all__ = ["GENERATOR_NAME", "sample_replicates", "write_samples_csv"]
 
 # Pinned draw rule: replicate i of seed s is word i of numpy's Philox (4x64)
 # keyed by s, turned into a unit exponential by ``_exponentials`` and into a
@@ -57,58 +48,13 @@ def _exponentials(words: np.ndarray) -> np.ndarray:
     return -np.log(((words >> 12).astype(np.float64) + 0.5) * 2.0**-52)
 
 
-@dataclass(frozen=True)
-class SeededStream:
-    """Replicate ``stream_id``'s randomness under ``seed``."""
-
-    seed: int
-    stream_id: int
-
-    def __post_init__(self):
-        if not isinstance(self.seed, int) or not isinstance(self.stream_id, int):
-            raise ValueError("seed and stream_id must be integers")
-        if self.stream_id < 0:
-            raise ValueError(f"stream_id must be nonnegative, got {self.stream_id}")
-
-    def exponential(self) -> float:
-        """The replicate's unit-exponential draw: word ``stream_id`` of the
-        Philox stream keyed by ``seed``, as ``sample_replicates`` reads it."""
-        bits = np.random.Philox(key=self.seed & _MASK64)
-        bits.advance(self.stream_id // 4)
-        return float(_exponentials(bits.random_raw(self.stream_id % 4 + 1)[-1:])[0])
-
-
-@dataclass(frozen=True)
-class EmpiricalDistribution:
-    """Sorted failure-time samples with their seed provenance."""
-
-    times: tuple[float, ...]
-    n: int
-    seed: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "times", tuple(map(float, self.times)))
-        times = np.array(self.times, ndmin=1)
-        if self.n != len(times):
-            raise ValueError(f"n={self.n} does not match {len(times)} samples")
-        if np.any(times[1:] < times[:-1]):
-            raise ValueError("times must be sorted ascending")
-        if not np.all((times > 0.0) & (times < np.inf)):
-            raise ValueError("all failure times must be finite and positive")
-
-
-def sample_failure_time(traj: HazardTrajectory, stream: SeededStream) -> float:
-    """Draw T with P(T > t) = reliability(traj, t) by inverting the
-    cumulative hazard at the stream's unit-exponential draw."""
-    return invert_cumulative_hazard(traj, stream.exponential())
-
-
 def sample_replicates(traj: HazardTrajectory, n: int, seed: int) -> np.ndarray:
     """n inversion draws in replicate order.
 
-    Replicate i equals ``sample_failure_time(traj, SeededStream(seed, i))``
-    bit for bit, so a shorter run is a prefix of a longer one, and draws
-    taken in chunks, in any order, are the same draws.
+    Replicate i depends on word i alone: it is the cumulative hazard's
+    inverse at that word's unit exponential, whatever n.  So a shorter run
+    is a prefix of a longer one, and draws taken in chunks, in any order,
+    are the same draws.
     """
     if n < 1:
         raise ValueError(f"need at least one replicate, got n={n}")
@@ -116,19 +62,6 @@ def sample_replicates(traj: HazardTrajectory, n: int, seed: int) -> np.ndarray:
         raise ValueError("seed must be an integer")
     draws = _exponentials(np.random.Philox(key=seed & _MASK64).random_raw(n))
     return invert_cumulative_hazard_array(traj, draws)
-
-
-def sample_many(traj: HazardTrajectory, n: int, seed: int) -> EmpiricalDistribution:
-    """n independent failure-time draws as a sorted empirical distribution."""
-    draws = sample_replicates(traj, n, seed)
-    return EmpiricalDistribution(times=tuple(np.sort(draws).tolist()), n=n, seed=seed)
-
-
-def empirical_cdf(dist: EmpiricalDistribution, t: float) -> float:
-    """Fraction of samples at or below t (right-continuous step function)."""
-    if dist.n == 0:
-        raise ValueError("empirical distribution is empty")
-    return bisect_right(dist.times, t) / dist.n
 
 
 def write_samples_csv(

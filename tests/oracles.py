@@ -10,9 +10,11 @@ total-variation distance from scipy's Poisson pmf and survival function
 (never the positive-part recurrence), and KS statistics from first
 principles.  The exceptions are references kept from the library's own
 earlier code: the scalar inverse, one area at a time in ``math``, that its
-array kernels are checked against; the principle validator that called
-``value`` at every boundary; and the canonical trajectory JSON built as a
-dict tree and dumped by ``json``.
+array kernels are checked against; the single-replicate draw (word ``i``
+of the seed's Philox stream reached on its own, then a batch of one of the
+array inverse) that every lane of a batch must equal; the principle
+validator that called ``value`` at every boundary; and the canonical
+trajectory JSON built as a dict tree and dumped by ``json``.
 """
 
 from __future__ import annotations
@@ -39,10 +41,11 @@ from riskcheck.hazard import (
     _exp_times,
     _times_overflow,
     hazard_at,
+    invert_cumulative_hazard_array,
     reliability,
 )
 from riskcheck.poisson import DiscretizedFailureProcess, poisson_binomial_pmf
-from riskcheck.sampling import SeededStream
+from riskcheck.sampling import _exponentials
 from riskcheck.serialize import trajectory_to_dict
 
 QUAD_REL_TOL = 1e-10
@@ -355,23 +358,42 @@ def reference_canonical_json(traj: HazardTrajectory) -> str:
     return json.dumps(trajectory_to_dict(traj), sort_keys=True, separators=(",", ":"))
 
 
-def stream_generator(stream: SeededStream) -> np.random.Generator:
+_MASK64 = (1 << 64) - 1
+
+
+def single_exponential(seed: int, i: int) -> float:
+    """Replicate ``i``'s unit exponential under ``seed``, drawn alone: word
+    ``i`` of the Philox stream keyed by ``seed``, reached by advancing the
+    counter ``i // 4`` blocks and taking lane ``i % 4``."""
+    bits = np.random.Philox(key=seed & _MASK64)
+    bits.advance(i // 4)
+    return float(_exponentials(bits.random_raw(i % 4 + 1)[-1:])[0])
+
+
+def single_draw(traj: HazardTrajectory, seed: int, i: int) -> float:
+    """Replicate ``i`` of ``seed`` drawn alone: :func:`single_exponential`
+    inverted as a batch of one.  (The scalar reference inverse is not used:
+    its Power and ExponentialGrowth lanes agree with the kernels only to a
+    few ulp, and replicate ``i`` must equal this bit for bit.)"""
+    return float(invert_cumulative_hazard_array(traj, [single_exponential(seed, i)])[0])
+
+
+def stream_generator(seed: int, stream_id: int) -> np.random.Generator:
     """An independent multi-draw stream keyed by (seed, stream_id), for
     samplers that need more than one draw per replicate."""
-    mask = (1 << 64) - 1
-    key = ((stream.stream_id & mask) << 64) | (stream.seed & mask)
+    key = ((stream_id & _MASK64) << 64) | (seed & _MASK64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def sample_failure_time_thinning(
-    traj: HazardTrajectory, horizon: float, stream: SeededStream
+    traj: HazardTrajectory, horizon: float, seed: int, stream_id: int
 ) -> float | None:
     """Rejection-sample the first failure on [0, horizon]; None if the
     system survives the horizon.
 
     The proposal envelope is piecewise constant at each segment's supremum
     over the piece (its left limit, since segments are non-decreasing).
-    This is an independent oracle for ``sample_failure_time``: it never
+    This is an independent oracle for ``sample_replicates``: it never
     touches the antiderivatives.
     """
     horizon = float(horizon)
@@ -386,7 +408,7 @@ def sample_failure_time_thinning(
         bound = seg.form.value(end - seg.start_time)
         pieces.append((seg.start_time, end, bound, seg))
 
-    rng = stream_generator(stream)
+    rng = stream_generator(seed, stream_id)
     for start, end, bound, seg in pieces:
         t = start
         while True:

@@ -15,6 +15,7 @@ from oracles import (
     one_sample_ks,
     quad_cumulative_hazard,
     sample_failure_time_thinning,
+    single_draw,
     two_sample_epsilon,
     two_sample_ks,
 )
@@ -40,7 +41,7 @@ from riskcheck.hazard import (
     validate_trajectory,
 )
 from riskcheck.poisson import DiscretizedFailureProcess, exact_tv_small, stein_chen_tv_bound
-from riskcheck.sampling import SeededStream, sample_failure_time, sample_replicates
+from riskcheck.sampling import sample_replicates
 from riskcheck.scenarios import build_trajectory, scenario_catalog
 from riskcheck.serialize import trajectory_hash, trajectory_to_dict
 from trajgen import (
@@ -137,7 +138,7 @@ def test_criterion_05_sampler_law():
 
         horizon = THINNING_HORIZONS[label]
         thinned = [
-            sample_failure_time_thinning(traj, horizon, SeededStream(6006, i))
+            sample_failure_time_thinning(traj, horizon, 6006, i)
             for i in range(ONE_SAMPLE_N)
         ]
         thinned = np.array([t for t in thinned if t is not None])
@@ -202,7 +203,7 @@ def test_criterion_09_worker_determinism(tmp_path):
     chunked = np.empty(n)
     for c in reversed(range(chunks)):
         for i in range(c * n // chunks, (c + 1) * n // chunks):
-            chunked[i] = sample_failure_time(traj, SeededStream(9009, i))
+            chunked[i] = single_draw(traj, 9009, i)
     csv_a, _ = write_samples_csv(tmp_path / "batch", batch, 9009, h)
     csv_b, _ = write_samples_csv(tmp_path / "chunked", chunked, 9009, h)
     assert csv_a.read_bytes() == csv_b.read_bytes()

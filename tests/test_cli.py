@@ -483,6 +483,50 @@ class TestUnwritableOutput:
         assert result.stderr == f"error: cannot write {out}: Not a directory\n"
 
 
+# 10**14 words or grid points are 728 TiB, past the 128 TiB a 64-bit
+# process can map, so numpy refuses them at once under any overcommit policy.
+TOO_LARGE = str(10**14)
+
+
+class TestSizesTooLargeToAllocate:
+    """A --n or --grid-points too large to allocate exits 2 with one line."""
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            ("sample", "--n"),
+            ("distance", "--n"),
+            ("eval", "--grid-points"),
+            ("bound-check", "--grid-points"),
+            ("compare", "--grid-points"),
+            ("distance", "--grid-points"),
+        ],
+    )
+    def test_refused(self, valid_file, tmp_path, capsys, command, option):
+        argv = [command, "--input", str(valid_file), "--out", str(tmp_path), option, TOO_LARGE]
+        assert main(argv) == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate ")
+        assert captured.err.count("\n") == 1
+
+    def test_refused_without_a_traceback(self, valid_file, tmp_path):
+        result = run_module(valid_file, tmp_path, "sample", "--n", TOO_LARGE)
+        assert result.returncode == EXIT_SCHEMA
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: Unable to allocate ")
+        assert result.stderr.count("\n") == 1
+
+    def test_a_memory_error_without_a_message(self, valid_file, tmp_path, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(riskcheck.cli, "sample_replicates", exhausted)
+        argv = ["sample", "--input", str(valid_file), "--out", str(tmp_path)]
+        assert main(argv) == EXIT_SCHEMA
+        assert capsys.readouterr().err == "error: out of memory\n"
+
+
 class TestMalformedInput:
     """Off-schema files exit 2 with a message, never with a traceback."""
 

@@ -14,9 +14,7 @@ from riskcheck.compare import (
     check_stochastic_order,
     comparison_summary,
     default_time_grid,
-    exponential_bound,
     pra_rate_from_mttf,
-    pra_reliability,
     underestimation_report,
     write_comparison_csv,
 )
@@ -25,11 +23,12 @@ from riskcheck.hazard import (
     HazardSegment,
     HazardTrajectory,
     Linear,
+    failure_probability,
     hazard_at,
     mean_time_to_failure,
     reliability,
 )
-from riskcheck.sampling import empirical_cdf, sample_many
+from riskcheck.sampling import sample_replicates
 from riskcheck.scenarios import build_trajectory, scenario_catalog
 from riskcheck.serialize import trajectory_hash
 from trajgen import random_valid_trajectory
@@ -68,31 +67,46 @@ class TestPraModel:
             PraModel(1.0, "guessed")
 
 
+def pra_survival(rate: float, t: float) -> float:
+    """exp(-rate t) read off the f_pra column of a one-point report."""
+    report = underestimation_report(LINEAR_1_2, PraModel(rate, "given"), (t,))
+    assert report.f_pra == (failure_probability(rate * t),)
+    return 1.0 - report.f_pra[0]
+
+
+def h0_survival(traj: HazardTrajectory, t: float) -> float:
+    """exp(-h(0) t) read off the f_h0_bound column of a one-point report."""
+    report = check_stochastic_order(traj, (t,))
+    assert report.f_h0_bound == (failure_probability(hazard_at(traj, 0.0) * t),)
+    return 1.0 - report.f_h0_bound[0]
+
+
 class TestPraReliability:
     def test_values(self):
-        assert pra_reliability(PraModel(0.5, "given"), 2.0) == pytest.approx(math.exp(-1.0))
-        assert pra_reliability(PraModel(3.0, "given"), 0.0) == 1.0
-        assert pra_reliability(PraModel(1.0, "given"), math.log(2.0)) == pytest.approx(0.5)
+        assert pra_survival(0.5, 2.0) == pytest.approx(math.exp(-1.0))
+        assert pra_survival(3.0, 0.0) == 1.0
+        assert pra_survival(1.0, math.log(2.0)) == pytest.approx(0.5)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            pra_reliability(PraModel(1.0, "given"), -1.0)
+            underestimation_report(LINEAR_1_2, PraModel(1.0, "given"), (-1.0,))
 
 
 class TestExponentialBound:
     def test_equals_reliability_at_zero(self):
-        assert exponential_bound(LINEAR_1_2, 0.0) == 1.0 == reliability(LINEAR_1_2, 0.0)
+        assert h0_survival(LINEAR_1_2, 0.0) == 1.0 == reliability(LINEAR_1_2, 0.0)
 
     def test_constant_hazard_attains_bound(self):
-        for t in (0.0, 0.5, 2.0, 11.0):
-            assert exponential_bound(CONSTANT_HALF, t) == reliability(CONSTANT_HALF, t)
+        report = check_stochastic_order(CONSTANT_HALF, (0.0, 0.5, 2.0, 11.0))
+        assert report.f_h0_bound == report.f_true
+        assert report.pointwise_gaps == (0.0, 0.0, 0.0, 0.0)
 
     def test_dominates_reliability(self):
         traj = HazardTrajectory((HazardSegment(0.0, Linear(1.0, 1.0)),))
         # oracle: H(2) = 4, so R(2) = e^-4 while the bound is e^-2
         assert quad_cumulative_hazard(traj, 2.0) == pytest.approx(4.0, rel=1e-10)
-        assert exponential_bound(traj, 2.0) == pytest.approx(math.exp(-2.0))
-        assert exponential_bound(traj, 2.0) > reliability(traj, 2.0) == pytest.approx(math.exp(-4.0))
+        assert h0_survival(traj, 2.0) == pytest.approx(math.exp(-2.0))
+        assert h0_survival(traj, 2.0) > reliability(traj, 2.0) == pytest.approx(math.exp(-4.0))
 
 
 class TestDefaultGrid:
@@ -190,11 +204,12 @@ class TestUnderestimationReport:
         # sampled version of the ordering: ECDF >= bound - DKW band
         traj = figure1_trajectory()
         n = 100_000
-        dist = sample_many(traj, n, seed=424)
+        draws = np.sort(sample_replicates(traj, n, seed=424))
         h0 = hazard_at(traj, 0.0)
         eps = dkw_epsilon(n)
         for t in default_time_grid(traj, count=64, t_max=30.0):
-            assert empirical_cdf(dist, t) >= -math.expm1(-h0 * t) - eps
+            ecdf = np.searchsorted(draws, t, side="right") / n
+            assert ecdf >= -math.expm1(-h0 * t) - eps
 
 
 class TestComparatorMonotonicity:

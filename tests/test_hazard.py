@@ -34,7 +34,6 @@ from riskcheck.hazard import (
     cumulative_hazard,
     failure_cdf,
     hazard_at,
-    invert_cumulative_hazard,
     invert_cumulative_hazard_array,
     mean_time_to_failure,
     reliability,
@@ -166,18 +165,18 @@ class TestInversion:
     @settings(max_examples=80, deadline=None)
     def test_inverts_cumulative_hazard(self, seed, target):
         traj = random_valid_trajectory(np.random.default_rng(seed))
-        t = invert_cumulative_hazard(traj, target)
+        t = float(invert_cumulative_hazard_array(traj, [target])[0])
         assert cumulative_hazard(traj, t) == pytest.approx(target, abs=1e-9)
 
     def test_power_segment_with_a_nonzero_base(self):
         traj = HazardTrajectory((HazardSegment(0.0, Power(0.2, 0.3, 2.5)),))
-        for target in (0.01, 1.0, 8.0, 30.0):
-            t = invert_cumulative_hazard(traj, target)
+        targets = (0.01, 1.0, 8.0, 30.0)
+        for target, t in zip(targets, invert_cumulative_hazard_array(traj, targets).tolist()):
             assert cumulative_hazard(traj, t) == pytest.approx(target, rel=1e-14)
 
     def test_negative_target_rejected(self):
         with pytest.raises(ValueError):
-            invert_cumulative_hazard(CONSTANT_HALF, -1.0)
+            invert_cumulative_hazard_array(CONSTANT_HALF, [-1.0])
 
 
 class TestRecoveredHazard:
@@ -790,7 +789,8 @@ class TestCompiledProfile:
         for t in times:
             assert hazard_at(a, t) == hazard_at(b, t)
             assert cumulative_hazard(a, t) == cumulative_hazard(b, t)
-            assert invert_cumulative_hazard(a, t) == invert_cumulative_hazard(b, t)
+        inverse = invert_cumulative_hazard_array
+        assert np.array_equal(inverse(a, times), inverse(b, times))
         after = (a == b, hash(a), hash(b), repr(a), dataclasses.fields(a), trajectory_hash(a))
         assert before == after
         assert after[0] and after[1] == after[2]
@@ -826,7 +826,7 @@ class TestCompiledProfile:
         # A batch does not loop over the segments its draws hit.
         traj = periodic_sawtooth(0.1, 1000.0)
         assert len(traj.segments) >= 10_000
-        invert_cumulative_hazard(traj, 1.0)  # compiles the profile and its columns
+        invert_cumulative_hazard_array(traj, [1.0])  # compiles the profile and its columns
         calls = dict.fromkeys(["invert_integral_array", "invert_integral", "value", "integral"], 0)
         for name in calls:
             original = getattr(Linear, name)

@@ -11,6 +11,7 @@ from oracles import (
     capped_exact_tv,
     dkw_epsilon,
     enumerated_poisson_binomial_pmf,
+    one_sample_ks,
     quad_cumulative_hazard,
 )
 from riskcheck.compare import PraModel
@@ -30,7 +31,7 @@ from riskcheck.poisson import (
     poisson_binomial_pmf,
     stein_chen_tv_bound,
 )
-from riskcheck.sampling import EmpiricalDistribution, sample_many
+from riskcheck.sampling import sample_replicates
 
 CONSTANT_HALF = HazardTrajectory((HazardSegment(0.0, Constant(0.5)),))
 LINEAR_1_2 = HazardTrajectory((HazardSegment(0.0, Linear(1.0, 2.0)),))
@@ -193,29 +194,48 @@ class TestExactTv:
 class TestKsDistance:
     def test_single_sample_at_median(self):
         h = 0.7
-        dist = EmpiricalDistribution((math.log(2.0) / h,), 1, seed=0)
-        assert ks_distance(dist, PraModel(h, "given")) == pytest.approx(0.5, abs=1e-12)
+        ks = ks_distance((math.log(2.0) / h,), PraModel(h, "given"))
+        assert ks == pytest.approx(0.5, abs=1e-12)
 
     def test_single_sample_at_one(self):
-        dist = EmpiricalDistribution((1.0,), 1, seed=0)
         expected = max(math.exp(-1.0), 1.0 - math.exp(-1.0))
-        assert ks_distance(dist, PraModel(1.0, "given")) == pytest.approx(expected, abs=1e-14)
+        assert ks_distance((1.0,), PraModel(1.0, "given")) == pytest.approx(expected, abs=1e-14)
 
     def test_sorted_construction_is_permutation_invariant(self):
+        # the draws come in replicate order; ks_distance sorts a copy itself
         rng = np.random.default_rng(11)
         values = rng.uniform(0.1, 5.0, size=50)
         model = PraModel(0.8, "given")
-        reference = ks_distance(EmpiricalDistribution(tuple(sorted(values)), 50, seed=0), model)
+        reference = ks_distance(np.sort(values), model)
         for _ in range(5):
             shuffled = rng.permutation(values)
-            dist = EmpiricalDistribution(tuple(sorted(shuffled)), 50, seed=0)
-            assert ks_distance(dist, model) == reference
+            before = shuffled.copy()
+            assert ks_distance(shuffled, model) == reference
+            assert ks_distance(shuffled.tolist(), model) == reference
+            assert np.array_equal(shuffled, before)
+
+    @given(
+        st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=200),
+        st.floats(1e-2, 1e2),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_one_sample_oracle(self, times, rate):
+        expected = one_sample_ks(sorted(times), lambda t: -math.expm1(-rate * t))
+        ks = ks_distance(times, PraModel(rate, "given"))
+        assert ks == pytest.approx(expected, rel=0.0, abs=1e-15)
 
     def test_matching_exponential_within_dkw(self):
         n = 20_000
-        dist = sample_many(CONSTANT_HALF, n, seed=999)
-        assert ks_distance(dist, PraModel(0.5, "given")) < dkw_epsilon(n)
+        draws = sample_replicates(CONSTANT_HALF, n, seed=999)
+        assert ks_distance(draws, PraModel(0.5, "given")) < dkw_epsilon(n)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ks_distance(EmpiricalDistribution((), 0, seed=0), PraModel(1.0, "given"))
+        with pytest.raises(ValueError, match="^empirical distribution is empty$"):
+            ks_distance((), PraModel(1.0, "given"))
+        with pytest.raises(ValueError, match="^empirical distribution is empty$"):
+            ks_distance(np.array([]), PraModel(1.0, "given"))
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_non_positive_or_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="^all failure times must be finite and positive$"):
+            ks_distance((1.0, bad, 2.0), PraModel(1.0, "given"))

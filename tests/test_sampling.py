@@ -11,10 +11,13 @@ from oracles import (
     dkw_epsilon,
     one_sample_ks,
     sample_failure_time_thinning,
+    single_draw,
+    single_exponential,
     stream_generator,
     two_sample_epsilon,
     two_sample_ks,
 )
+from riskcheck.compare import PraModel
 from riskcheck.hazard import (
     SEGMENT_FORMS,
     Constant,
@@ -29,16 +32,8 @@ from riskcheck.hazard import (
     invert_cumulative_hazard_array,
     validate_trajectory,
 )
-from riskcheck.sampling import (
-    EmpiricalDistribution,
-    SeededStream,
-    _exponentials,
-    empirical_cdf,
-    sample_failure_time,
-    sample_many,
-    sample_replicates,
-    write_samples_csv,
-)
+from riskcheck.poisson import ks_distance
+from riskcheck.sampling import _exponentials, sample_replicates, write_samples_csv
 from trajgen import random_valid_trajectory
 
 CONSTANT_HALF = HazardTrajectory((HazardSegment(0.0, Constant(0.5)),))
@@ -58,19 +53,17 @@ EVERY_FORM = HazardTrajectory(
 
 
 class TestSeededStream:
+    """The thinning oracle's (seed, stream_id) streams."""
+
     def test_reproducible(self):
-        a = stream_generator(SeededStream(123, 4)).standard_exponential()
-        b = stream_generator(SeededStream(123, 4)).standard_exponential()
+        a = stream_generator(123, 4).standard_exponential()
+        b = stream_generator(123, 4).standard_exponential()
         assert a == b
 
     def test_streams_differ(self):
-        a = stream_generator(SeededStream(123, 0)).standard_exponential()
-        b = stream_generator(SeededStream(123, 1)).standard_exponential()
+        a = stream_generator(123, 0).standard_exponential()
+        b = stream_generator(123, 1).standard_exponential()
         assert a != b
-
-    def test_negative_stream_id_rejected(self):
-        with pytest.raises(ValueError):
-            SeededStream(1, -1)
 
 
 class TestDrawContract:
@@ -86,7 +79,7 @@ class TestDrawContract:
     def test_replicate_is_its_single_stream_draw(self, data, seed, n):
         i = data.draw(st.integers(0, n - 1))
         draws = sample_replicates(self.SAWTOOTH, n, seed)
-        assert draws[i] == sample_failure_time(self.SAWTOOTH, SeededStream(seed, i))
+        assert draws[i] == single_draw(self.SAWTOOTH, seed, i)
 
     @given(st.data(), st.integers(0, 2**64 - 1), st.integers(2, 2000))
     @settings(max_examples=60, deadline=None)
@@ -101,7 +94,7 @@ class TestDrawContract:
         for n in range(1, 71):
             assert np.array_equal(sample_replicates(EVERY_FORM, n, 12), full[:n])
         for i in range(70):
-            assert sample_failure_time(EVERY_FORM, SeededStream(12, i)) == full[i]
+            assert single_draw(EVERY_FORM, 12, i) == full[i]
 
     def test_reversed_and_shuffled_chunks_are_the_batch(self):
         n = 2000
@@ -162,7 +155,8 @@ class TestDrawContract:
         words = np.random.Philox(key=99).random_raw(12)
         expected = _exponentials(words)
         for i in range(12):
-            assert SeededStream(99, i).exponential() == expected[i]
+            assert single_exponential(99, i) == expected[i]
+            assert single_draw(CONSTANT_ONE, 99, i) == expected[i]
 
     def test_non_integer_seed_rejected(self):
         with pytest.raises(ValueError):
@@ -171,18 +165,16 @@ class TestDrawContract:
 
 class TestInversionSampler:
     def test_constant_is_scaled_exponential(self):
-        stream = SeededStream(7, 0)
-        e = stream.exponential()
-        assert sample_failure_time(CONSTANT_HALF, stream) == pytest.approx(e / 0.5, rel=1e-14)
+        e = single_exponential(7, 0)
+        assert sample_replicates(CONSTANT_HALF, 1, 7)[0] == pytest.approx(e / 0.5, rel=1e-14)
 
     @given(st.integers(0, 100_000), st.integers(0, 64))
     @settings(max_examples=80, deadline=None)
     def test_inversion_identity(self, seed, stream_id):
         # |H(T) - E| <= 1e-9 where E is the generating exponential draw
         traj = random_valid_trajectory(np.random.default_rng(seed))
-        stream = SeededStream(seed, stream_id)
-        e = stream.exponential()
-        t = sample_failure_time(traj, stream)
+        e = single_exponential(seed, stream_id)
+        t = single_draw(traj, seed, stream_id)
         assert abs(cumulative_hazard(traj, t) - e) <= 1e-9
 
     def test_weibull_shape_is_sqrt_of_exponential(self):
@@ -212,14 +204,14 @@ class TestInversionSampler:
 class TestThinningSampler:
     def test_degenerate_horizon_rejected(self):
         with pytest.raises(ValueError):
-            sample_failure_time_thinning(CONSTANT_HALF, 0.0, SeededStream(1, 0))
+            sample_failure_time_thinning(CONSTANT_HALF, 0.0, 1, 0)
 
     def test_matches_inversion_on_horizon(self):
         horizon, n = 100.0, 20_000
         inv = sample_replicates(CONSTANT_HALF, n, seed=21)
         inv = inv[inv <= horizon]
         thin = [
-            sample_failure_time_thinning(CONSTANT_HALF, horizon, SeededStream(22, i))
+            sample_failure_time_thinning(CONSTANT_HALF, horizon, 22, i)
             for i in range(n)
         ]
         thin = np.array([t for t in thin if t is not None])
@@ -228,32 +220,34 @@ class TestThinningSampler:
     def test_quadratic_hazard_always_accepts_before_horizon(self):
         # survival past t=10 has probability exp(-100); none of 2000 draws survive
         results = [
-            sample_failure_time_thinning(WEIBULL_SHAPE, 10.0, SeededStream(3, i))
+            sample_failure_time_thinning(WEIBULL_SHAPE, 10.0, 3, i)
             for i in range(2000)
         ]
         assert all(r is not None and r < 10.0 for r in results)
 
     def test_survivors_reported_as_none(self):
         results = [
-            sample_failure_time_thinning(CONSTANT_HALF, 0.05, SeededStream(9, i))
+            sample_failure_time_thinning(CONSTANT_HALF, 0.05, 9, i)
             for i in range(200)
         ]
         assert any(r is None for r in results)
 
 
 class TestSampleMany:
+    """Whole batches of ``sample_replicates``, the one sampler."""
+
     def test_singleton_matches_stream_zero(self):
-        dist = sample_many(CONSTANT_ONE, 1, seed=42)
-        assert dist.times == (sample_failure_time(CONSTANT_ONE, SeededStream(42, 0)),)
+        draws = sample_replicates(CONSTANT_ONE, 1, seed=42)
+        assert draws.tolist() == [single_draw(CONSTANT_ONE, 42, 0)]
 
     def test_zero_replicates_rejected(self):
         with pytest.raises(ValueError):
-            sample_many(CONSTANT_ONE, 0, seed=1)
+            sample_replicates(CONSTANT_ONE, 0, seed=1)
 
     def test_mean_within_clt_band(self):
         n = 100_000
-        dist = sample_many(CONSTANT_ONE, n, seed=31)
-        assert abs(np.mean(dist.times) - 1.0) < 3.0 / math.sqrt(n)
+        draws = sample_replicates(CONSTANT_ONE, n, seed=31)
+        assert abs(np.mean(draws) - 1.0) < 3.0 / math.sqrt(n)
 
     def test_deterministic_across_runs(self):
         a = sample_replicates(WEIBULL_SHAPE, 1000, seed=13)
@@ -262,26 +256,24 @@ class TestSampleMany:
 
 
 class TestEmpiricalDistribution:
+    """The empirical law of sampled times, as ``ks_distance`` reads it."""
+
     def test_cdf_steps(self):
-        dist = EmpiricalDistribution((1.0, 2.0, 4.0), 3, seed=0)
-        assert empirical_cdf(dist, 0.5) == 0.0
-        assert empirical_cdf(dist, 1.0) == pytest.approx(1 / 3)
-        assert empirical_cdf(dist, 2.0) == pytest.approx(2 / 3)
-        assert empirical_cdf(dist, 3.0) == pytest.approx(2 / 3)
-        assert empirical_cdf(dist, 4.0) == 1.0
-        assert empirical_cdf(dist, 9.0) == 1.0
+        times = np.array([1.0, 2.0, 4.0])
 
-    def test_unsorted_rejected(self):
-        with pytest.raises(ValueError):
-            EmpiricalDistribution((2.0, 1.0), 2, seed=0)
+        def cdf(t):
+            return np.searchsorted(times, t, side="right") / len(times)
 
-    def test_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            EmpiricalDistribution((1.0, 2.0), 3, seed=0)
+        assert cdf(0.5) == 0.0
+        assert cdf(1.0) == pytest.approx(1 / 3)
+        assert cdf(2.0) == pytest.approx(2 / 3)
+        assert cdf(3.0) == pytest.approx(2 / 3)
+        assert cdf(4.0) == 1.0
+        assert cdf(9.0) == 1.0
 
     def test_nonpositive_times_rejected(self):
-        with pytest.raises(ValueError):
-            EmpiricalDistribution((0.0, 1.0), 2, seed=0)
+        with pytest.raises(ValueError, match="finite and positive"):
+            ks_distance((0.0, 1.0), PraModel(1.0, "given"))
 
 
 class TestCsvExport:
