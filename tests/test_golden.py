@@ -5,9 +5,9 @@ hashes of a matrix of scenarios (every maintenance policy with every growth
 law), and the exact ``validate`` report for one rule-breaking trajectory
 per segment form, covering every principle-3 message and the principle-1
 zero crossing (reported at t=inf when it lies beyond the largest float),
-and the ``samples.csv`` and ``distance.json`` of the catalog scenarios
-whose draws use only + - * / and sqrt, so they do not move with the ufunc
-implementation.
+and the ``samples.csv``, ``distance.json``, ``eval.csv`` and comparison
+files of the catalog scenarios whose draws use only + - * / and sqrt, so
+they do not move with the ufunc implementation.
 """
 
 import hashlib
@@ -60,6 +60,64 @@ CATALOG_DISTANCE_HASHES = {
     "unmaintained-linear": "b07000ed737e7db32557e5bb095236be59fb411bbcf2732869abe6837966d1cd",
     "figure1-sawtooth": "9a1d2211b6ba9f614ca9a38ecce681901834ab16d44f274d3c8f6a2efc590c83",
     "imperfect-drift": "33a2067bf6a27f4572a85e6a491cc4244efb304ff98c6c97429440fa09b78b1d",
+}
+
+
+# sha256 of each file that `riskcheck eval`, `bound-check --plot` and
+# `compare --plot` write on the default grid, for the same scenarios.
+CATALOG_REPORT_HASHES = {
+    "constant-control": {
+        "eval": {"eval.csv": "ceb4d4a2b5b35af880d6b73d1230fdca2ad55d9861dfd744562f89f292704904"},
+        "bound-check": {
+            "comparison.csv": "b1dfaac583bca85d9ad21db14ec8d77863c0fba510b039d61ca20534a6217a05",
+            "comparison.svg": "f1670dd3ccb5b741f1700b36696cee0d9603b9798ba9749cddffd3bc2a40187a",
+            "comparison_summary.json": "4645719707628d9a9d34ea089570eea2d181bbaa5fbd8fd2ec440853a1077c49",
+        },
+        "compare": {
+            "comparison.csv": "1d9f90da3dc619d19e36d62108509d1e54fd7fef340dd729717ddbbc580cfcfa",
+            "comparison.svg": "9089b21176770a87bf3a58cdb9f7e2d0f09040f0ba083a06095ca068b75f1aa4",
+            "comparison_summary.json": "92bc87f84ffc14090dd68a0c2aa5a435007b14c0bd4c25dd693806aa2c1dfcd5",
+        },
+    },
+    "unmaintained-linear": {
+        "eval": {"eval.csv": "c236b87793eefbe68bf0936fb7edb4e79fccd880e3a77ac0f1939224cecc5e51"},
+        "bound-check": {
+            "comparison.csv": "ac1c1447499f9606c9d71b1a31a51d0347f2ca1e722f15d55c9b09bc970a7f37",
+            "comparison.svg": "3f121fec9171672e632688c135d06259792f12e42686d410f180b89145ef5c97",
+            "comparison_summary.json": "e54bb32dd87f533be04a87d12a4fb5fa568a1ec888d534f093cff71a69cbeffd",
+        },
+        "compare": {
+            "comparison.csv": "01c9cfc66f008155dd3cef2dd3baeff417e14a5bb206ea79d8d384fa648041c3",
+            "comparison.svg": "88d7700efa687d848f88d714b69895a587f46d67063ef397eb1d7dd4e79fbbaf",
+            "comparison_summary.json": "46607778cc022e16206c826f117bcb9e37a79513ab013639cbe90f81aefe4b56",
+        },
+    },
+    "figure1-sawtooth": {
+        "eval": {"eval.csv": "a925e3e45d4cddfc231b3bb7bc25a29c2bf520329084604e0b05b3598c26e687"},
+        "bound-check": {
+            "comparison.csv": "ce4177b50004768b148789cac18103206601ad2c3dc6372addac5850298a1833",
+            "comparison.svg": "3a3b76cbcb37b547d9a51bb2bca0bf361b8a79af82289d06a2ea94f4846676ce",
+            "comparison_summary.json": "790d628464e849a5eb436744889ab2f463c6f8d0de136e60bb6601f38778abaa",
+        },
+        "compare": {
+            "comparison.csv": "00f2f9ae07e058ea0d4e24793ced7bd14df7fef4d6f3e81b4181fc432320da4c",
+            "comparison.svg": "8693d181cf8863f3eb46eab36f51e23278ecb5d1e15cdb101ae7de4cf55b23e2",
+            "comparison_summary.json": "e5671ef726b8b0b162bcf5d251cb39c4125478176c286f8f18669d4f28dbf2db",
+        },
+    },
+    "imperfect-drift": {
+        "eval": {"eval.csv": "14997ba8642d8b70a2c67388cfb338a8d8ef49e57d43db092396e38552916ceb"},
+        "bound-check": {
+            "comparison.csv": "f2804907bf3a9010d4307316c7221b2e199514c34480b28594858058096d4a31",
+            "comparison.svg": "38f25ef39d1e89be3b717edcb1760b569993e32013fa21ddda04f8a9b0cbb40f",
+            "comparison_summary.json": "5c4693f0f39be85e100500097d1eedc8540938e388c874de6716a244c56793cd",
+        },
+        "compare": {
+            "comparison.csv": "d8dbd07c4d4116e00e9474e2b08b723822b7c2f5fd98abed8d79e1d72fd6efbf",
+            "comparison.svg": "f80da0de27e6565057d68e8292de96763d01e10525aeb27c592a6b649ece624a",
+            "comparison_summary.json": "a6c8311f65e7aeafc1204ce5f6bb95d367dc85339d310ee75631807c329e427d",
+        },
+    },
 }
 
 
@@ -302,6 +360,24 @@ def test_catalog_distance_bytes(label, tmp_path, capsys):
     capsys.readouterr()
     digest = hashlib.sha256((out / "distance.json").read_bytes()).hexdigest()
     assert digest == CATALOG_DISTANCE_HASHES[label]
+
+
+REPORT_COMMANDS = {
+    "eval": ["eval"],
+    "bound-check": ["bound-check", "--plot"],
+    "compare": ["compare", "--plot"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_COMMANDS))
+@pytest.mark.parametrize("label", sorted(CATALOG_REPORT_HASHES))
+def test_catalog_report_bytes(label, command, tmp_path, capsys):
+    assert main(["catalog", "--out", str(tmp_path)]) == EXIT_OK
+    scenario, out = tmp_path / f"{label}.json", tmp_path / command
+    assert main([*REPORT_COMMANDS[command], "--input", str(scenario), "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    hashes = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+    assert hashes == CATALOG_REPORT_HASHES[label][command]
 
 
 @pytest.mark.parametrize("name", sorted(VALIDATE_CASES))
