@@ -15,7 +15,6 @@ RISKCHECK_SEED environment variable or ``--seed``.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import sys
 from dataclasses import dataclass
@@ -50,11 +49,13 @@ from .serialize import (
     SchemaError,
     dump_json,
     grid_hash,
+    json_text,
     load_input,
     scenario_to_dict,
     trajectory_hash,
+    write_artifact,
 )
-from .svgplot import PALETTE, Series, line_chart_svg, write_svg
+from .svgplot import PALETTE, Series, line_chart_svg
 
 __all__ = ["DEFAULT_SEED", "RunConfig", "run", "main"]
 
@@ -105,27 +106,28 @@ def _report_plot(config: RunConfig, grid, report, title: str) -> None:
         Series("exponential comparator", report.f_pra, PALETTE[2], dasharray="2 3"),
     ]
     svg = line_chart_svg(grid, series, title, "time", "probability")
-    path = write_svg(_out_dir(config) / "comparison.svg", svg)
+    path = write_artifact(_out_dir(config) / "comparison.svg", svg)
     print(f"wrote {path}")
 
 
 def _cmd_validate(config: RunConfig) -> int:
     report = validate_trajectory(_load_trajectory(config, check=False))
-    print(json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True))
+    print(json_text(dataclasses.asdict(report)), end="")
     return EXIT_OK if report.valid else EXIT_PRINCIPLE
 
 
 def _cmd_eval(config: RunConfig) -> int:
     traj = _load_trajectory(config, check=True)
     grid = default_time_grid(traj, config.grid_points, config.t_max)
-    path = _out_dir(config) / "eval.csv"
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,h,H,R,F\n")
-        for t in grid:
-            fh.write(
-                f"{t:.17g},{hazard_at(traj, t):.17g},{cumulative_hazard(traj, t):.17g},"
-                f"{reliability(traj, t):.17g},{failure_cdf(traj, t):.17g}\n"
-            )
+    path = write_artifact(
+        _out_dir(config) / "eval.csv",
+        "t,h,H,R,F\n",
+        (
+            f"{t:.17g},{hazard_at(traj, t):.17g},{cumulative_hazard(traj, t):.17g},"
+            f"{reliability(traj, t):.17g},{failure_cdf(traj, t):.17g}\n"
+            for t in grid
+        ),
+    )
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .hazard import HazardTrajectory, failure_cdf, failure_probability, hazard_at
+from .serialize import write_artifact
 
 __all__ = [
     "ORDERING_TOLERANCE",
@@ -162,16 +163,15 @@ def underestimation_report(
 
 def write_comparison_csv(path: str | Path, report: ComparisonReport) -> Path:
     """CSV of the report grid, 17 significant digits per value."""
-    path = Path(path)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t,f_true,f_h0_bound,f_pra,gap_h0,gap_pra\n")
-        for t, ft, fh0, fp, gap in zip(
-            report.grid, report.f_true, report.f_h0_bound, report.f_pra, report.pointwise_gaps
-        ):
-            fh.write(
-                f"{t:.17g},{ft:.17g},{fh0:.17g},{fp:.17g},{gap:.17g},{ft - fp:.17g}\n"
-            )
-    return path
+    columns = report.grid, report.f_true, report.f_h0_bound, report.f_pra, report.pointwise_gaps
+    return write_artifact(
+        path,
+        "t,f_true,f_h0_bound,f_pra,gap_h0,gap_pra\n",
+        (
+            f"{t:.17g},{ft:.17g},{fh0:.17g},{fp:.17g},{gap:.17g},{ft - fp:.17g}\n"
+            for t, ft, fh0, fp, gap in zip(*columns)
+        ),
+    )
 
 
 def comparison_summary(

@@ -23,7 +23,7 @@ import numpy as np
 import numpy.random  # noqa: F401  loaded here, not lazily on first use inside a command
 
 from .hazard import HazardTrajectory, invert_cumulative_hazard_array
-from .serialize import dump_json
+from .serialize import dump_json, write_artifact
 
 __all__ = ["GENERATOR_NAME", "sample_replicates", "write_samples_csv"]
 
@@ -77,11 +77,11 @@ def write_samples_csv(
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "samples.csv"
-    with open(csv_path, "w", newline="\n") as fh:
-        fh.write("replicate,failure_time\n")
-        for i, t in enumerate(draws):
-            fh.write(f"{i},{float(t):.17g}\n")
+    csv_path = write_artifact(
+        out_dir / "samples.csv",
+        "replicate,failure_time\n",
+        (f"{i},{float(t):.17g}\n" for i, t in enumerate(draws)),
+    )
     meta = {
         "schema_version": 1,
         "seed": seed,

@@ -17,6 +17,10 @@ and a scenario file is
 Parsing is strict (SchemaError on anything off-schema) but does not run the
 principle validator — the CLI's ``validate`` command needs to load
 rule-breaking trajectories in order to report on them.
+
+Every artifact file is written here, by :func:`write_artifact`: LF line
+ends, lines written as they come.  :func:`json_text` is the one JSON
+layout, sorted keys and a two-space indent, for files and for ``validate``.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from collections.abc import Iterable
 from operator import attrgetter
 from pathlib import Path
 
@@ -39,6 +44,8 @@ __all__ = [
     "scenario_to_dict",
     "scenario_from_dict",
     "load_input",
+    "write_artifact",
+    "json_text",
     "dump_json",
     "trajectory_hash",
     "grid_hash",
@@ -241,7 +248,7 @@ def load_input(path: str | Path) -> tuple[str, HazardTrajectory | Scenario]:
             d = json.load(fh)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, too deep, too many digits
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     if isinstance(d, dict) and "segments" in d:
         return "trajectory", trajectory_from_dict(d)
@@ -250,13 +257,24 @@ def load_input(path: str | Path) -> tuple[str, HazardTrajectory | Scenario]:
     raise SchemaError(f"{path} is neither a trajectory (segments) nor a scenario (model)")
 
 
-def dump_json(path: str | Path, obj: dict) -> Path:
-    """Write canonical JSON (sorted keys, trailing newline)."""
+def write_artifact(path: str | Path, text: str, lines: Iterable[str] = ()) -> Path:
+    """Write ``text`` and then each of ``lines`` as it comes, with LF line
+    ends; returns the path.  A generator of lines is never held whole."""
     path = Path(path)
     with open(path, "w", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
+        fh.writelines(lines)
     return path
+
+
+def json_text(obj: dict) -> str:
+    """The artifact JSON layout: sorted keys, two-space indent, trailing newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def dump_json(path: str | Path, obj: dict) -> Path:
+    """Write ``obj`` as :func:`json_text`."""
+    return write_artifact(path, json_text(obj))
 
 
 def _canonical_json(obj: dict) -> str:

@@ -8,9 +8,8 @@ UI, so there is no interactivity and no plotting dependency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
-__all__ = ["Series", "line_chart_svg", "write_svg"]
+__all__ = ["Series", "line_chart_svg"]
 
 _WIDTH = 720
 _HEIGHT = 480
@@ -121,10 +120,3 @@ def line_chart_svg(
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def write_svg(path: str | Path, content: str) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(content)
-    return path

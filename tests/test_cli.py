@@ -568,6 +568,38 @@ class TestMalformedInput:
         assert result.returncode == EXIT_SCHEMA
         assert result.stderr == "error: trajectory.segments[0].params.level must be finite\n"
 
+    INPUT_COMMANDS = [name for name, (_, options, _) in _SUBCOMMANDS.items() if "--input" in options]
+    # Files that json.load refuses with something other than a JSONDecodeError.
+    UNPARSABLE = {
+        # RecursionError; 1,000 levels is 2 kB
+        "nested-1000": b'{"model": ' + b"[" * 1000 + b"]" * 1000 + b"}",
+        "nested-100000": b'{"model": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+        # ValueError: past the int-to-string digit limit
+        "digits-5000": b'{"schema_version": 1, "segments": [{"start": 1' + b"0" * 4999 + b"}]}",
+        # UnicodeDecodeError
+        "latin-1": b'{"schema_version": 1, "label": "caf\xe9"}',
+    }
+
+    @pytest.mark.parametrize("name", sorted(UNPARSABLE))
+    def test_unparsable_file_in_a_child(self, tmp_path, name):
+        path = tmp_path / "bad.json"
+        path.write_bytes(self.UNPARSABLE[name])
+        result = run_module(path, tmp_path, "validate")
+        assert result.returncode == EXIT_SCHEMA
+        assert result.stderr.startswith(f"error: {path} is not valid JSON: ")
+        assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n")
+
+    @pytest.mark.parametrize("command", INPUT_COMMANDS)
+    @pytest.mark.parametrize("name", sorted(UNPARSABLE))
+    def test_unparsable_file_on_every_command(self, tmp_path, capsys, command, name):
+        path = tmp_path / "bad.json"
+        path.write_bytes(self.UNPARSABLE[name])
+        assert main([command, "--input", str(path), "--out", str(tmp_path / "out")]) == EXIT_SCHEMA
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {path} is not valid JSON: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
 
 def _outcome(call):
     """(result or None, SystemExit code or None, stdout, stderr) of ``call()``."""
