@@ -7,7 +7,9 @@ per segment form, covering every principle-3 message and the principle-1
 zero crossing (reported at t=inf when it lies beyond the largest float),
 and the ``samples.csv``, ``distance.json``, ``eval.csv`` and comparison
 files of the catalog scenarios whose draws use only + - * / and sqrt, so
-they do not move with the ufunc implementation.
+they do not move with the ufunc implementation.  The same holds for the
+``repr`` of ``mean_time_to_failure`` on those scenarios and on two single
+segments whose upper H levels are reached late or never.
 """
 
 import hashlib
@@ -16,7 +18,15 @@ import json
 import pytest
 
 from riskcheck.cli import EXIT_OK, EXIT_PRINCIPLE, main
-from riskcheck.hazard import ExponentialGrowth, Linear, Power
+from riskcheck.hazard import (
+    Constant,
+    ExponentialGrowth,
+    HazardSegment,
+    HazardTrajectory,
+    Linear,
+    Power,
+    mean_time_to_failure,
+)
 from riskcheck.scenarios import (
     PeriodicImperfect,
     PeriodicPerfect,
@@ -60,6 +70,23 @@ CATALOG_DISTANCE_HASHES = {
     "unmaintained-linear": "b07000ed737e7db32557e5bb095236be59fb411bbcf2732869abe6837966d1cd",
     "figure1-sawtooth": "9a1d2211b6ba9f614ca9a38ecce681901834ab16d44f274d3c8f6a2efc590c83",
     "imperfect-drift": "33a2067bf6a27f4572a85e6a491cc4244efb304ff98c6c97429440fa09b78b1d",
+}
+
+
+# repr of mean_time_to_failure on the same scenarios: their level times and
+# panel nodes come from IEEE + - * / and sqrt, and math.exp.
+CATALOG_MTTF_REPRS = {
+    "constant-control": "1.999999999999999",
+    "unmaintained-linear": "4.0556507920419635",
+    "figure1-sawtooth": "4.135365966414228",
+    "imperfect-drift": "4.078257727234283",
+}
+
+# A tiny h(0) under fast growth, so the tail bound is met only past H = 40,
+# and a level time past the largest float from H = 0.25 up.
+SINGLE_SEGMENT_MTTF_REPRS = {
+    "linear-1e-6-1": (Linear(1e-6, 1.0), "1.2533131373161273"),
+    "constant-1e-307": (Constant(1e-307), "9.999999999999995e+306"),
 }
 
 
@@ -394,3 +421,16 @@ def test_validate_report_bytes(name, tmp_path, capsys):
         "notes": notes,
     }
     assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def test_catalog_mttf_reprs():
+    scenarios = [s for s in scenario_catalog() if s.label in CATALOG_MTTF_REPRS]
+    reprs = {s.label: repr(mean_time_to_failure(build_trajectory(s))) for s in scenarios}
+    assert reprs == CATALOG_MTTF_REPRS
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE_SEGMENT_MTTF_REPRS))
+def test_single_segment_mttf_repr(name):
+    form, expected = SINGLE_SEGMENT_MTTF_REPRS[name]
+    traj = HazardTrajectory((HazardSegment(0.0, form),))
+    assert repr(mean_time_to_failure(traj)) == expected
