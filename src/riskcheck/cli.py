@@ -34,6 +34,7 @@ from .hazard import (
     HazardTrajectory,
     PrincipleViolationError,
     TrajectoryStructureError,
+    _check_structure,
     cumulative_hazard,
     ensure_valid,
     failure_cdf,
@@ -157,9 +158,11 @@ def _write_comparison(config: RunConfig, traj, report, model: PraModel | None) -
 def _cmd_bound_check(config: RunConfig) -> int:
     # Deliberately no principle validation of a trajectory file: the point of
     # this command is the numeric ordering check itself, and a rule-breaking
-    # trajectory is exactly what should be able to trip exit code 4.  A
-    # scenario is still validated, by build_trajectory when it compiles.
+    # trajectory is exactly what should be able to trip exit code 4.  Its
+    # structure is still checked: a malformed file describes no trajectory.
+    # A scenario is validated in full, by build_trajectory when it compiles.
     traj = _load_trajectory(config, check=False)
+    _check_structure(traj)
     grid = default_time_grid(traj, config.grid_points, config.t_max)
     report = check_stochastic_order(traj, grid)
     _write_comparison(config, traj, report, model=None)

@@ -86,7 +86,6 @@ __all__ = [
 # to the integral so far, and at the latest at H = 746, where R underflows.
 _MTTF_LEVELS = tuple(2.0 * 8.0**-k for k in range(14, 0, -1)) + tuple(2.0 * k for k in range(1, 374))
 MTTF_CUTOFF_CUMULATIVE_HAZARD = 40.0
-_MTTF_HEAD = _MTTF_LEVELS.index(MTTF_CUTOFF_CUMULATIVE_HAZARD) + 1
 _MTTF_TAIL = 1e-16
 # 20-point Gauss-Legendre nodes and weights, mapped from [-1, 1] to [0, 1].
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
@@ -936,23 +935,16 @@ def mean_time_to_failure(traj: HazardTrajectory) -> float:
     starts, prefix = traj._profile
     h0 = traj.segments[0].form.value(0.0)
     total, a = 0.0, 0.0
-    # The level times up to the cutoff in one batch; the rest in a second
-    # only if the tail bound is still unmet there.
-    times = invert_cumulative_hazard_array(traj, _MTTF_LEVELS[:_MTTF_HEAD]).tolist()
-    for k, level in enumerate(_MTTF_LEVELS):
-        if k == len(times):
-            times += invert_cumulative_hazard_array(traj, _MTTF_LEVELS[k:]).tolist()
-        b = max(a, times[k])
-        unreached = b == math.inf
-        if unreached:
-            b = sys.float_info.max
+    times = invert_cumulative_hazard_array(traj, _MTTF_LEVELS).tolist()
+    for level, t in zip(_MTTF_LEVELS, times):
+        b = min(max(a, t), sys.float_info.max)
         knots = (a, *starts[bisect_right(starts, a) : bisect_left(starts, b)], b)
         for lo, hi in zip(knots, knots[1:]):
             i = bisect_right(starts, lo) - 1
             integral, u0, width = traj.segments[i].form.integral, lo - starts[i], hi - lo
             nodes = (w * math.exp(-(prefix[i] + integral(u0 + width * x))) for x, w in _GAUSS_LEGENDRE)
             total += width * sum(nodes)
-        if unreached:
+        if t == math.inf:
             return total + reliability(traj, b) / h0
         a = b
         if level >= MTTF_CUTOFF_CUMULATIVE_HAZARD and math.exp(-level) <= _MTTF_TAIL * h0 * total:

@@ -36,6 +36,7 @@ from riskcheck.hazard import (
     HazardSegment,
     HazardTrajectory,
     Linear,
+    MaintenanceEpoch,
     Power,
     cumulative_hazard,
     failure_cdf,
@@ -706,6 +707,63 @@ def assert_same_as_the_full_parser(argv):
         assert code == EXIT_OK
         # repr, so that a nan --t-max compares equal to itself
         assert repr(configs) == repr([RunConfig(**{"seed": DEFAULT_SEED, **options})])
+
+
+# Structure breaks that a trajectory file can express, each with the
+# message every command prints for it.
+MALFORMED = {
+    "first-start-positive": (
+        HazardTrajectory((HazardSegment(1.0, Constant(0.5)),)),
+        "first segment must start at 0, got 1.0",
+    ),
+    "first-start-negative": (
+        HazardTrajectory((HazardSegment(-1.0, Constant(0.5)),)),
+        "first segment must start at 0, got -1.0",
+    ),
+    "starts-not-increasing": (
+        HazardTrajectory(
+            (
+                HazardSegment(0.0, Constant(0.5)),
+                HazardSegment(5.0, Constant(0.5)),
+                HazardSegment(3.0, Constant(0.5)),
+            )
+        ),
+        "segment start times must be strictly increasing (5.0 then 3.0)",
+    ),
+    "epoch-off-boundary": (
+        HazardTrajectory(
+            (HazardSegment(0.0, Linear(0.5, 0.1)), HazardSegment(5.0, Constant(0.5))),
+            (MaintenanceEpoch(4.0, 0.5),),
+        ),
+        "maintenance epoch at t=4.0 does not coincide with a segment boundary",
+    ),
+    "epoch-repeated": (
+        HazardTrajectory(
+            (HazardSegment(0.0, Linear(0.5, 0.1)), HazardSegment(5.0, Constant(0.5))),
+            (MaintenanceEpoch(5.0, 0.5), MaintenanceEpoch(5.0, 0.5)),
+        ),
+        "maintenance epochs must be strictly increasing and positive",
+    ),
+}
+
+
+class TestMalformedStructure:
+    """A structurally malformed trajectory file exits 2 on every command,
+    ``bound-check`` included, with the message ``validate`` prints and no
+    artifact written."""
+
+    @pytest.mark.parametrize(
+        "command", ["validate", "eval", "sample", "bound-check", "compare", "distance"]
+    )
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_exits_two_and_writes_nothing(self, name, command, tmp_path, capsys):
+        traj, message = MALFORMED[name]
+        path = write_json(tmp_path / "malformed.json", trajectory_to_dict(traj))
+        out = tmp_path / "out"
+        assert main([command, "--input", str(path), "--out", str(out)]) == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert not out.exists() or not any(out.iterdir())
 
 
 class TestArgumentParser:

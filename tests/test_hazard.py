@@ -288,6 +288,20 @@ class TestMeanTimeToFailure:
         expected += math.exp(-50.0) / h0
         assert mean_time_to_failure(traj) == pytest.approx(expected, rel=1e-12)
 
+    def test_inverts_every_level_in_one_call(self, monkeypatch):
+        # a tiny h(0) under fast growth meets the tail bound only past
+        # H = 40, yet every level time comes from the one batch
+        sizes = []
+
+        def spy(traj, targets):
+            sizes.append(len(targets))
+            return invert_cumulative_hazard_array(traj, targets)
+
+        monkeypatch.setattr(hazard, "invert_cumulative_hazard_array", spy)
+        traj = HazardTrajectory((HazardSegment(0.0, Linear(1e-6, 1.0)),))
+        assert mean_time_to_failure(traj) == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-5)
+        assert sizes == [len(hazard._MTTF_LEVELS)] == [387]
+
     def test_overflowing_linear_inverse(self):
         traj = HazardTrajectory((HazardSegment(0.0, Linear(1e300, 1e300)),))
         assert mean_time_to_failure(traj) * 1e300 == pytest.approx(1.0, abs=1e-12)
