@@ -20,25 +20,38 @@ without a closed form, the mean time to failure, is a fixed Gauss-Legendre
 rule on panels that end at segment starts and at fixed levels of the
 cumulative hazard (:func:`mean_time_to_failure`).
 
-Cost model: the first calculus call on a trajectory object compiles its
-segment profile (start times and the cumulative hazard at each start) in
-O(segments) and memoizes it on that object; every later ``hazard_at`` or
-``cumulative_hazard`` call is one bisect plus one form call,
-O(log segments).  Inversion is array-native: the first inversion compiles
-the profile's array columns (starts, prefix, lengths, and each form class's
-parameters) once more in O(segments), and then a batch of up to 65,536
-targets costs one ``searchsorted`` plus one kernel call per form class
-present, however many segments there are; a larger batch runs in blocks of
-that size.  That array inverse is the only one: a single target is a batch
-of one, and a form's scalar ``invert_integral`` is one lane of its kernel.
-There is no process-wide cache: the profile and its columns live and die
-with their trajectory, and equal but distinct objects each compile their
-own.
+Cost model: every O(segments) pass reads a trajectory's row table, its
+segment starts and forms and its epoch times and post-hazards as tuples of
+Python floats and form objects.  A trajectory loaded from JSON or
+compiled from a scenario starts as that table and builds its ``segments``
+and ``maintenance_epochs`` tuples only when something first reads them;
+one built from its fields compiles the table from them once, on first use.
+The validator tests whole columns first (``map`` over the table, one form
+class at a time) and walks the rows only to report a violation; the
+structure check does the same from 64 segments on, and walks a shorter
+table at once.  Both stay pure Python, since numpy's first calls in a
+fresh process cost more than the whole check on a small trajectory.  The
+validator's report is memoized on the trajectory object.
+
+The first calculus call on a trajectory object compiles its segment
+profile (start times and the cumulative hazard at each start) from the
+table in O(segments) and memoizes it on that object; every later
+``hazard_at`` or ``cumulative_hazard`` call is one bisect plus one form
+call, O(log segments).  Inversion is array-native: the first inversion
+compiles the profile's array columns (starts, prefix, lengths, and each
+form class's parameters) once more in O(segments), and then a batch of up
+to 65,536 targets costs one ``searchsorted`` plus one kernel call per form
+class present, however many segments there are; a larger batch runs in
+blocks of that size.  That array inverse is the only one: a single target
+is a batch of one, and a form's scalar ``invert_integral`` is one lane of
+its kernel.  There is no process-wide cache: the table, the profile, its
+columns and the report live and die with their trajectory, and equal but
+distinct objects each compile their own.
 
 All types are immutable after construction and all operations are pure, so
-everything here is safe to share across threads; the profile memo is
-derived from immutable fields, so two threads racing on the first call at
-most compute the same profile twice.
+everything here is safe to share across threads; every memo is derived
+from immutable fields, so two threads racing on the first read at most
+compute the same value twice.
 """
 
 from __future__ import annotations
@@ -46,8 +59,10 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import chain, compress, repeat
+from operator import attrgetter, eq, lt, sub
 from typing import ClassVar, Union
 
 import numpy as np
@@ -553,6 +568,26 @@ SegmentForm = Union[SEGMENT_FORMS]
 _PARAMS = {cls: tuple(f.name for f in fields(cls)) for cls in SEGMENT_FORMS}
 
 
+def _by_class(kinds, build, *columns) -> list:
+    """``build(kind, *rows)`` once per distinct key of the sequence ``kinds``,
+    on the rows of ``columns`` with that key, merged back into row order.
+    Each column holds one row per entry of ``kinds``; an endless iterator
+    such as ``repeat(x)`` serves too.
+
+    ``build`` returns one item per row it is given.  It runs once per form
+    class (or form name), not once per row, so it can map one class's method,
+    constructor or JSON template over whole columns at C speed.
+    """
+    keys = set(kinds)
+    if len(keys) == 1:
+        return list(build(keys.pop(), *columns))
+    merged = {}
+    for key in keys:
+        mask = list(map(eq, kinds, repeat(key)))
+        merged[key] = iter(build(key, *(list(compress(c, mask)) for c in columns)))
+    return list(map(next, map(merged.__getitem__, kinds)))
+
+
 # ---------------------------------------------------------------------------
 # Trajectory types
 # ---------------------------------------------------------------------------
@@ -584,6 +619,13 @@ class MaintenanceEpoch:
             _as_floats(self, "time", "post_hazard")
 
 
+# A trajectory's row table, the one source that every O(segments) pass
+# reads: four tuples in trajectory order, (segment starts, segment forms,
+# epoch times, epoch post-hazards).  A plain tuple: a class of its own costs
+# more on first use in a fresh process than a short table's whole check.
+_Table = tuple
+
+
 @dataclass(frozen=True)
 class HazardTrajectory:
     """Piecewise hazard h(t) on [0, inf) with declared maintenance epochs.
@@ -593,27 +635,71 @@ class HazardTrajectory:
     :func:`validate_trajectory` has something to report.  Builders that
     promise validity (the scenario compiler, the JSON round trip in the CLI)
     call :func:`ensure_valid` after construction.
+
+    Every O(segments) pass reads the trajectory's row table (``_table``).
+    A trajectory built from its fields compiles the table on first use; one
+    loaded from JSON or compiled from a scenario starts from the table
+    (:meth:`_from_table`) and builds its ``segments`` and
+    ``maintenance_epochs`` tuples only when something first reads them.
+    Equality, hashing, ``repr`` and pickling read the fields, so the two
+    cannot be told apart.
     """
 
     segments: tuple[HazardSegment, ...]
-    maintenance_epochs: tuple[MaintenanceEpoch, ...] = ()
+    # A factory, not a class attribute, so that a trajectory made by
+    # _from_table finds no maintenance_epochs on its class and reaches
+    # __getattr__ instead.
+    maintenance_epochs: tuple[MaintenanceEpoch, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
         object.__setattr__(self, "maintenance_epochs", tuple(self.maintenance_epochs))
+
+    @classmethod
+    def _from_table(cls, table: _Table) -> HazardTrajectory:
+        """The trajectory ``table`` describes, with its fields left unbuilt."""
+        traj = object.__new__(cls)
+        traj.__dict__["_table"] = table
+        return traj
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks: the fields of a
+        # trajectory made by _from_table, until their first read builds them.
+        table = self.__dict__.get("_table") if name in ("segments", "maintenance_epochs") else None
+        if table is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        starts, forms, times, post_hazards = table
+        object.__setattr__(self, "segments", tuple(map(HazardSegment, starts, forms)))
+        object.__setattr__(self, "maintenance_epochs", tuple(map(MaintenanceEpoch, times, post_hazards)))
+        return self.__dict__[name]
+
+    def __reduce__(self):
+        # A pickle holds the fields alone, not the table or what is memoized.
+        return type(self), (self.segments, self.maintenance_epochs)
+
+    @cached_property
+    def _table(self) -> _Table:
+        """The row table, compiled from the fields on first use.  Not a
+        dataclass field, so equality, hashing and ``repr`` ignore it."""
+        segments, epochs = self.segments, self.maintenance_epochs
+        return (
+            tuple(map(attrgetter("start_time"), segments)),
+            tuple(map(attrgetter("form"), segments)),
+            tuple(map(attrgetter("time"), epochs)),
+            tuple(map(attrgetter("post_hazard"), epochs)),
+        )
 
     @cached_property
     def _profile(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Segment start times and cumulative hazard at each start.
 
         Compiled on first use, not at construction, because candidates that
-        fail validation must still be constructible.  Not a dataclass field,
-        so equality, hashing and ``repr`` ignore it.
+        fail validation must still be constructible.
         """
-        starts = tuple(seg.start_time for seg in self.segments)
+        starts, forms = self._table[:2]
         prefix = [0.0]
-        for seg, nxt in zip(self.segments, starts[1:]):
-            prefix.append(prefix[-1] + seg.form.integral(nxt - seg.start_time))
+        for form, start, end in zip(forms, starts, starts[1:]):
+            prefix.append(prefix[-1] + form.integral(end - start))
         return starts, tuple(prefix)
 
     @cached_property
@@ -625,7 +711,7 @@ class HazardTrajectory:
         columns run over all segments, in ``_PARAMS`` order; only the rows of
         its own segments are read."""
         starts, prefix = (np.array(x) for x in self._profile)
-        forms = [seg.form for seg in self.segments]
+        forms = self._table[1]
         kinds = np.array([SEGMENT_FORMS.index(type(form)) for form in forms], dtype=np.int8)
         classes = []
         for k in sorted(set(kinds.tolist())):
@@ -661,16 +747,48 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 
 
+_COLUMN_TEST_ROWS = 64
+
+
 def _check_structure(traj: HazardTrajectory) -> None:
     if not isinstance(traj, HazardTrajectory):
         raise TrajectoryStructureError(f"expected HazardTrajectory, got {type(traj).__name__}")
-    if len(traj.segments) < 1:
+    table = traj._table
+    if not table[0]:
         raise TrajectoryStructureError("trajectory needs at least one segment")
-    starts = [seg.start_time for seg in traj.segments]
-    for seg in traj.segments:
-        if not math.isfinite(seg.start_time):
+    # The whole-column test costs about 40 us on first use in a fresh
+    # process, as much as walking 50 rows: a short table is walked at once.
+    if len(table[0]) < _COLUMN_TEST_ROWS or not _well_formed(table):
+        _check_rows(table)
+
+
+def _finite_params(cls: type, forms) -> map:
+    """Per form of class ``cls``, whether all its parameters are finite."""
+    columns = (map(math.isfinite, map(attrgetter(p), forms)) for p in _PARAMS[cls])
+    return map(all, zip(*columns))
+
+
+def _well_formed(table: _Table) -> bool:
+    """Whether ``table`` passes every check of :func:`_check_rows`, tested a
+    whole column at a time."""
+    starts, forms, times, post_hazards = table
+    return (
+        all(map(math.isfinite, chain(starts, times, post_hazards)))
+        and all(_by_class(list(map(type, forms)), _finite_params, forms))
+        and starts[0] == 0.0
+        and all(map(lt, starts, starts[1:]))
+        and all(map(lt, chain((0.0,), times), times))
+        and (times == starts[1:] or set(starts[1:]).issuperset(times))
+    )
+
+
+def _check_rows(table: _Table) -> None:
+    """Raise the :class:`TrajectoryStructureError` of the first check, in
+    row order, that ``table`` fails: the message of every structure error."""
+    starts, forms, times, post_hazards = table
+    for start, form in zip(starts, forms):
+        if not math.isfinite(start):
             raise TrajectoryStructureError("segment start times must be finite")
-        form = seg.form
         for p in _PARAMS[type(form)]:
             if not math.isfinite(getattr(form, p)):
                 raise TrajectoryStructureError("segment parameters must be finite")
@@ -683,18 +801,18 @@ def _check_structure(traj: HazardTrajectory) -> None:
             )
     boundary_set = set(starts[1:])
     prev_time = 0.0
-    for epoch in traj.maintenance_epochs:
-        if not (math.isfinite(epoch.time) and math.isfinite(epoch.post_hazard)):
+    for time, post_hazard in zip(times, post_hazards):
+        if not (math.isfinite(time) and math.isfinite(post_hazard)):
             raise TrajectoryStructureError("maintenance epoch fields must be finite")
-        if epoch.time <= prev_time:
+        if time <= prev_time:
             raise TrajectoryStructureError(
                 "maintenance epochs must be strictly increasing and positive"
             )
-        if epoch.time not in boundary_set:
+        if time not in boundary_set:
             raise TrajectoryStructureError(
-                f"maintenance epoch at t={epoch.time!r} does not coincide with a segment boundary"
+                f"maintenance epoch at t={time!r} does not coincide with a segment boundary"
             )
-        prev_time = epoch.time
+        prev_time = time
 
 
 def validate_trajectory(traj: HazardTrajectory) -> ValidationReport:
@@ -702,33 +820,83 @@ def validate_trajectory(traj: HazardTrajectory) -> ValidationReport:
 
     Returns a report listing every detected violation, ordered by location;
     ``valid`` is true iff the list is empty.  Upward jumps at boundaries are
-    permitted (they model shocks) and show up in ``notes`` only.
+    permitted (they model shocks) and show up in ``notes`` only.  The report
+    is memoized on the trajectory object, so :func:`ensure_valid` and a later
+    call share one pass.
 
     Raises :class:`TrajectoryStructureError` for structurally malformed
     candidates (unordered or overlapping segments, epochs off-boundary,
     duplicate epochs, non-finite fields) — those are not principle
-    violations, the candidate simply does not describe a trajectory.
+    violations, the candidate simply does not describe a trajectory.  Such a
+    candidate has no report to memoize, so every call raises.
     """
-    _check_structure(traj)
-    segments = traj.segments
-    n = len(segments)
-    starts = [seg.start_time for seg in segments]
-    violations: list[Violation] = []
-    notes: list[str] = []
+    report = traj.__dict__.get("_report") if isinstance(traj, HazardTrajectory) else None
+    if report is None:
+        _check_structure(traj)
+        report = traj.__dict__["_report"] = _principle_report(traj._table)
+    return report
 
+
+def _principle_report(table: _Table) -> ValidationReport:
+    """The :func:`validate_trajectory` report of a well-formed ``table``."""
+    starts, forms, times, post_hazards = table
     # Each segment's start value and end value (its left limit at the next
     # boundary, or its limit at infinity), computed once: the boundary checks
-    # below read them again.
-    lengths = [b - a for a, b in zip(starts, starts[1:])] + [math.inf]
-    firsts = [seg.form.value(0.0) for seg in segments]
-    ends = [
-        seg.form.value(length) if math.isfinite(length) else seg.form.limit_at_infinity()
-        for seg, length in zip(segments, lengths)
-    ]
+    # read them again.  Starts are finite, so every length is; the last
+    # segment has none.
+    types = list(map(type, forms))
+    lengths = list(map(sub, starts[1:], starts))
+    firsts = _by_class(types, _method("value"), forms, repeat(0.0))
+    ends = [*_by_class(types[:-1], _method("value"), forms[:-1], lengths), forms[-1].limit_at_infinity()]
+    reasons = _by_class(types, _method("decrease_reason"), forms)
     h0 = firsts[0]
-    epoch_at = {epoch.time: epoch for epoch in traj.maintenance_epochs}
+    violations: list[Violation] = []
+    notes: list[str] = []
+    # Whole-column tests show when a row loop would report nothing, as on
+    # most trajectories; only then is it skipped.
+    if not _segments_pass(h0, firsts, ends, reasons):
+        _segment_violations(violations, h0, starts, forms, [*lengths, math.inf], firsts, ends, reasons)
+    if not _boundaries_pass(h0, firsts, ends, post_hazards):
+        _boundary_findings(violations, notes, h0, starts, firsts, ends, dict(zip(times, post_hazards)))
+    violations.sort(key=lambda v: (v.location, v.principle))
+    return ValidationReport(valid=not violations, violations=tuple(violations), notes=tuple(notes))
 
-    for seg, start, length, v0, end_value in zip(segments, starts, lengths, firsts, ends):
+
+def _method(name: str):
+    """A ``build`` for :func:`_by_class`: each form's method ``name``, called
+    with the rest of its row."""
+    return lambda cls, forms, *args: map(getattr(cls, name), forms, *args)
+
+
+def _segments_pass(h0: float, firsts: list, ends: list, reasons: list) -> bool:
+    """Whether :func:`_segment_violations` would find nothing: every start
+    value and every end value but the last finite, all of them at least
+    h(0) > 0, and no segment with a reason to decrease."""
+    return (
+        all(map(math.isfinite, chain(firsts, ends[:-1])))
+        and h0 > 0.0
+        and min(firsts) >= h0
+        and min(ends) >= h0
+        and ends[-1] >= h0  # not nan, which min would pass over
+        and reasons.count(None) == len(reasons)
+    )
+
+
+def _boundaries_pass(h0: float, firsts: list, ends: list, post_hazards: tuple) -> bool:
+    """Whether :func:`_boundary_findings` would find nothing on a trajectory
+    whose every boundary is a declared epoch: each post-hazard equal to the
+    next segment's start value, below the left limit, and at least h(0)."""
+    return (
+        len(post_hazards) == len(ends) - 1
+        and all(map(eq, post_hazards, firsts[1:]))
+        and all(map(lt, post_hazards, ends))
+        and min(post_hazards, default=h0) >= h0
+    )
+
+
+def _segment_violations(violations, h0, starts, forms, lengths, firsts, ends, reasons) -> None:
+    """Append each segment's violations of principles 1, 3 and 5."""
+    for form, start, length, v0, end_value, reason in zip(forms, starts, lengths, firsts, ends, reasons):
         # Principle 1: positive and finite on the whole span.
         if not (v0 > 0.0 and math.isfinite(v0)):
             violations.append(
@@ -738,7 +906,7 @@ def validate_trajectory(traj: HazardTrajectory) -> ValidationReport:
             # A decaying exponential only approaches zero and stays legal;
             # anything whose (limit) value goes negative crosses zero first.
             # No crossing time means it lies beyond the largest float.
-            crossing = seg.form.time_to_reach(0.0)
+            crossing = form.time_to_reach(0.0)
             where = start + crossing if crossing is not None else math.inf
             violations.append(
                 Violation(1, where, "hazard reaches zero inside the segment")
@@ -749,7 +917,6 @@ def validate_trajectory(traj: HazardTrajectory) -> ValidationReport:
             )
 
         # Principle 3: per-form sufficient conditions for non-decrease.
-        reason = seg.form.decrease_reason()
         if reason is not None:
             violations.append(Violation(3, start, f"segment decreases within its span ({reason})"))
 
@@ -760,10 +927,13 @@ def validate_trajectory(traj: HazardTrajectory) -> ValidationReport:
                 Violation(5, start, f"segment hazard falls below h(0)={h0:g}")
             )
 
-    for i in range(1, n):
-        boundary, prev_left, next_v0 = starts[i], ends[i - 1], firsts[i]
-        epoch = epoch_at.get(boundary)
-        if epoch is None:
+
+def _boundary_findings(violations, notes, h0, starts, firsts, ends, epoch_at) -> None:
+    """Append each boundary's violations of principles 2, 4 and 5, and a
+    note for each upward jump."""
+    for boundary, prev_left, next_v0 in zip(starts[1:], ends, firsts[1:]):
+        post_hazard = epoch_at.get(boundary)
+        if post_hazard is None:
             if next_v0 < prev_left:
                 violations.append(
                     Violation(
@@ -777,35 +947,32 @@ def validate_trajectory(traj: HazardTrajectory) -> ValidationReport:
                     f"upward jump {prev_left:g} -> {next_v0:g} at t={boundary:g} (shock; permitted)"
                 )
         else:
-            if epoch.post_hazard != next_v0:
+            if post_hazard != next_v0:
                 violations.append(
                     Violation(
                         2,
                         boundary,
-                        f"declared post-maintenance hazard {epoch.post_hazard:g} does not match "
+                        f"declared post-maintenance hazard {post_hazard:g} does not match "
                         f"the right-limit {next_v0:g} of the following segment",
                     )
                 )
-            if not epoch.post_hazard < prev_left:
+            if not post_hazard < prev_left:
                 violations.append(
                     Violation(
                         4,
                         boundary,
                         f"declared maintenance does not strictly decrease the hazard "
-                        f"({prev_left:g} -> {epoch.post_hazard:g})",
+                        f"({prev_left:g} -> {post_hazard:g})",
                     )
                 )
-            if epoch.post_hazard < h0:
+            if post_hazard < h0:
                 violations.append(
                     Violation(
                         5,
                         boundary,
-                        f"post-maintenance hazard {epoch.post_hazard:g} below h(0)={h0:g}",
+                        f"post-maintenance hazard {post_hazard:g} below h(0)={h0:g}",
                     )
                 )
-
-    violations.sort(key=lambda v: (v.location, v.principle))
-    return ValidationReport(valid=not violations, violations=tuple(violations), notes=tuple(notes))
 
 
 def ensure_valid(traj: HazardTrajectory) -> HazardTrajectory:
@@ -835,8 +1002,7 @@ def hazard_at(traj: HazardTrajectory, t: float) -> float:
     t = _require_nonnegative_time(t)
     starts, _ = traj._profile
     i = bisect_right(starts, t) - 1
-    seg = traj.segments[i]
-    return seg.form.value(t - seg.start_time)
+    return traj._table[1][i].value(t - starts[i])
 
 
 def cumulative_hazard(traj: HazardTrajectory, t: float) -> float:
@@ -845,8 +1011,7 @@ def cumulative_hazard(traj: HazardTrajectory, t: float) -> float:
     t = _require_nonnegative_time(t)
     starts, prefix = traj._profile
     i = bisect_right(starts, t) - 1
-    seg = traj.segments[i]
-    return prefix[i] + seg.form.integral(t - seg.start_time)
+    return prefix[i] + traj._table[1][i].integral(t - starts[i])
 
 
 def reliability(traj: HazardTrajectory, t: float) -> float:
@@ -933,7 +1098,8 @@ def mean_time_to_failure(traj: HazardTrajectory) -> float:
     hazard is back at h(0), and inf where the mean overflows.
     """
     starts, prefix = traj._profile
-    h0 = traj.segments[0].form.value(0.0)
+    forms = traj._table[1]
+    h0 = forms[0].value(0.0)
     total, a = 0.0, 0.0
     times = invert_cumulative_hazard_array(traj, _MTTF_LEVELS).tolist()
     for level, t in zip(_MTTF_LEVELS, times):
@@ -941,7 +1107,7 @@ def mean_time_to_failure(traj: HazardTrajectory) -> float:
         knots = (a, *starts[bisect_right(starts, a) : bisect_left(starts, b)], b)
         for lo, hi in zip(knots, knots[1:]):
             i = bisect_right(starts, lo) - 1
-            integral, u0, width = traj.segments[i].form.integral, lo - starts[i], hi - lo
+            integral, u0, width = forms[i].integral, lo - starts[i], hi - lo
             nodes = (w * math.exp(-(prefix[i] + integral(u0 + width * x))) for x, w in _GAUSS_LEGENDRE)
             total += width * sum(nodes)
         if t == math.inf:

@@ -29,10 +29,8 @@ from .hazard import (
     _PARAMS,
     Constant,
     ExponentialGrowth,
-    HazardSegment,
     HazardTrajectory,
     Linear,
-    MaintenanceEpoch,
     Power,
     SegmentForm,
     ensure_valid,
@@ -205,8 +203,12 @@ def build_trajectory(scenario: Scenario) -> HazardTrajectory:
     h0, cycle, step = _check_scenario(scenario)
     policy, horizon = scenario.policy, scenario.horizon
 
-    segments: list[HazardSegment] = []
-    epochs: list[MaintenanceEpoch] = []
+    # The trajectory's row table, appended to a cycle at a time: starts and
+    # forms of the segments, times and post-hazards of the epochs.
+    starts: list[float] = []
+    forms: list[SegmentForm] = []
+    times: list[float] = []
+    posts: list[float] = []
     cycle_start, skipped = 0.0, None
     form = cycle(h0)
     if step is not None:
@@ -219,9 +221,11 @@ def build_trajectory(scenario: Scenario) -> HazardTrajectory:
                 )
             post = h0 + (1.0 - policy.improvement) * (left - h0)
             if post < left:  # else nothing degraded; a no-op is not a maintenance
-                segments.append(HazardSegment(cycle_start, form))
-                epochs.append(MaintenanceEpoch(candidate, post))
-                cycle_start = candidate
+                starts.append(cycle_start)
+                forms.append(form)
+                times.append(float(candidate))  # an integer period gives integer times
+                posts.append(post)
+                cycle_start = times[-1]
                 form = cycle(post)
             elif skipped is None:
                 skipped = candidate
@@ -233,8 +237,10 @@ def build_trajectory(scenario: Scenario) -> HazardTrajectory:
             f"at t={skipped!r}"
         )
 
-    segments.append(HazardSegment(cycle_start, form))
-    return ensure_valid(HazardTrajectory(tuple(segments), tuple(epochs)))
+    starts.append(cycle_start)
+    forms.append(form)
+    table = (tuple(starts), tuple(forms), tuple(times), tuple(posts))
+    return ensure_valid(HazardTrajectory._from_table(table))
 
 
 def scenario_catalog() -> tuple[Scenario, ...]:

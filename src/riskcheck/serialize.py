@@ -30,10 +30,18 @@ import hashlib
 import json
 import math
 from collections.abc import Iterable
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
-from .hazard import _PARAMS, SEGMENT_FORMS, HazardSegment, HazardTrajectory, MaintenanceEpoch
+from .hazard import (
+    _PARAMS,
+    SEGMENT_FORMS,
+    HazardSegment,
+    HazardTrajectory,
+    MaintenanceEpoch,
+    _by_class,
+    _Table,
+)
 from .scenarios import GROWTH_FORMS, MAINTENANCE_POLICIES, MaintenancePolicy, Scenario
 
 __all__ = [
@@ -63,6 +71,7 @@ class SchemaError(ValueError):
 # scenario's h0, so its growth params are the form's fields after the base,
 # renamed by _GROWTH_RENAMES.
 _FORMS = {cls.name: (cls, _PARAMS[cls]) for cls in SEGMENT_FORMS}
+_FORM_NAMES = frozenset(_FORMS)
 _GROWTH_RENAMES = {"growth": "rate"}
 _GROWTHS = {
     cls.name: (cls, tuple(_GROWTH_RENAMES.get(f, f) for f in _PARAMS[cls][1:]))
@@ -122,8 +131,10 @@ def _to_tagged(obj, tag_key: str) -> dict:
 
 
 def _check_schema_version(d: dict, where: str) -> None:
+    # The integer itself: not true, 1.0 or "1", which compare equal or look it.
+    version = d.get("schema_version")
     _require(
-        d.get("schema_version") == SCHEMA_VERSION,
+        type(version) is int and version == SCHEMA_VERSION,
         f"{where}.schema_version must be {SCHEMA_VERSION}",
     )
 
@@ -132,47 +143,64 @@ def _check_schema_version(d: dict, where: str) -> None:
 
 
 def trajectory_to_dict(traj: HazardTrajectory) -> dict:
+    starts, forms, times, post_hazards = traj._table
     return {
         "schema_version": SCHEMA_VERSION,
         "segments": [
-            {"start": seg.start_time, **_to_tagged(seg.form, "form")} for seg in traj.segments
+            {"start": start, **_to_tagged(form, "form")} for start, form in zip(starts, forms)
         ],
         "maintenance_epochs": [
-            {"time": e.time, "post_hazard": e.post_hazard} for e in traj.maintenance_epochs
+            {"time": time, "post_hazard": post} for time, post in zip(times, post_hazards)
         ],
     }
 
 
-def _finite_floats(values) -> bool:
-    for v in values:
-        if type(v) is not float or not math.isfinite(v):
-            return False
-    return True
+class _Irregular(Exception):
+    """A column the whole-column checks do not take; the row-by-row loader
+    names what is wrong."""
 
 
-def _plain_segment(raw) -> HazardSegment | None:
-    """The segment ``raw`` describes if all its numbers are finite floats and
-    it passes every check, else None: the common case without building the
-    location strings that only an error message reads."""
-    if type(raw) is not dict:
-        return None
-    tag, params = raw.get("form"), raw.get("params")
-    if type(tag) is not str or tag not in _FORMS or type(params) is not dict:
-        return None
-    cls, fields = _FORMS[tag]
-    values = [params.get(f) for f in fields]
-    start = raw.get("start")
-    if len(params) != len(fields) or not _finite_floats((start, *values)):
-        return None
-    return HazardSegment(start, cls(*values))
+def _finite_floats(column) -> tuple:
+    """``column`` as a tuple of finite floats if it holds only numbers that
+    load as such, else _Irregular; an integer loads as its float."""
+    column = tuple(column)
+    kinds = set(map(type, column))
+    if not kinds <= {float, int}:  # bool is a type of its own
+        raise _Irregular
+    if int in kinds:
+        column = tuple(map(float, column))  # OverflowError past the float range
+    if not all(map(math.isfinite, column)):
+        raise _Irregular
+    return column
 
 
-def _plain_epoch(raw) -> MaintenanceEpoch | None:
-    """Like :func:`_plain_segment`, for a maintenance epoch."""
-    if type(raw) is not dict:
-        return None
-    time, post_hazard = raw.get("time"), raw.get("post_hazard")
-    return MaintenanceEpoch(time, post_hazard) if _finite_floats((time, post_hazard)) else None
+def _forms(name: str, params: list) -> map:
+    """The forms named ``name``, one per params object, if each has exactly
+    the form's keys and finite numbers."""
+    cls, fields = _FORMS[name]
+    if set(map(len, params)) != {len(fields)}:  # with every key present, no other key
+        raise _Irregular
+    return map(cls, *(_finite_floats(map(itemgetter(f), params)) for f in fields))
+
+
+def _table_from_json(raw_segments: list, raw_epochs) -> _Table:
+    """The row table of parsed segment and epoch arrays whose every field
+    passes its checks, built a column at a time; else _Irregular."""
+    rows_are_objects = type(raw_epochs) is list and set(map(type, raw_epochs)) <= {dict}
+    if not (rows_are_objects and set(map(type, raw_segments)) == {dict}):
+        raise _Irregular
+    try:
+        starts = _finite_floats(map(itemgetter("start"), raw_segments))
+        names = tuple(map(itemgetter("form"), raw_segments))
+        params = tuple(map(itemgetter("params"), raw_segments))
+        times = _finite_floats(map(itemgetter("time"), raw_epochs))
+        post_hazards = _finite_floats(map(itemgetter("post_hazard"), raw_epochs))
+        if not (set(names) <= _FORM_NAMES and set(map(type, params)) == {dict}):
+            raise _Irregular
+        forms = tuple(_by_class(names, _forms, params))
+    except (KeyError, TypeError, OverflowError):  # a key missing, a name unhashable
+        raise _Irregular from None
+    return starts, forms, times, post_hazards
 
 
 def trajectory_from_dict(d) -> HazardTrajectory:
@@ -180,28 +208,28 @@ def trajectory_from_dict(d) -> HazardTrajectory:
     _check_schema_version(d, "trajectory")
     raw_segments = d.get("segments")
     _require(isinstance(raw_segments, list) and raw_segments, "trajectory.segments must be a nonempty array")
+    try:
+        return HazardTrajectory._from_table(_table_from_json(raw_segments, d.get("maintenance_epochs", [])))
+    except _Irregular:  # a check fails: row by row, to name it
+        pass
     segments = []
     for i, raw in enumerate(raw_segments):
-        segment = _plain_segment(raw)
-        if segment is None:  # integers, or a check fails: the full checks
-            where = f"trajectory.segments[{i}]"
-            seg = _mapping(raw, where)
-            start = _number(seg.get("start"), f"{where}.start")
-            segment = HazardSegment(start, _tagged(seg, where, "form", _FORMS))
-        segments.append(segment)
+        where = f"trajectory.segments[{i}]"
+        seg = _mapping(raw, where)
+        start = _number(seg.get("start"), f"{where}.start")
+        segments.append(HazardSegment(start, _tagged(seg, where, "form", _FORMS)))
     raw_epochs = d.get("maintenance_epochs", [])
     _require(isinstance(raw_epochs, list), "trajectory.maintenance_epochs must be an array")
     epochs = []
     for i, raw in enumerate(raw_epochs):
-        epoch = _plain_epoch(raw)
-        if epoch is None:
-            where = f"trajectory.maintenance_epochs[{i}]"
-            e = _mapping(raw, where)
-            epoch = MaintenanceEpoch(
+        where = f"trajectory.maintenance_epochs[{i}]"
+        e = _mapping(raw, where)
+        epochs.append(
+            MaintenanceEpoch(
                 _number(e.get("time"), f"{where}.time"),
                 _number(e.get("post_hazard"), f"{where}.post_hazard"),
             )
-        epochs.append(epoch)
+        )
     return HazardTrajectory(tuple(segments), tuple(epochs))
 
 
@@ -244,10 +272,11 @@ def load_input(path: str | Path) -> tuple[str, HazardTrajectory | Scenario]:
     """
     path = Path(path)
     try:
-        with open(path) as fh:
-            d = json.load(fh)
+        data = path.read_bytes()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
+    try:  # UTF-8 whatever the locale; a BOM is left in, for json to refuse
+        d = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, too deep, too many digits
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     if isinstance(d, dict) and "segments" in d:
@@ -261,7 +290,7 @@ def write_artifact(path: str | Path, text: str, lines: Iterable[str] = ()) -> Pa
     """Write ``text`` and then each of ``lines`` as it comes, with LF line
     ends; returns the path.  A generator of lines is never held whole."""
     path = Path(path)
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
         fh.writelines(lines)
     return path
@@ -288,13 +317,14 @@ _TRAJECTORY_FRAME = '{"maintenance_epochs":[%s],"schema_version":' + str(SCHEMA_
 _EPOCH_TEMPLATE = '{"post_hazard":%r,"time":%r}'
 
 
-def _segment_template(name: str, params: tuple[str, ...]) -> tuple[str, attrgetter]:
+def _segment_template(name: str, params: tuple[str, ...]) -> tuple[str, tuple[attrgetter, ...]]:
     """The template of a segment whose form has wire name ``name`` and
-    ``params``, and the getter of its numbers in template order."""
+    ``params``, and the getters of the form's numbers in template order; the
+    start comes last."""
     keys = sorted(params)
     numbers = ",".join(json.dumps(key) + ":%r" for key in keys)
     template = '{"form":' + json.dumps(name) + ',"params":{' + numbers + '},"start":%r}'
-    return template, attrgetter(*(f"form.{key}" for key in keys), "start_time")
+    return template, tuple(map(attrgetter, keys))
 
 
 _SEGMENT_TEMPLATES = {cls: _segment_template(name, params) for name, (cls, params) in _FORMS.items()}
@@ -303,12 +333,16 @@ _SEGMENT_TEMPLATES = {cls: _segment_template(name, params) for name, (cls, param
 _NON_FINITE = ((":inf", ":Infinity"), (":-inf", ":-Infinity"), (":nan", ":NaN"))
 
 
+def _segment_texts(cls: type, forms, starts) -> map:
+    """The canonical JSON of each segment of form class ``cls``."""
+    template, getters = _SEGMENT_TEMPLATES[cls]
+    return map(template.__mod__, zip(*(map(number, forms) for number in getters), starts))
+
+
 def _canonical_trajectory_json(traj: HazardTrajectory) -> str:
-    segments = []
-    for seg in traj.segments:
-        template, numbers = _SEGMENT_TEMPLATES[type(seg.form)]
-        segments.append(template % numbers(seg))
-    epochs = [_EPOCH_TEMPLATE % (e.post_hazard, e.time) for e in traj.maintenance_epochs]
+    starts, forms, times, post_hazards = traj._table
+    segments = _by_class(list(map(type, forms)), _segment_texts, forms, starts)
+    epochs = map(_EPOCH_TEMPLATE.__mod__, zip(post_hazards, times))
     text = _TRAJECTORY_FRAME % (",".join(epochs), ",".join(segments))
     for python, spelled in _NON_FINITE:
         text = text.replace(python, spelled)

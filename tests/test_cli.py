@@ -3,9 +3,11 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -16,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import riskcheck.cli
+import riskcheck.hazard
 from riskcheck.cli import (
     _OPTIONS,
     _SUBCOMMANDS,
@@ -579,6 +582,8 @@ class TestMalformedInput:
         "digits-5000": b'{"schema_version": 1, "segments": [{"start": 1' + b"0" * 4999 + b"}]}",
         # UnicodeDecodeError
         "latin-1": b'{"schema_version": 1, "label": "caf\xe9"}',
+        # JSONDecodeError: a BOM is not JSON, and input is read as plain UTF-8
+        "utf-8-bom": b'\xef\xbb\xbf{"schema_version": 1, "label": "x"}',
     }
 
     @pytest.mark.parametrize("name", sorted(UNPARSABLE))
@@ -600,6 +605,53 @@ class TestMalformedInput:
         assert out == ""
         assert err.startswith(f"error: {path} is not valid JSON: ")
         assert err.count("\n") == 1 and err.endswith("\n")
+
+
+class TestInputEncodingAndVersion:
+    def test_utf8_input_under_an_ascii_locale(self, tmp_path):
+        # The locale's encoding is ASCII here; the file is still read as UTF-8.
+        document = scenario_to_dict(scenario_catalog()[2])
+        document["label"] = "café"
+        path = tmp_path / "café.json"
+        path.write_bytes(json.dumps(document, ensure_ascii=False).encode("utf-8"))
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHONUTF8"))}
+        result = subprocess.run(
+            [sys.executable, "-X", "utf8=0", "-m", "riskcheck", "validate", "--input", str(path)],
+            capture_output=True,
+            env={**env, "LC_ALL": "POSIX"},
+        )
+        assert (result.returncode, result.stderr) == (EXIT_OK, b"")
+        assert json.loads(result.stdout)["valid"] is True
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1"], ids=repr)
+    @pytest.mark.parametrize("kind", ["trajectory", "scenario"])
+    def test_schema_version_is_the_integer_one(self, tmp_path, capsys, kind, version):
+        if kind == "trajectory":
+            document = trajectory_to_dict(HazardTrajectory((HazardSegment(0.0, Constant(0.5)),)))
+        else:
+            document = scenario_to_dict(scenario_catalog()[0])
+        path = write_json(tmp_path / "input.json", {**document, "schema_version": version})
+        assert main(["validate", "--input", str(path)]) == EXIT_SCHEMA
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {kind}.schema_version must be 1\n")
+
+
+class TestValidateOnce:
+    def test_one_validator_pass_per_validate_of_a_scenario(self, scenario_file, monkeypatch, capsys):
+        # build_trajectory validates what it compiles; the report is reused.
+        passes = []
+        original = riskcheck.hazard._principle_report
+
+        def spy(table):
+            passes.append(table)
+            return original(table)
+
+        monkeypatch.setattr(riskcheck.hazard, "_principle_report", spy)
+        assert main(["validate", "--input", str(scenario_file)]) == EXIT_OK
+        assert len(passes) == 1
+        scenario = next(s for s in scenario_catalog() if s.label == "figure1-sawtooth")
+        report = validate_trajectory(build_trajectory(scenario))
+        assert json.loads(capsys.readouterr().out) == json.loads(json.dumps(dataclasses.asdict(report)))
 
 
 def _outcome(call):

@@ -21,6 +21,7 @@ from riskcheck.scenarios import (
     build_trajectory,
     scenario_catalog,
 )
+from riskcheck.serialize import trajectory_hash
 
 
 def _scenario(model, policy, horizon=30.0, label="test"):
@@ -119,6 +120,13 @@ class TestPeriodicImperfect:
             _scenario(Linear(0.1, 0.05), PeriodicPerfect(10.0))
         )
         assert imperfect == perfect
+
+    def test_integer_parameters_compile_as_their_floats(self):
+        # An integer period gives integer epoch times; the trajectory holds floats.
+        given = build_trajectory(_scenario(Linear(1, 1), PeriodicImperfect(3, 0.5), horizon=40))
+        floats = build_trajectory(_scenario(Linear(1.0, 1.0), PeriodicImperfect(3.0, 0.5), horizon=40.0))
+        assert trajectory_hash(given) == trajectory_hash(floats)
+        assert given == floats and repr(given) == repr(floats)
 
 
 class TestThresholdPerfect:

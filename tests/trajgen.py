@@ -1,7 +1,9 @@
 """Randomized valid trajectories and principle-violating mutants.
 
 ``random_valid_trajectory`` mixes all three boundary kinds (maintenance
-drop, upward shock, continuous form change) and all four segment forms.
+drop, upward shock, continuous form change) and all four segment forms;
+``random_long_trajectory`` does the same over a thousand segments, and
+``scatter_violations`` breaks such a long one in a few places.
 ``random_growing_trajectory`` is the mutation substrate: every segment
 strictly grows and every boundary is a declared epoch, which leaves room
 to inject one targeted violation without disturbing its neighbours.
@@ -12,6 +14,7 @@ to inject one targeted violation without disturbing its neighbours.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -79,6 +82,19 @@ def _checked(segments, epochs) -> HazardTrajectory:
 def random_valid_trajectory(rng: np.random.Generator, max_segments: int = 5) -> HazardTrajectory:
     h0 = float(rng.uniform(0.05, 2.0))
     n_seg = int(rng.integers(1, max_segments + 1))
+    return _random_trajectory(rng, h0, n_seg)
+
+
+def random_long_trajectory(rng: np.random.Generator, n_segments: int = 1000) -> HazardTrajectory:
+    """A valid trajectory of exactly ``n_segments`` segments, drawn like
+    :func:`random_valid_trajectory`, whose hazard stays below about 100 h(0)
+    at maintenance however long it runs: past that, maintenance is forced and
+    restores at most that far."""
+    h0 = float(rng.uniform(0.05, 2.0))
+    return _random_trajectory(rng, h0, n_segments, cap=100.0 * h0)
+
+
+def _random_trajectory(rng: np.random.Generator, h0: float, n_seg: int, cap: float = math.inf):
     segments, epochs = [], []
     start = 0.0
     form = _random_form(rng, h0)
@@ -87,8 +103,8 @@ def random_valid_trajectory(rng: np.random.Generator, max_segments: int = 5) -> 
         left = form.value(boundary - start)  # exactly the validator's expression
         segments.append(HazardSegment(start, form))
         roll = rng.random()
-        if roll < 0.4 and left > h0 * (1.0 + 1e-9):
-            post = float(rng.uniform(h0, left))
+        if (roll < 0.4 or left > cap) and left > h0 * (1.0 + 1e-9):
+            post = float(rng.uniform(h0, min(left, cap)))
             if not h0 <= post < left:
                 post = 0.5 * (h0 + left)
             epochs.append(MaintenanceEpoch(boundary, post))
@@ -189,6 +205,32 @@ def mutate(traj: HazardTrajectory, mutation: str, rng: np.random.Generator) -> H
         return HazardTrajectory(tuple(segments), tuple(epochs))
 
     raise ValueError(f"unknown mutation class {mutation!r}")
+
+
+def scatter_violations(traj: HazardTrajectory, rng: np.random.Generator, count: int = 6) -> HazardTrajectory:
+    """``traj`` with ``count`` segments or epochs, at random places, broken
+    by a non-positive start value, a decreasing form, or a post-maintenance
+    hazard moved off its segment (below h(0) or above the left limit), so
+    that the report names each principle somewhere along a long trajectory."""
+    segments = list(traj.segments)
+    epochs = list(traj.maintenance_epochs)
+    h0 = segments[0].form.value(0.0)
+    for _ in range(count):
+        kind = int(rng.integers(0, 4 if epochs else 2))
+        if kind < 2:
+            i = int(rng.integers(0, len(segments)))
+            start, form = segments[i].start_time, segments[i].form
+            top = form.value(0.0)
+            if kind == 0:
+                new = _rebased(form, 0.0 if rng.random() < 0.5 else -top)
+            else:
+                new = _decreasing_wedge(rng, top, 0.5 * top)
+            segments[i] = HazardSegment(start, new)
+        else:
+            j = int(rng.integers(0, len(epochs)))
+            scale = float(rng.uniform(0.2, 0.8)) if kind == 2 else float(rng.uniform(1.5, 3.0))
+            epochs[j] = MaintenanceEpoch(epochs[j].time, scale * (h0 if kind == 2 else epochs[j].post_hazard))
+    return HazardTrajectory(tuple(segments), tuple(epochs))
 
 
 STRUCTURE_BREAKS = (
