@@ -26,12 +26,10 @@ Python floats and form objects.  A trajectory loaded from JSON or
 compiled from a scenario starts as that table and builds its ``segments``
 and ``maintenance_epochs`` tuples only when something first reads them;
 one built from its fields compiles the table from them once, on first use.
-The validator tests whole columns first (``map`` over the table, one form
-class at a time) and walks the rows only to report a violation; the
-structure check does the same from 64 segments on, and walks a shorter
-table at once.  Both stay pure Python, since numpy's first calls in a
-fresh process cost more than the whole check on a small trajectory.  The
-validator's report is memoized on the trajectory object.
+The structure check and the validator walk the table's rows.  Both stay
+pure Python, since numpy's first calls in a fresh process cost more than
+the whole check on a small trajectory.  The validator's report is
+memoized on the trajectory object.
 
 The first calculus call on a trajectory object compiles its segment
 profile (start times and the cumulative hazard at each start) from the
@@ -61,8 +59,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import chain, compress, repeat
-from operator import attrgetter, eq, lt, sub
+from operator import attrgetter, sub
 from typing import ClassVar, Union
 
 import numpy as np
@@ -568,26 +565,6 @@ SegmentForm = Union[SEGMENT_FORMS]
 _PARAMS = {cls: tuple(f.name for f in fields(cls)) for cls in SEGMENT_FORMS}
 
 
-def _by_class(kinds, build, *columns) -> list:
-    """``build(kind, *rows)`` once per distinct key of the sequence ``kinds``,
-    on the rows of ``columns`` with that key, merged back into row order.
-    Each column holds one row per entry of ``kinds``; an endless iterator
-    such as ``repeat(x)`` serves too.
-
-    ``build`` returns one item per row it is given.  It runs once per form
-    class (or form name), not once per row, so it can map one class's method,
-    constructor or JSON template over whole columns at C speed.
-    """
-    keys = set(kinds)
-    if len(keys) == 1:
-        return list(build(keys.pop(), *columns))
-    merged = {}
-    for key in keys:
-        mask = list(map(eq, kinds, repeat(key)))
-        merged[key] = iter(build(key, *(list(compress(c, mask)) for c in columns)))
-    return list(map(next, map(merged.__getitem__, kinds)))
-
-
 # ---------------------------------------------------------------------------
 # Trajectory types
 # ---------------------------------------------------------------------------
@@ -619,13 +596,6 @@ class MaintenanceEpoch:
             _as_floats(self, "time", "post_hazard")
 
 
-# A trajectory's row table, the one source that every O(segments) pass
-# reads: four tuples in trajectory order, (segment starts, segment forms,
-# epoch times, epoch post-hazards).  A plain tuple: a class of its own costs
-# more on first use in a fresh process than a short table's whole check.
-_Table = tuple
-
-
 @dataclass(frozen=True)
 class HazardTrajectory:
     """Piecewise hazard h(t) on [0, inf) with declared maintenance epochs.
@@ -636,11 +606,12 @@ class HazardTrajectory:
     promise validity (the scenario compiler, the JSON round trip in the CLI)
     call :func:`ensure_valid` after construction.
 
-    Every O(segments) pass reads the trajectory's row table (``_table``).
-    A trajectory built from its fields compiles the table on first use; one
-    loaded from JSON or compiled from a scenario starts from the table
-    (:meth:`_from_table`) and builds its ``segments`` and
-    ``maintenance_epochs`` tuples only when something first reads them.
+    Every O(segments) pass reads the trajectory's row table (``_table``):
+    four tuples in trajectory order, (segment starts, segment forms, epoch
+    times, epoch post-hazards).  A trajectory built from its fields compiles
+    the table on first use; one loaded from JSON or compiled from a scenario
+    starts from the table (:meth:`_from_table`) and builds its ``segments``
+    and ``maintenance_epochs`` tuples only when something first reads them.
     Equality, hashing, ``repr`` and pickling read the fields, so the two
     cannot be told apart.
     """
@@ -656,7 +627,7 @@ class HazardTrajectory:
         object.__setattr__(self, "maintenance_epochs", tuple(self.maintenance_epochs))
 
     @classmethod
-    def _from_table(cls, table: _Table) -> HazardTrajectory:
+    def _from_table(cls, table: tuple) -> HazardTrajectory:
         """The trajectory ``table`` describes, with its fields left unbuilt."""
         traj = object.__new__(cls)
         traj.__dict__["_table"] = table
@@ -678,7 +649,7 @@ class HazardTrajectory:
         return type(self), (self.segments, self.maintenance_epochs)
 
     @cached_property
-    def _table(self) -> _Table:
+    def _table(self) -> tuple:
         """The row table, compiled from the fields on first use.  Not a
         dataclass field, so equality, hashing and ``repr`` ignore it."""
         segments, epochs = self.segments, self.maintenance_epochs
@@ -747,45 +718,12 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-_COLUMN_TEST_ROWS = 64
-
-
 def _check_structure(traj: HazardTrajectory) -> None:
     if not isinstance(traj, HazardTrajectory):
         raise TrajectoryStructureError(f"expected HazardTrajectory, got {type(traj).__name__}")
-    table = traj._table
-    if not table[0]:
+    starts, forms, times, post_hazards = traj._table
+    if not starts:
         raise TrajectoryStructureError("trajectory needs at least one segment")
-    # The whole-column test costs about 40 us on first use in a fresh
-    # process, as much as walking 50 rows: a short table is walked at once.
-    if len(table[0]) < _COLUMN_TEST_ROWS or not _well_formed(table):
-        _check_rows(table)
-
-
-def _finite_params(cls: type, forms) -> map:
-    """Per form of class ``cls``, whether all its parameters are finite."""
-    columns = (map(math.isfinite, map(attrgetter(p), forms)) for p in _PARAMS[cls])
-    return map(all, zip(*columns))
-
-
-def _well_formed(table: _Table) -> bool:
-    """Whether ``table`` passes every check of :func:`_check_rows`, tested a
-    whole column at a time."""
-    starts, forms, times, post_hazards = table
-    return (
-        all(map(math.isfinite, chain(starts, times, post_hazards)))
-        and all(_by_class(list(map(type, forms)), _finite_params, forms))
-        and starts[0] == 0.0
-        and all(map(lt, starts, starts[1:]))
-        and all(map(lt, chain((0.0,), times), times))
-        and (times == starts[1:] or set(starts[1:]).issuperset(times))
-    )
-
-
-def _check_rows(table: _Table) -> None:
-    """Raise the :class:`TrajectoryStructureError` of the first check, in
-    row order, that ``table`` fails: the message of every structure error."""
-    starts, forms, times, post_hazards = table
     for start, form in zip(starts, forms):
         if not math.isfinite(start):
             raise TrajectoryStructureError("segment start times must be finite")
@@ -837,66 +775,24 @@ def validate_trajectory(traj: HazardTrajectory) -> ValidationReport:
     return report
 
 
-def _principle_report(table: _Table) -> ValidationReport:
+def _principle_report(table: tuple) -> ValidationReport:
     """The :func:`validate_trajectory` report of a well-formed ``table``."""
     starts, forms, times, post_hazards = table
-    # Each segment's start value and end value (its left limit at the next
-    # boundary, or its limit at infinity), computed once: the boundary checks
-    # read them again.  Starts are finite, so every length is; the last
-    # segment has none.
-    types = list(map(type, forms))
-    lengths = list(map(sub, starts[1:], starts))
-    firsts = _by_class(types, _method("value"), forms, repeat(0.0))
-    ends = [*_by_class(types[:-1], _method("value"), forms[:-1], lengths), forms[-1].limit_at_infinity()]
-    reasons = _by_class(types, _method("decrease_reason"), forms)
-    h0 = firsts[0]
     violations: list[Violation] = []
     notes: list[str] = []
-    # Whole-column tests show when a row loop would report nothing, as on
-    # most trajectories; only then is it skipped.
-    if not _segments_pass(h0, firsts, ends, reasons):
-        _segment_violations(violations, h0, starts, forms, [*lengths, math.inf], firsts, ends, reasons)
-    if not _boundaries_pass(h0, firsts, ends, post_hazards):
-        _boundary_findings(violations, notes, h0, starts, firsts, ends, dict(zip(times, post_hazards)))
-    violations.sort(key=lambda v: (v.location, v.principle))
-    return ValidationReport(valid=not violations, violations=tuple(violations), notes=tuple(notes))
 
+    # Each segment's start value and end value (its left limit at the next
+    # boundary, or its limit at infinity), computed once: the boundary checks
+    # below read them again.  Starts are finite, so every length but the
+    # last is.
+    lengths = [*map(sub, starts[1:], starts), math.inf]
+    firsts = [form.value(0.0) for form in forms]
+    ends = [form.value(length) for form, length in zip(forms[:-1], lengths)]
+    ends.append(forms[-1].limit_at_infinity())
+    h0 = firsts[0]
+    epoch_at = dict(zip(times, post_hazards))
 
-def _method(name: str):
-    """A ``build`` for :func:`_by_class`: each form's method ``name``, called
-    with the rest of its row."""
-    return lambda cls, forms, *args: map(getattr(cls, name), forms, *args)
-
-
-def _segments_pass(h0: float, firsts: list, ends: list, reasons: list) -> bool:
-    """Whether :func:`_segment_violations` would find nothing: every start
-    value and every end value but the last finite, all of them at least
-    h(0) > 0, and no segment with a reason to decrease."""
-    return (
-        all(map(math.isfinite, chain(firsts, ends[:-1])))
-        and h0 > 0.0
-        and min(firsts) >= h0
-        and min(ends) >= h0
-        and ends[-1] >= h0  # not nan, which min would pass over
-        and reasons.count(None) == len(reasons)
-    )
-
-
-def _boundaries_pass(h0: float, firsts: list, ends: list, post_hazards: tuple) -> bool:
-    """Whether :func:`_boundary_findings` would find nothing on a trajectory
-    whose every boundary is a declared epoch: each post-hazard equal to the
-    next segment's start value, below the left limit, and at least h(0)."""
-    return (
-        len(post_hazards) == len(ends) - 1
-        and all(map(eq, post_hazards, firsts[1:]))
-        and all(map(lt, post_hazards, ends))
-        and min(post_hazards, default=h0) >= h0
-    )
-
-
-def _segment_violations(violations, h0, starts, forms, lengths, firsts, ends, reasons) -> None:
-    """Append each segment's violations of principles 1, 3 and 5."""
-    for form, start, length, v0, end_value, reason in zip(forms, starts, lengths, firsts, ends, reasons):
+    for form, start, length, v0, end_value in zip(forms, starts, lengths, firsts, ends):
         # Principle 1: positive and finite on the whole span.
         if not (v0 > 0.0 and math.isfinite(v0)):
             violations.append(
@@ -917,6 +813,7 @@ def _segment_violations(violations, h0, starts, forms, lengths, firsts, ends, re
             )
 
         # Principle 3: per-form sufficient conditions for non-decrease.
+        reason = form.decrease_reason()
         if reason is not None:
             violations.append(Violation(3, start, f"segment decreases within its span ({reason})"))
 
@@ -927,10 +824,6 @@ def _segment_violations(violations, h0, starts, forms, lengths, firsts, ends, re
                 Violation(5, start, f"segment hazard falls below h(0)={h0:g}")
             )
 
-
-def _boundary_findings(violations, notes, h0, starts, firsts, ends, epoch_at) -> None:
-    """Append each boundary's violations of principles 2, 4 and 5, and a
-    note for each upward jump."""
     for boundary, prev_left, next_v0 in zip(starts[1:], ends, firsts[1:]):
         post_hazard = epoch_at.get(boundary)
         if post_hazard is None:
@@ -973,6 +866,9 @@ def _boundary_findings(violations, notes, h0, starts, firsts, ends, epoch_at) ->
                         f"post-maintenance hazard {post_hazard:g} below h(0)={h0:g}",
                     )
                 )
+
+    violations.sort(key=lambda v: (v.location, v.principle))
+    return ValidationReport(valid=not violations, violations=tuple(violations), notes=tuple(notes))
 
 
 def ensure_valid(traj: HazardTrajectory) -> HazardTrajectory:

@@ -219,11 +219,13 @@ def build_trajectory(scenario: Scenario) -> HazardTrajectory:
                 raise ValueError(
                     f"hazard overflows to {left!r} before the maintenance epoch at t={candidate!r}"
                 )
-            post = h0 + (1.0 - policy.improvement) * (left - h0)
+            # An integer or numpy policy parameter gives integer or numpy
+            # times and hazards; the table holds Python floats.
+            post = float(h0 + (1.0 - policy.improvement) * (left - h0))
             if post < left:  # else nothing degraded; a no-op is not a maintenance
                 starts.append(cycle_start)
                 forms.append(form)
-                times.append(float(candidate))  # an integer period gives integer times
+                times.append(float(candidate))
                 posts.append(post)
                 cycle_start = times[-1]
                 form = cycle(post)

@@ -30,7 +30,8 @@ import hashlib
 import json
 import math
 from collections.abc import Iterable
-from operator import attrgetter, itemgetter
+from itertools import compress, repeat
+from operator import attrgetter, eq, itemgetter
 from pathlib import Path
 
 from .hazard import (
@@ -39,8 +40,6 @@ from .hazard import (
     HazardSegment,
     HazardTrajectory,
     MaintenanceEpoch,
-    _by_class,
-    _Table,
 )
 from .scenarios import GROWTH_FORMS, MAINTENANCE_POLICIES, MaintenancePolicy, Scenario
 
@@ -155,6 +154,24 @@ def trajectory_to_dict(traj: HazardTrajectory) -> dict:
     }
 
 
+def _by_class(kinds, build, *columns) -> list:
+    """``build(kind, *rows)`` once per distinct key of the sequence ``kinds``,
+    on the rows of ``columns`` with that key, merged back into row order.
+
+    ``build`` returns one item per row it is given.  It runs once per form
+    (class or name), not once per row, so it can map one class's
+    constructor or JSON template over whole columns at C speed.
+    """
+    keys = set(kinds)
+    if len(keys) == 1:
+        return list(build(keys.pop(), *columns))
+    merged = {}
+    for key in keys:
+        mask = list(map(eq, kinds, repeat(key)))
+        merged[key] = iter(build(key, *(list(compress(c, mask)) for c in columns)))
+    return list(map(next, map(merged.__getitem__, kinds)))
+
+
 class _Irregular(Exception):
     """A column the whole-column checks do not take; the row-by-row loader
     names what is wrong."""
@@ -183,7 +200,7 @@ def _forms(name: str, params: list) -> map:
     return map(cls, *(_finite_floats(map(itemgetter(f), params)) for f in fields))
 
 
-def _table_from_json(raw_segments: list, raw_epochs) -> _Table:
+def _table_from_json(raw_segments: list, raw_epochs) -> tuple:
     """The row table of parsed segment and epoch arrays whose every field
     passes its checks, built a column at a time; else _Irregular."""
     rows_are_objects = type(raw_epochs) is list and set(map(type, raw_epochs)) <= {dict}

@@ -121,8 +121,8 @@ class TestLoadedAsBuilt:
 
 
 class TestStructureAtScale:
-    """The structure check reads the table in whole columns and, only when
-    one fails, walks the rows for the first fault."""
+    """The structure check reads the table and reports the first fault in
+    the reference's order."""
 
     @pytest.mark.parametrize("kind", STRUCTURE_BREAKS)
     @pytest.mark.parametrize("seed", range(4))

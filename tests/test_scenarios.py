@@ -128,6 +128,23 @@ class TestPeriodicImperfect:
         assert trajectory_hash(given) == trajectory_hash(floats)
         assert given == floats and repr(given) == repr(floats)
 
+    @pytest.mark.parametrize(
+        "policy, float_policy",
+        [
+            (PeriodicImperfect(np.float64(3.0), np.float64(0.5)), PeriodicImperfect(3.0, 0.5)),
+            (ThresholdPerfect(np.float64(4.0)), ThresholdPerfect(4.0)),
+        ],
+        ids=["periodic-imperfect", "threshold-perfect"],
+    )
+    def test_numpy_parameters_compile_as_their_floats(self, policy, float_policy):
+        # A numpy scalar in the policy must not reach the trajectory: the
+        # canonical JSON spells a float by its repr.
+        given = build_trajectory(_scenario(Linear(1.0, 1.0), policy, horizon=40.0))
+        floats = build_trajectory(_scenario(Linear(1.0, 1.0), float_policy, horizon=40.0))
+        assert trajectory_hash(given) == trajectory_hash(floats)
+        assert given == floats and repr(given) == repr(floats) and hash(given) == hash(floats)
+        assert {type(e.post_hazard) for e in given.maintenance_epochs} == {float}
+
 
 class TestThresholdPerfect:
     def test_first_epoch_from_root_oracle(self):
