@@ -37,10 +37,10 @@ from .hazard import (
     _check_structure,
     cumulative_hazard,
     ensure_valid,
-    failure_cdf,
+    failure_probability,
     hazard_at,
     mean_time_to_failure,
-    reliability,
+    survival_probability,
     validate_trajectory,
 )
 from .poisson import discretize, exact_tv_small, ks_distance, stein_chen_tv_bound
@@ -117,17 +117,19 @@ def _cmd_validate(config: RunConfig) -> int:
     return EXIT_OK if report.valid else EXIT_PRINCIPLE
 
 
+def _eval_row(traj: HazardTrajectory, t: float) -> str:
+    cumulative = cumulative_hazard(traj, t)
+    return (
+        f"{t:.17g},{hazard_at(traj, t):.17g},{cumulative:.17g},"
+        f"{survival_probability(cumulative):.17g},{failure_probability(cumulative):.17g}\n"
+    )
+
+
 def _cmd_eval(config: RunConfig) -> int:
     traj = _load_trajectory(config, check=True)
     grid = default_time_grid(traj, config.grid_points, config.t_max)
     path = write_artifact(
-        _out_dir(config) / "eval.csv",
-        "t,h,H,R,F\n",
-        (
-            f"{t:.17g},{hazard_at(traj, t):.17g},{cumulative_hazard(traj, t):.17g},"
-            f"{reliability(traj, t):.17g},{failure_cdf(traj, t):.17g}\n"
-            for t in grid
-        ),
+        _out_dir(config) / "eval.csv", "t,h,H,R,F\n", (_eval_row(traj, t) for t in grid)
     )
     print(f"wrote {path}")
     return EXIT_OK

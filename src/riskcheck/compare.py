@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-
-import numpy as np
 
 from .hazard import HazardTrajectory, failure_cdf, failure_probability, hazard_at
 from .serialize import write_artifact
@@ -89,7 +88,12 @@ def default_time_grid(
 
     The default window is [0.01/h(0), 5/h(0)], covering both tails of the
     h(0) exponential comparator; an explicit ``t_max`` rescales the window
-    keeping the 1:500 span ratio.
+    keeping the 1:500 span ratio.  The points are ``np.geomspace``'s, in its
+    order of operations but on ``math``: with ``lo = log10(t_max/500)`` and
+    ``step = (log10(t_max) - lo) / (count - 1)``, point ``i`` is
+    ``10.0 ** (i*step + lo)``, and the ends are exactly ``t_max/500`` and
+    ``t_max``.  A ``t_max`` so small that the points are not strictly
+    increasing (subnormal times) is refused.
     """
     if count < 2:
         raise ValueError(f"need at least two grid points, got {count}")
@@ -105,8 +109,24 @@ def default_time_grid(
     t_max = float(t_max)
     if not (t_max > 0.0 and math.isfinite(t_max)):
         raise ValueError(f"t_max must be positive and finite, got {t_max!r}")
-    points = np.geomspace(t_max / 500.0, t_max, count)
-    return (0.0,) + tuple(float(t) for t in points)
+    try:
+        # Allocated up front, so a count too large to hold fails at once.
+        grid = [0.0] * (count + 1)
+    except (MemoryError, OverflowError):
+        raise MemoryError(f"Unable to allocate a grid of {count} time points") from None
+    start = t_max / 500.0
+    if start > 0.0:
+        lo = math.log10(start)
+        step = (math.log10(t_max) - lo) / (count - 1)
+        grid[1], grid[count] = start, t_max
+        for i in range(1, count - 1):
+            grid[i + 1] = 10.0 ** (i * step + lo)
+    if not all(map(float.__lt__, grid, islice(grid, 1, None))):
+        raise ValueError(
+            f"t_max = {t_max!r} is too small: the {count} grid times from t_max/500 "
+            f"to t_max are not strictly increasing"
+        )
+    return tuple(grid)
 
 
 def _check_grid(grid) -> tuple[float, ...]:

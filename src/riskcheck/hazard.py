@@ -84,6 +84,7 @@ __all__ = [
     "reliability",
     "failure_cdf",
     "failure_probability",
+    "survival_probability",
     "mean_time_to_failure",
     "invert_cumulative_hazard_array",
     "MTTF_CUTOFF_CUMULATIVE_HAZARD",
@@ -911,10 +912,16 @@ def cumulative_hazard(traj: HazardTrajectory, t: float) -> float:
 
 
 def reliability(traj: HazardTrajectory, t: float) -> float:
-    """Survival probability R(t) = exp(-cumulative_hazard(t)); +inf where
-    exp overflows, which only a negative hazard (principle 1) can cause."""
+    """Survival probability R(t) = exp(-cumulative_hazard(t))."""
+    return survival_probability(cumulative_hazard(traj, t))
+
+
+def survival_probability(cumulative: float) -> float:
+    """exp(-cumulative), the survival probability over a cumulative hazard;
+    +inf where exp overflows, which only a negative hazard (principle 1)
+    can cause."""
     try:
-        return math.exp(-cumulative_hazard(traj, t))
+        return math.exp(-cumulative)
     except OverflowError:
         return math.inf
 

@@ -80,7 +80,9 @@ def write_samples_csv(
     csv_path = write_artifact(
         out_dir / "samples.csv",
         "replicate,failure_time\n",
-        (f"{i},{float(t):.17g}\n" for i, t in enumerate(draws)),
+        # a memoryview yields the draws as Python floats, with no numpy scalar
+        # per row and no list of them all
+        (f"{i},{t:.17g}\n" for i, t in enumerate(memoryview(draws))),
     )
     meta = {
         "schema_version": 1,

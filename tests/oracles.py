@@ -13,8 +13,9 @@ earlier code: the scalar inverse, one area at a time in ``math``, that its
 array kernels are checked against; the single-replicate draw (word ``i``
 of the seed's Philox stream reached on its own, then a batch of one of the
 array inverse) that every lane of a batch must equal; the principle
-validator that called ``value`` at every boundary; and the canonical
-trajectory JSON built as a dict tree and dumped by ``json``.
+validator that called ``value`` at every boundary; the canonical
+trajectory JSON built as a dict tree and dumped by ``json``; and the
+default time grid, ``np.geomspace``'s steps written out in scalar ``math``.
 """
 
 from __future__ import annotations
@@ -356,6 +357,24 @@ def reference_canonical_json(traj: HazardTrajectory) -> str:
     """The canonical trajectory JSON as the library first built it: the
     whole ``trajectory_to_dict`` tree, dumped with sorted keys."""
     return json.dumps(trajectory_to_dict(traj), sort_keys=True, separators=(",", ":"))
+
+
+def reference_time_grid(t_max: float, count: int) -> tuple[float, ...]:
+    """t = 0 and ``np.geomspace(t_max / 500, t_max, count)``, transcribed
+    step by step into scalar libm calls: geomspace takes ``log10`` of both
+    ends and hands them to logspace, which spaces them with linspace
+    (``arange(count) * step + start``, ``step = delta / (count - 1)``, the
+    last exponent set to the stop) and raises 10 to each; geomspace then
+    puts both ends back exactly."""
+    start, stop = t_max / 500.0, t_max
+    log_start, log_stop = math.log10(start), math.log10(stop)
+    delta = log_stop - log_start
+    step = delta / (count - 1)
+    exponents = [float(i) * step + log_start for i in range(count)]
+    exponents[-1] = log_stop
+    points = [math.pow(10.0, y) for y in exponents]
+    points[0], points[-1] = start, stop
+    return (0.0, *points)
 
 
 _MASK64 = (1 << 64) - 1

@@ -13,6 +13,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -531,6 +532,26 @@ class TestSizesTooLargeToAllocate:
         assert capsys.readouterr().err == "error: out of memory\n"
 
 
+class TestSubnormalTMax:
+    """A --t-max whose grid is not strictly increasing (1e-320) or whose
+    t_max/500 underflows to 0 (1e-321) exits 2 with the same line from
+    every grid command, before any output is made."""
+
+    @pytest.mark.parametrize("t_max", ["1e-320", "1e-321"])
+    @pytest.mark.parametrize("command", ["eval", "bound-check", "compare", "distance"])
+    def test_refused(self, valid_file, tmp_path, capsys, command, t_max):
+        out = tmp_path / "out"
+        argv = [command, "--input", str(valid_file), "--out", str(out), "--t-max", t_max]
+        assert main(argv) == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: t_max = {t_max} is too small: the 64 grid times from t_max/500 "
+            "to t_max are not strictly increasing\n"
+        )
+        assert not out.exists()
+
+
 class TestMalformedInput:
     """Off-schema files exit 2 with a message, never with a traceback."""
 
@@ -968,6 +989,33 @@ class TestImportFootprint:
         assert result.returncode == 0
         assert result.stdout.startswith("usage: riskcheck")
         assert "validate" in result.stdout
+
+
+NUMPY_DIR = os.path.join(os.path.dirname(np.__file__), "")
+
+
+class TestNoNumpyCalls:
+    """validate, eval and bound-check run no numpy code: its first calls in
+    a fresh process cost more than such a command's whole calculus."""
+
+    @pytest.mark.parametrize("argv", [["validate"], ["eval"], ["bound-check", "--plot"]])
+    def test_command_enters_no_numpy_frame(self, argv, scenario_file, tmp_path, capsys):
+        entered = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code.co_filename.startswith(NUMPY_DIR):
+                entered.append(f"{frame.f_code.co_filename}:{frame.f_code.co_name}")
+            elif event == "c_call" and str(getattr(arg, "__module__", "")).startswith("numpy"):
+                entered.append(arg.__qualname__)
+
+        sys.setprofile(profile)
+        try:
+            code = main([*argv, "--input", str(scenario_file), "--out", str(tmp_path)])
+        finally:
+            sys.setprofile(None)
+        capsys.readouterr()
+        assert code == EXIT_OK
+        assert entered == []
 
 
 class TestSample:

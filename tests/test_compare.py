@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dkw_epsilon, quad_cumulative_hazard, quad_mttf
+from oracles import dkw_epsilon, quad_cumulative_hazard, quad_mttf, reference_time_grid
 from riskcheck.compare import (
     ORDERING_TOLERANCE,
     PraModel,
@@ -129,6 +129,45 @@ class TestDefaultGrid:
         with pytest.raises(ValueError, match=r"h\(0\).*--t-max"):
             default_time_grid(traj)
         assert default_time_grid(traj, count=4, t_max=5.0)[-1] == pytest.approx(5.0)
+
+
+GRID_T_MAX = st.floats(1e-300, 1e300)
+GRID_COUNT = st.integers(2, 2000)
+
+
+class TestDefaultGridArithmetic:
+    """The grid is ``np.geomspace``'s arithmetic on ``math``: bit for bit
+    the scalar transcription in the oracles, and within rounding of numpy's
+    own (whose SIMD ``log10`` and ``power`` differ from libm by a few ulp)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(t_max=GRID_T_MAX, count=GRID_COUNT)
+    def test_matches_the_reference_bit_for_bit(self, t_max, count):
+        grid = default_time_grid(CONSTANT_HALF, count, t_max)
+        assert [t.hex() for t in grid] == [t.hex() for t in reference_time_grid(t_max, count)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(t_max=GRID_T_MAX, count=GRID_COUNT)
+    def test_close_to_geomspace_increasing_with_exact_ends(self, t_max, count):
+        grid = default_time_grid(CONSTANT_HALF, count, t_max)
+        assert (grid[0], grid[1], grid[-1]) == (0.0, t_max / 500.0, t_max)
+        assert all(b > a for a, b in zip(grid, grid[1:]))
+        geomspace = np.geomspace(t_max / 500.0, t_max, count)
+        np.testing.assert_allclose(grid[1:], geomspace, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("t_max", [1e-320, 1e-321, 5e-324])
+    def test_subnormal_t_max_refused(self, t_max):
+        # 1e-320 gives 64 points with repeats; 1e-321 / 500 underflows to 0
+        with pytest.raises(ValueError, match=r"too small: the 64 grid times .* not strictly increasing"):
+            default_time_grid(CONSTANT_HALF, 64, t_max)
+
+    def test_subnormal_t_max_kept_while_increasing(self):
+        assert default_time_grid(CONSTANT_HALF, 2, 1e-320) == (0.0, 1e-320 / 500.0, 1e-320)
+
+    @pytest.mark.parametrize("count", [10**14, 10**20])
+    def test_count_too_large_to_allocate(self, count):
+        with pytest.raises(MemoryError, match=f"^Unable to allocate a grid of {count} time points$"):
+            default_time_grid(CONSTANT_HALF, count)
 
 
 class TestStochasticOrder:

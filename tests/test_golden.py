@@ -4,12 +4,18 @@ Pins the catalog's trajectory hashes and scenario files, the trajectory
 hashes of a matrix of scenarios (every maintenance policy with every growth
 law), and the exact ``validate`` report for one rule-breaking trajectory
 per segment form, covering every principle-3 message and the principle-1
-zero crossing (reported at t=inf when it lies beyond the largest float),
-and the ``samples.csv``, ``distance.json``, ``eval.csv`` and comparison
-files of the catalog scenarios whose draws use only + - * / and sqrt, so
-they do not move with the ufunc implementation.  The same holds for the
-``repr`` of ``mean_time_to_failure`` on those scenarios and on two single
-segments whose upper H levels are reached late or never.
+zero crossing (reported at t=inf when it lies beyond the largest float).
+
+It also pins the ``eval.csv``, comparison, ``samples.csv`` and
+``distance.json`` files of the catalog scenarios built of Constant and
+Linear segments, whose inverses use only + - * / and sqrt.  Their time grid
+and report columns come from ``math`` and IEEE arithmetic, so the ``eval``
+and comparison files do not move with numpy's CPU dispatch.  The draws do:
+each starts as ``-log(U)`` from ``np.log``, so ``samples.csv`` and the KS
+statistic in ``distance.json`` follow numpy's ufunc implementation, and
+these pins hold for its AVX-512 code paths.  The ``repr`` of
+``mean_time_to_failure`` on the same scenarios, and on two single segments
+whose upper H levels are reached late or never, does not move with it.
 """
 
 import hashlib
@@ -66,10 +72,10 @@ CATALOG_SAMPLES_HASHES = {
 # sha256 of distance.json from `riskcheck distance --n 4000 --seed 1` on the
 # same scenarios.
 CATALOG_DISTANCE_HASHES = {
-    "constant-control": "120f83f0e427838c97931a20884b10138f39214c88939dc7dc47ea2e4539c8c0",
-    "unmaintained-linear": "b07000ed737e7db32557e5bb095236be59fb411bbcf2732869abe6837966d1cd",
-    "figure1-sawtooth": "9a1d2211b6ba9f614ca9a38ecce681901834ab16d44f274d3c8f6a2efc590c83",
-    "imperfect-drift": "33a2067bf6a27f4572a85e6a491cc4244efb304ff98c6c97429440fa09b78b1d",
+    "constant-control": "0152152b4024f21ee0b2b495e557438824580e19412d73b1674d4950e0a64c75",
+    "unmaintained-linear": "25da4898a8d5ebd482d6cb4a5f3af3e40821483dfe7888695b415826a710f321",
+    "figure1-sawtooth": "50959416856afeb853a6491e889fd39df0d9d48f256247c660c2e8213505aef8",
+    "imperfect-drift": "4accfa9d317d976520e6b955005e1538899ba528423064227e7ec58fa0e846fd",
 }
 
 
@@ -94,53 +100,53 @@ SINGLE_SEGMENT_MTTF_REPRS = {
 # `compare --plot` write on the default grid, for the same scenarios.
 CATALOG_REPORT_HASHES = {
     "constant-control": {
-        "eval": {"eval.csv": "ceb4d4a2b5b35af880d6b73d1230fdca2ad55d9861dfd744562f89f292704904"},
+        "eval": {"eval.csv": "fc77a2db563acfb7f725e84a28b54543117705b1ffc62615531cf175fb46d031"},
         "bound-check": {
-            "comparison.csv": "b1dfaac583bca85d9ad21db14ec8d77863c0fba510b039d61ca20534a6217a05",
+            "comparison.csv": "a3f5a053f9b9bd8f0c4f69bcda792c96912d4ade8d32a0fd55c3c762a210e0b7",
             "comparison.svg": "f1670dd3ccb5b741f1700b36696cee0d9603b9798ba9749cddffd3bc2a40187a",
             "comparison_summary.json": "4645719707628d9a9d34ea089570eea2d181bbaa5fbd8fd2ec440853a1077c49",
         },
         "compare": {
-            "comparison.csv": "1d9f90da3dc619d19e36d62108509d1e54fd7fef340dd729717ddbbc580cfcfa",
+            "comparison.csv": "70d3e30e64070ac210a41dbc94b81ceb6a3294e16339f79bfc2e5e414a9d1ce9",
             "comparison.svg": "9089b21176770a87bf3a58cdb9f7e2d0f09040f0ba083a06095ca068b75f1aa4",
             "comparison_summary.json": "92bc87f84ffc14090dd68a0c2aa5a435007b14c0bd4c25dd693806aa2c1dfcd5",
         },
     },
     "unmaintained-linear": {
-        "eval": {"eval.csv": "c236b87793eefbe68bf0936fb7edb4e79fccd880e3a77ac0f1939224cecc5e51"},
+        "eval": {"eval.csv": "e56fba66c67f13558794982cea98448ce5863ee55e3653276c914d6bd1b469d7"},
         "bound-check": {
-            "comparison.csv": "ac1c1447499f9606c9d71b1a31a51d0347f2ca1e722f15d55c9b09bc970a7f37",
+            "comparison.csv": "0c38bb9e4e464878de4ab0c138ef8f0a4f81cbef79b6ff5b64fc8039e7ef0b29",
             "comparison.svg": "3f121fec9171672e632688c135d06259792f12e42686d410f180b89145ef5c97",
             "comparison_summary.json": "e54bb32dd87f533be04a87d12a4fb5fa568a1ec888d534f093cff71a69cbeffd",
         },
         "compare": {
-            "comparison.csv": "01c9cfc66f008155dd3cef2dd3baeff417e14a5bb206ea79d8d384fa648041c3",
+            "comparison.csv": "ca06ded3edb7f1646d7ba74a74d36fa095559fcad4c58cf89aff9a648da3d741",
             "comparison.svg": "88d7700efa687d848f88d714b69895a587f46d67063ef397eb1d7dd4e79fbbaf",
             "comparison_summary.json": "46607778cc022e16206c826f117bcb9e37a79513ab013639cbe90f81aefe4b56",
         },
     },
     "figure1-sawtooth": {
-        "eval": {"eval.csv": "a925e3e45d4cddfc231b3bb7bc25a29c2bf520329084604e0b05b3598c26e687"},
+        "eval": {"eval.csv": "205b3ef6b01bec60178bb28be351ac80ef9c962ec697d0ecb44d94a584d0b978"},
         "bound-check": {
-            "comparison.csv": "ce4177b50004768b148789cac18103206601ad2c3dc6372addac5850298a1833",
+            "comparison.csv": "7985d7ca2ee076338d0e3cb084240064487825c7b0ce6f69095dc9273d8475e1",
             "comparison.svg": "3a3b76cbcb37b547d9a51bb2bca0bf361b8a79af82289d06a2ea94f4846676ce",
             "comparison_summary.json": "790d628464e849a5eb436744889ab2f463c6f8d0de136e60bb6601f38778abaa",
         },
         "compare": {
-            "comparison.csv": "00f2f9ae07e058ea0d4e24793ced7bd14df7fef4d6f3e81b4181fc432320da4c",
+            "comparison.csv": "6c6659309dde322862dceac4198f670e80ac61faa04294498b7b3ecdf8945fee",
             "comparison.svg": "8693d181cf8863f3eb46eab36f51e23278ecb5d1e15cdb101ae7de4cf55b23e2",
             "comparison_summary.json": "e5671ef726b8b0b162bcf5d251cb39c4125478176c286f8f18669d4f28dbf2db",
         },
     },
     "imperfect-drift": {
-        "eval": {"eval.csv": "14997ba8642d8b70a2c67388cfb338a8d8ef49e57d43db092396e38552916ceb"},
+        "eval": {"eval.csv": "49b285075d725fe842d11049fd34bf9b9a9c01afcf9a2f012888ed811b1d37c8"},
         "bound-check": {
-            "comparison.csv": "f2804907bf3a9010d4307316c7221b2e199514c34480b28594858058096d4a31",
+            "comparison.csv": "54e79c0cba1fc593844e5604fd5cb57131fb06162a236597908dae88a79651a6",
             "comparison.svg": "38f25ef39d1e89be3b717edcb1760b569993e32013fa21ddda04f8a9b0cbb40f",
             "comparison_summary.json": "5c4693f0f39be85e100500097d1eedc8540938e388c874de6716a244c56793cd",
         },
         "compare": {
-            "comparison.csv": "d8dbd07c4d4116e00e9474e2b08b723822b7c2f5fd98abed8d79e1d72fd6efbf",
+            "comparison.csv": "ec3ef7da974c28700a5040afb66d638190529f35b3eaa388bb838a4239bda192",
             "comparison.svg": "f80da0de27e6565057d68e8292de96763d01e10525aeb27c592a6b649ece624a",
             "comparison_summary.json": "a6c8311f65e7aeafc1204ce5f6bb95d367dc85339d310ee75631807c329e427d",
         },
