@@ -30,7 +30,7 @@ import hashlib
 import json
 import math
 from collections.abc import Iterable
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import attrgetter, eq, itemgetter
 from pathlib import Path
 
@@ -160,7 +160,7 @@ def _by_class(kinds, build, *columns) -> list:
 
     ``build`` returns one item per row it is given.  It runs once per form
     (class or name), not once per row, so it can map one class's
-    constructor or JSON template over whole columns at C speed.
+    constructor or JSON pieces over whole columns at C speed.
     """
     keys = set(kinds)
     if len(keys) == 1:
@@ -328,49 +328,54 @@ def _canonical_json(obj: dict) -> str:
 
 
 # The canonical JSON of a trajectory, ``_canonical_json(trajectory_to_dict(traj))``,
-# formatted straight from templates: the frame, one for an epoch, and one per
-# segment form class, keys sorted and each number a %r.
+# joined from the texts of its numbers and the pieces between them, keys sorted.
 _TRAJECTORY_FRAME = '{"maintenance_epochs":[%s],"schema_version":' + str(SCHEMA_VERSION) + ',"segments":[%s]}'
-_EPOCH_TEMPLATE = '{"post_hazard":%r,"time":%r}'
 
 
-def _segment_template(name: str, params: tuple[str, ...]) -> tuple[str, tuple[attrgetter, ...]]:
-    """The template of a segment whose form has wire name ``name`` and
-    ``params``, and the getters of the form's numbers in template order; the
-    start comes last."""
+def _segment_pieces(name: str, params: tuple[str, ...]) -> tuple[list[str], tuple[attrgetter, ...]]:
+    """The pieces around a segment's numbers, and the getters of its params in key order."""
     keys = sorted(params)
-    numbers = ",".join(json.dumps(key) + ":%r" for key in keys)
-    template = '{"form":' + json.dumps(name) + ',"params":{' + numbers + '},"start":%r}'
-    return template, tuple(map(attrgetter, keys))
+    numbers = ",".join(json.dumps(key) + ":%s" for key in keys)
+    template = '{"form":' + json.dumps(name) + ',"params":{' + numbers + '},"start":%s}'
+    return template.split("%s"), tuple(map(attrgetter, keys))
 
 
-_SEGMENT_TEMPLATES = {cls: _segment_template(name, params) for name, (cls, params) in _FORMS.items()}
-# json spells the non-finite floats its own way.  Every number follows a
-# colon, and no other colon is followed by these letters.
-_NON_FINITE = ((":inf", ":Infinity"), (":-inf", ":-Infinity"), (":nan", ":NaN"))
+_SEGMENT_PIECES = {cls: _segment_pieces(name, params) for name, (cls, params) in _FORMS.items()}
+# json's spelling of each float repr that is not a JSON number.
+_JSON_SPELLINGS = {repr(x): json.dumps(x) for x in (math.inf, -math.inf, math.nan)}
 
 
-def _segment_texts(cls: type, forms, starts) -> map:
-    """The canonical JSON of each segment of form class ``cls``."""
-    template, getters = _SEGMENT_TEMPLATES[cls]
-    return map(template.__mod__, zip(*(map(number, forms) for number in getters), starts))
+class _NumberTexts(dict):
+    """Float -> its canonical JSON text, formatted on the first lookup."""
+
+    def __missing__(self, value: float) -> str:
+        text = repr(value)
+        text = _JSON_SPELLINGS.get(text, text)
+        if value:  # 0.0 and -0.0 are one key with two texts
+            self[value] = text
+        return text
 
 
 def _canonical_trajectory_json(traj: HazardTrajectory) -> str:
     starts, forms, times, post_hazards = traj._table
-    segments = _by_class(list(map(type, forms)), _segment_texts, forms, starts)
-    epochs = map(_EPOCH_TEMPLATE.__mod__, zip(post_hazards, times))
-    text = _TRAJECTORY_FRAME % (",".join(epochs), ",".join(segments))
-    for python, spelled in _NON_FINITE:
-        text = text.replace(python, spelled)
-    return text
+    start_texts = list(map(repr, starts))  # distinct if valid: not looked up
+    start_texts = list(map(_JSON_SPELLINGS.get, start_texts, start_texts))
+    texts = _NumberTexts(compress(zip(starts, start_texts), starts))  # no zero, as in __missing__
+
+    def segment_rows(cls: type, forms, start_texts) -> map:
+        pieces, getters = _SEGMENT_PIECES[cls]
+        columns = (*(map(texts.__getitem__, map(number, forms)) for number in getters), start_texts)
+        return map("".join, zip(repeat(pieces[0]), *chain.from_iterable(zip(columns, map(repeat, pieces[1:])))))
+
+    segments = ",".join(_by_class(list(map(type, forms)), segment_rows, forms, start_texts))
+    post_texts, time_texts = map(texts.__getitem__, post_hazards), map(texts.__getitem__, times)
+    epochs = zip(repeat('{"post_hazard":'), post_texts, repeat(',"time":'), time_texts, repeat("}"))
+    return _TRAJECTORY_FRAME % (",".join(map("".join, epochs)), segments)
 
 
 def trajectory_hash(traj: HazardTrajectory) -> str:
-    """sha256 of the canonical trajectory JSON; stable across round trips
-    because floats serialize via their shortest lossless repr.  Its
-    O(segments) cost is that repr: the text comes from per-form templates,
-    with no dict tree built."""
+    """sha256 of the canonical trajectory JSON, stable across round trips: each
+    distinct float is formatted once, as its shortest repr in json's spelling."""
     return hashlib.sha256(_canonical_trajectory_json(traj).encode()).hexdigest()
 
 

@@ -63,20 +63,29 @@ class TestTrajectoryRoundTrip:
         assert trajectory_hash(other) != trajectory_hash(MIXED)
 
 
-# Trajectories built through the API, which need not be valid: any float,
-# nan and the infinities included, in every field of every form class.
-ANY_FLOAT = st.floats()
-API_FORMS = st.one_of(
-    st.builds(Constant, ANY_FLOAT),
-    st.builds(Linear, ANY_FLOAT, ANY_FLOAT),
-    st.builds(Power, ANY_FLOAT, ANY_FLOAT, ANY_FLOAT),
-    st.builds(ExponentialGrowth, ANY_FLOAT, ANY_FLOAT),
-)
-API_TRAJECTORIES = st.builds(
-    HazardTrajectory,
-    st.lists(st.builds(HazardSegment, ANY_FLOAT, API_FORMS), min_size=1, max_size=6),
-    st.lists(st.builds(MaintenanceEpoch, ANY_FLOAT, ANY_FLOAT), max_size=4),
-)
+def api_trajectories(numbers, max_segments=6, max_epochs=4):
+    """Trajectories built through the API, which need not be valid, with
+    every field of every form class drawn from ``numbers``."""
+    forms = st.one_of(
+        st.builds(Constant, numbers),
+        st.builds(Linear, numbers, numbers),
+        st.builds(Power, numbers, numbers, numbers),
+        st.builds(ExponentialGrowth, numbers, numbers),
+    )
+    return st.builds(
+        HazardTrajectory,
+        st.lists(st.builds(HazardSegment, numbers, forms), min_size=1, max_size=max_segments),
+        st.lists(st.builds(MaintenanceEpoch, numbers, numbers), max_size=max_epochs),
+    )
+
+
+# Any float, nan and the infinities included.
+API_TRAJECTORIES = api_trajectories(st.floats())
+# Every field from one small pool, so that numbers repeat across fields and
+# rows, the two zeros meet, and non-finite values collide.
+SHARED_POOL = [0.0, -0.0, 0.1, 1.0, 5e-324, 1e16, math.inf, -math.inf, math.nan]
+POOLED_TRAJECTORIES = api_trajectories(st.sampled_from(SHARED_POOL), max_segments=8, max_epochs=8)
+NAN, OTHER_NAN = math.nan, float("nan")
 
 
 def one_segment(start, form, epochs=()):
@@ -84,8 +93,9 @@ def one_segment(start, form, epochs=()):
 
 
 class TestCanonicalJson:
-    """The hash's text, formatted from per-form templates, is the JSON the
-    dict tree dumps to (``oracles.reference_canonical_json``), byte for byte."""
+    """The hash's text, joined from per-form pieces and one text per distinct
+    number, is the JSON the dict tree dumps to
+    (``oracles.reference_canonical_json``), byte for byte."""
 
     @staticmethod
     def check(traj):
@@ -102,6 +112,22 @@ class TestCanonicalJson:
     @example(one_segment(0.30000000000000004, Constant(0.30000000000000004)))
     @settings(max_examples=300, deadline=None)
     def test_api_built_trajectories(self, traj):
+        self.check(traj)
+
+    @given(POOLED_TRAJECTORIES)
+    @example(one_segment(-0.0, Constant(1.0), (MaintenanceEpoch(0.0, 1.0),)))
+    @example(
+        HazardTrajectory(
+            (HazardSegment(0.0, Linear(0.0, -0.0)), HazardSegment(1.0, Linear(-0.0, 0.0))),
+            (MaintenanceEpoch(1.0, -0.0),),
+        )
+    )
+    @example(one_segment(NAN, Linear(NAN, OTHER_NAN), (MaintenanceEpoch(OTHER_NAN, NAN),)))
+    @example(one_segment(0.0, Constant(0.1), (MaintenanceEpoch(1e16, 0.1), MaintenanceEpoch(0.1, 1e16))))
+    @settings(max_examples=300, deadline=None)
+    def test_repeated_numbers(self, traj):
+        """A number's text is formatted once and then reused: it must be
+        reused only where the value, zero's sign included, is the same."""
         self.check(traj)
 
     @given(st.integers(0, 2**32 - 1))
