@@ -8,14 +8,12 @@ the CDF comparators with ``--plot``.
 Exit codes: 0 success, 2 schema/structure error, unwritable output or a
 size too large to allocate, 3 principle violation, 4 ordering violation
 (bound-check).  All outputs are deterministic for a fixed (input, config);
-the sampling seed defaults to DEFAULT_SEED and can be overridden by the
-RISKCHECK_SEED environment variable or ``--seed``.
+the sampling seed is ``--seed`` or, without it, DEFAULT_SEED.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,7 +31,6 @@ from .compare import (
 from .hazard import (
     HazardTrajectory,
     PrincipleViolationError,
-    TrajectoryStructureError,
     _check_structure,
     cumulative_hazard,
     ensure_valid,
@@ -239,7 +236,7 @@ def run(config: RunConfig) -> int:
     except PrincipleViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRINCIPLE
-    except (SchemaError, TrajectoryStructureError, ValueError) as exc:
+    except ValueError as exc:  # SchemaError and TrajectoryStructureError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except OSError as exc:
@@ -251,16 +248,6 @@ def run(config: RunConfig) -> int:
     except MemoryError as exc:  # a --n or --grid-points too large to allocate
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_SCHEMA
-
-
-def _default_seed() -> int:
-    env = os.environ.get("RISKCHECK_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise SchemaError(f"RISKCHECK_SEED must be an integer, got {env!r}") from exc
-    return DEFAULT_SEED
 
 
 # Each option's add_argument keywords, whose `type` and `dest` the plain
@@ -378,12 +365,4 @@ def _parse_options(argv: list[str]) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    options = _parse_options(sys.argv[1:] if argv is None else argv)
-    try:
-        if "seed" not in options:
-            options["seed"] = _default_seed()
-        config = RunConfig(**options)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    return run(config)
+    return run(RunConfig(**_parse_options(sys.argv[1:] if argv is None else argv)))

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -769,7 +770,6 @@ def assert_same_as_the_full_parser(argv):
     stdout and stderr of ``build_parser().parse_args(argv)``."""
     configs = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.delenv("RISKCHECK_SEED", raising=False)
         mp.setattr(riskcheck.cli, "run", lambda config: configs.append(config) or EXIT_OK)
         code, exit_code, out, err = _outcome(lambda: main(list(argv)))
     options, *expected = _outcome(lambda: vars(build_parser().parse_args(list(argv))))
@@ -1130,22 +1130,39 @@ class TestArgumentParsing:
         assert main(["validate", "--input", str(valid_file), "--out", str(tmp_path)]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["valid"] is True
 
-    def test_env_seed_override(self, scenario_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("RISKCHECK_SEED", "4242")
-        assert main(
-            ["sample", "--input", str(scenario_file), "--out", str(tmp_path), "--n", "10"]
-        ) == EXIT_OK
-        assert json.loads((tmp_path / "samples_meta.json").read_text())["seed"] == 4242
+    def test_seed_comes_only_from_the_command_line(self, scenario_file, tmp_path, monkeypatch):
+        """RISKCHECK_SEED, set or malformed, changes no exit code, output or
+        artifact byte: the seed is ``--seed`` or DEFAULT_SEED."""
+        out = tmp_path / "out"
+        common = ["--input", str(scenario_file), "--out", str(out)]
+        lines = [
+            ["validate", *common],
+            ["eval", *common, "--grid-points", "8"],
+            ["bound-check", *common, "--grid-points", "8", "--plot"],
+            ["sample", *common, "--n", "10"],
+            ["sample", *common, "--n", "10", "--seed", "5"],
+            ["compare", *common, "--grid-points", "8", "--plot"],
+            ["distance", *common, "--grid-points", "8", "--n", "10"],
+            ["catalog", "--out", str(out)],
+        ]
 
-    def test_seed_flag_beats_env(self, scenario_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("RISKCHECK_SEED", "4242")
-        assert main(
-            [
-                "sample", "--input", str(scenario_file), "--out", str(tmp_path),
-                "--n", "10", "--seed", "5",
-            ]
-        ) == EXIT_OK
-        assert json.loads((tmp_path / "samples_meta.json").read_text())["seed"] == 5
+        def outcomes():
+            results = []
+            for argv in lines:
+                shutil.rmtree(out, ignore_errors=True)
+                outcome = _outcome(lambda: main(list(argv)))
+                results.append((outcome, {p.name: p.read_bytes() for p in out.glob("*")}))
+            return results
+
+        monkeypatch.delenv("RISKCHECK_SEED", raising=False)
+        unset = outcomes()
+        assert [outcome[0] for outcome, _ in unset] == [EXIT_OK] * len(lines)
+        seeds = [json.loads(files["samples_meta.json"])["seed"] for _, files in unset[3:5]]
+        assert seeds == [DEFAULT_SEED, 5]
+        assert json.loads(unset[6][1]["distance.json"])["seed"] == DEFAULT_SEED
+        for value in ("not-a-number", "4242"):
+            monkeypatch.setenv("RISKCHECK_SEED", value)
+            assert outcomes() == unset, value
 
     def test_module_entry_point(self, valid_file, tmp_path):
         result = subprocess.run(
