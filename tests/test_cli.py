@@ -1130,6 +1130,24 @@ class TestArgumentParsing:
         assert main(["validate", "--input", str(valid_file), "--out", str(tmp_path)]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["valid"] is True
 
+    def test_env_seed_override(self, scenario_file, tmp_path, monkeypatch):
+        """A set RISKCHECK_SEED no longer overrides the default seed."""
+        monkeypatch.setenv("RISKCHECK_SEED", "4242")
+        assert main(
+            ["sample", "--input", str(scenario_file), "--out", str(tmp_path), "--n", "10"]
+        ) == EXIT_OK
+        assert json.loads((tmp_path / "samples_meta.json").read_text())["seed"] == DEFAULT_SEED
+
+    def test_seed_flag_beats_env(self, scenario_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("RISKCHECK_SEED", "4242")
+        assert main(
+            [
+                "sample", "--input", str(scenario_file), "--out", str(tmp_path),
+                "--n", "10", "--seed", "5",
+            ]
+        ) == EXIT_OK
+        assert json.loads((tmp_path / "samples_meta.json").read_text())["seed"] == 5
+
     def test_seed_comes_only_from_the_command_line(self, scenario_file, tmp_path, monkeypatch):
         """RISKCHECK_SEED, set or malformed, changes no exit code, output or
         artifact byte: the seed is ``--seed`` or DEFAULT_SEED."""
