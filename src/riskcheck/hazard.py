@@ -41,10 +41,10 @@ form class's parameters) once more in O(segments), and then a batch of up
 to 65,536 targets costs one ``searchsorted`` plus one kernel call per form
 class present, however many segments there are; a larger batch runs in
 blocks of that size.  That array inverse is the only one: a single target
-is a batch of one, and a form's scalar ``invert_integral`` is one lane of
-its kernel.  There is no process-wide cache: the table, the profile, its
-columns and the report live and die with their trajectory, and equal but
-distinct objects each compile their own.
+is a batch of one, and each form's one inverse is its array kernel
+``invert_integral``.  There is no process-wide cache: the table, the
+profile, its columns and the report live and die with their trajectory,
+and equal but distinct objects each compile their own.
 
 All types are immutable after construction and all operations are pure, so
 everything here is safe to share across threads; every memo is derived
@@ -132,13 +132,12 @@ class PrincipleViolationError(ValueError):
 #
 # * ``name``: its JSON name; its JSON params are its dataclass fields;
 # * ``value(u)`` and ``integral(u)``, the exact antiderivative from 0;
-# * ``invert_integral_array(area, *params)``: the first u with
-#   integral(u) == area, lane by lane, for arrays of areas >= 0 and of the
-#   form's parameters in ``_PARAMS`` order; relative to u whatever the time
-#   unit; nan or inf where a hazard that is not positive has no root.  The
-#   kernel is the form's only inverse: it runs under
-#   ``np.errstate(all="ignore")`` and masks every edge case, and
-#   ``invert_integral(area)``, shared by all forms, is one lane of it;
+# * ``invert_integral(area, *params)``, a staticmethod and the form's only
+#   inverse: the first u with integral(u) == area, lane by lane, for arrays
+#   of areas >= 0 and of the form's parameters in ``_PARAMS`` order;
+#   relative to u whatever the time unit; nan or inf where a hazard that is
+#   not positive has no root.  It runs under ``np.errstate(all="ignore")``
+#   and masks every edge case; a single area is a batch of one;
 # * ``limit_at_infinity()``: the limit of the value as u grows;
 # * ``time_to_reach(level)``: the first u >= 0 with value(u) == level, or
 #   None if the form never gets there;
@@ -232,19 +231,8 @@ def _as_floats(obj, *names: str) -> None:
             object.__setattr__(obj, name, float(value))
 
 
-class _ScalarInverse:
-    """The scalar inverse every segment form shares: one lane of its
-    ``invert_integral_array``."""
-
-    def invert_integral(self, area: float) -> float:
-        cls = type(self)
-        params = [np.array([getattr(self, p)]) for p in _PARAMS[cls]]
-        with np.errstate(all="ignore"):
-            return float(cls.invert_integral_array(np.array([float(area)]), *params)[0])
-
-
 @dataclass(frozen=True)
-class Constant(_ScalarInverse):
+class Constant:
     """Flat hazard ``level``."""
 
     level: float
@@ -261,7 +249,7 @@ class Constant(_ScalarInverse):
         return self.level * u
 
     @staticmethod
-    def invert_integral_array(area: np.ndarray, level: np.ndarray) -> np.ndarray:
+    def invert_integral(area: np.ndarray, level: np.ndarray) -> np.ndarray:
         return _divide(area, level)
 
     def limit_at_infinity(self) -> float:
@@ -275,7 +263,7 @@ class Constant(_ScalarInverse):
 
 
 @dataclass(frozen=True)
-class Linear(_ScalarInverse):
+class Linear:
     """Hazard ``intercept + slope * u``."""
 
     intercept: float
@@ -293,9 +281,7 @@ class Linear(_ScalarInverse):
         return u * (self.intercept + 0.5 * self.slope * u)
 
     @staticmethod
-    def invert_integral_array(
-        area: np.ndarray, intercept: np.ndarray, slope: np.ndarray
-    ) -> np.ndarray:
+    def invert_integral(area: np.ndarray, intercept: np.ndarray, slope: np.ndarray) -> np.ndarray:
         # Stable root of slope/2 u^2 + intercept u - area = 0; a falling
         # hazard whose area never reaches `area` has a negative radicand.
         radicand = intercept * intercept + 2.0 * slope * area
@@ -322,7 +308,7 @@ class Linear(_ScalarInverse):
 
 
 @dataclass(frozen=True)
-class Power(_ScalarInverse):
+class Power:
     """Hazard ``base + coefficient * u**exponent``."""
 
     base: float
@@ -366,7 +352,7 @@ class Power(_ScalarInverse):
         return self.base * u + _power_times(self.coefficient, u, power, power)
 
     @staticmethod
-    def invert_integral_array(
+    def invert_integral(
         area: np.ndarray, base: np.ndarray, coefficient: np.ndarray, exponent: np.ndarray
     ) -> np.ndarray:
         # A power term that is not a growing area has no root to report.
@@ -413,7 +399,7 @@ class Power(_ScalarInverse):
 
 
 @dataclass(frozen=True)
-class ExponentialGrowth(_ScalarInverse):
+class ExponentialGrowth:
     """Hazard ``base * exp(growth * u)``."""
 
     base: float
@@ -437,7 +423,7 @@ class ExponentialGrowth(_ScalarInverse):
             return _exp_times(self.base, x - math.log(self.growth))
 
     @staticmethod
-    def invert_integral_array(area: np.ndarray, base: np.ndarray, growth: np.ndarray) -> np.ndarray:
+    def invert_integral(area: np.ndarray, base: np.ndarray, growth: np.ndarray) -> np.ndarray:
         ratio = growth * area / base
         # A decaying hazard whose whole area is at most `area` never reaches it.
         u = np.where(ratio > -1.0, np.log1p(ratio) / growth, np.inf)
@@ -975,7 +961,7 @@ def _invert_block(columns: tuple, targets: np.ndarray) -> np.ndarray:
     u = np.empty_like(area)
     with np.errstate(all="ignore"):
         for k, cls, params in classes:
-            u = _patch(u, kind == k, cls.invert_integral_array, area, *(c[i] for c in params))
+            u = _patch(u, kind == k, cls.invert_integral, area, *(c[i] for c in params))
     # minimum guards rounding past the boundary
     return starts[i] + np.minimum(u, lengths[i])
 

@@ -20,7 +20,9 @@ rule-breaking trajectories in order to report on them.
 
 Every artifact file is written here, by :func:`write_artifact`: LF line
 ends, lines written as they come.  :func:`json_text` is the one JSON
-layout, sorted keys and a two-space indent, for files and for ``validate``.
+layout, sorted keys and a two-space indent, for files and for ``validate``;
+it writes a number that is not finite as null, so every file is strict
+JSON.
 """
 
 from __future__ import annotations
@@ -313,9 +315,22 @@ def write_artifact(path: str | Path, text: str, lines: Iterable[str] = ()) -> Pa
     return path
 
 
+def _finite_or_null(obj):
+    """``obj`` with every float that is not finite replaced by None:
+    ``Infinity`` and ``NaN`` are not JSON, null is."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj
+
+
 def json_text(obj: dict) -> str:
-    """The artifact JSON layout: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The artifact JSON layout: sorted keys, two-space indent, trailing
+    newline, and null for a number that is not finite."""
+    return json.dumps(_finite_or_null(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def dump_json(path: str | Path, obj: dict) -> Path:

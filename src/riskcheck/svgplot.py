@@ -7,6 +7,7 @@ UI, so there is no interactivity and no plotting dependency.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["Series", "line_chart_svg"]
@@ -44,10 +45,13 @@ def line_chart_svg(
     x_label: str,
     y_label: str,
 ) -> str:
+    # The axes span the finite values alone, and a point with a coordinate
+    # that is not finite is left out of its line.
     x = tuple(float(v) for v in x)
-    x_lo, x_hi = min(x), max(x)
-    all_y = [v for s in series for v in s.values]
-    y_lo, y_hi = min(0.0, min(all_y)), max(1.0, max(all_y))
+    finite_x = [v for v in x if math.isfinite(v)]
+    x_lo, x_hi = min(finite_x), max(finite_x)
+    finite_y = [v for s in series for v in s.values if math.isfinite(v)]
+    y_lo, y_hi = min([0.0, *finite_y]), max([1.0, *finite_y])
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
@@ -99,7 +103,11 @@ def line_chart_svg(
     )
 
     for s in series:
-        points = " ".join(f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in zip(x, s.values))
+        points = " ".join(
+            f"{px(xv):.2f},{py(yv):.2f}"
+            for xv, yv in zip(x, s.values)
+            if math.isfinite(xv) and math.isfinite(yv)
+        )
         dash = f' stroke-dasharray="{s.dasharray}"' if s.dasharray else ""
         parts.append(
             f'<polyline fill="none" stroke="{s.color}" stroke-width="1.5"{dash} points="{points}"/>'

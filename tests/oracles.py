@@ -202,6 +202,16 @@ def scalar_invert_integral(form, area: float) -> float:
     return math.log1p(ratio) / form.growth
 
 
+def invert_one(form, area: float) -> float:
+    """``form``'s array inverse at one area: a batch of one, whose lane is
+    checked to be one float64 and read back as a Python float."""
+    params = [np.array([getattr(form, p)]) for p in _PARAMS[type(form)]]
+    with np.errstate(all="ignore"):
+        lane = type(form).invert_integral(np.array([float(area)]), *params)
+    assert lane.dtype == np.float64 and lane.shape == (1,)
+    return float(lane[0])
+
+
 def scalar_invert_cumulative_hazard(traj: HazardTrajectory, target: float) -> float:
     """The first time H reaches ``target``: a bisect on the compiled prefix,
     then :func:`scalar_invert_integral` on that segment."""

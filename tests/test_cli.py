@@ -65,6 +65,7 @@ from riskcheck.serialize import (
 )
 from oracles import capped_exact_tv
 from test_scenarios import OVERFLOW_BEFORE_EPOCH, SKIPPED_THRESHOLD_EPOCH
+from test_serialize import strict_loads
 
 # Rule-breaking segments whose CDF columns overflow exp (bound-check does
 # not validate its input).
@@ -256,6 +257,32 @@ class TestOverflow:
         result = self.run_module(traj, tmp_path, "bound-check", "--t-max", "2000")
         assert result.returncode in (EXIT_OK, EXIT_SCHEMA, EXIT_PRINCIPLE, EXIT_ORDERING)
         assert "Traceback" not in result.stderr
+
+
+class TestNonFiniteOutput:
+    """A number past the float range is written as null, so every JSON the
+    CLI writes is strict JSON, and is left out of the SVG."""
+
+    def test_validate_writes_a_crossing_past_the_largest_float_as_null(self, tmp_path, capsys):
+        # The hazard crosses zero at u = 1e300 / 1e-300, past the largest float.
+        segment = {"start": 0, "form": "linear", "params": {"intercept": 1e300, "slope": -1e-300}}
+        path = write_json(tmp_path / "far.json", {"schema_version": 1, "segments": [segment]})
+        assert run(RunConfig("validate", input=path)) == EXIT_PRINCIPLE
+        violations = strict_loads(capsys.readouterr().out)["violations"]
+        crossing = {"location": None, "message": "hazard reaches zero inside the segment", "principle": 1}
+        assert crossing in violations
+
+    def test_bound_check_writes_an_infinite_gap_as_null_and_plots_no_nan(self, tmp_path):
+        # h(0) = -1: the bound 1 - exp(t) saturates to -inf past t = 709.8,
+        # and the gap to +inf.
+        traj = HazardTrajectory((HazardSegment(0.0, Constant(-1.0)), HazardSegment(1.0, Constant(1.0))))
+        path = write_json(tmp_path / "negative.json", trajectory_to_dict(traj))
+        config = RunConfig("bound-check", input=path, out=tmp_path, t_max=1000.0, emit_plot=True)
+        assert run(config) in (EXIT_OK, EXIT_ORDERING)
+        summary = strict_loads((tmp_path / "comparison_summary.json").read_text())
+        assert summary["sup_gap_h0"] is None and summary["sup_gap_pra"] is None
+        svg = (tmp_path / "comparison.svg").read_text()
+        assert "nan" not in svg and "inf" not in svg
 
 
 class TestEdgeInputs:

@@ -238,7 +238,8 @@ VALIDATE_CASES = {
         [
             (3, 0.0, "segment decreases within its span (negative slope -1e-300)"),
             (5, 0.0, "segment hazard falls below h(0)=1e+300"),
-            (1, float("inf"), "hazard reaches zero inside the segment"),
+            # at t = inf, past the largest float, which JSON writes as null
+            (1, None, "hazard reaches zero inside the segment"),
         ],
         [],
     ),
@@ -257,7 +258,8 @@ VALIDATE_CASES = {
         [
             (3, 0.0, "segment decreases within its span (negative coefficient -1e-100)"),
             (5, 0.0, "segment hazard falls below h(0)=1e+200"),
-            (1, float("inf"), "hazard reaches zero inside the segment"),
+            # at t = inf, past the largest float, which JSON writes as null
+            (1, None, "hazard reaches zero inside the segment"),
         ],
         [],
     ),

@@ -122,23 +122,17 @@ class TestDrawContract:
 
     def test_one_kernel_call_per_form_class(self, monkeypatch):
         sample_replicates(EVERY_FORM, 1, 0)  # compiles the columns
-        calls = dict.fromkeys([cls.name for cls in SEGMENT_FORMS] + ["invert_integral"], 0)
+        calls = dict.fromkeys([cls.name for cls in SEGMENT_FORMS], 0)
         for cls in SEGMENT_FORMS:
-            original = cls.invert_integral_array
+            original = cls.invert_integral
 
             def kernel(*args, original=original, name=cls.name):
                 calls[name] += 1
                 return original(*args)
 
-            def scalar(*args):
-                calls["invert_integral"] += 1
-
-            monkeypatch.setattr(cls, "invert_integral_array", kernel)
-            monkeypatch.setattr(cls, "invert_integral", scalar)
+            monkeypatch.setattr(cls, "invert_integral", kernel)
         sample_replicates(EVERY_FORM, 2000, 78)
-        assert calls == {
-            "constant": 1, "linear": 1, "power": 1, "exponential_growth": 1, "invert_integral": 0
-        }
+        assert calls == {"constant": 1, "linear": 1, "power": 1, "exponential_growth": 1}
 
     def test_edge_words_give_finite_positive_draws(self):
         e = _exponentials(np.array([0, 2**64 - 1], dtype=np.uint64))

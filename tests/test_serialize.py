@@ -24,6 +24,7 @@ from oracles import reference_canonical_json
 from riskcheck.serialize import (
     SchemaError,
     _canonical_trajectory_json,
+    json_text,
     load_input,
     scenario_from_dict,
     scenario_to_dict,
@@ -43,6 +44,57 @@ MIXED = HazardTrajectory(
     ),
     (MaintenanceEpoch(10.0, 0.35), MaintenanceEpoch(17.5, 0.4)),
 )
+
+
+def strict_loads(text: str):
+    """``text`` parsed as strict JSON: ``Infinity``, ``-Infinity`` and
+    ``NaN``, which ``json`` accepts by default, raise."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+# Documents of the kinds the artifacts hold: nested dicts, lists and tuples
+# of strings, booleans, integers, None and floats, numpy's included.
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(max_size=5),
+    FINITE_FLOATS, FINITE_FLOATS.map(np.float64),
+)
+
+
+def json_documents(leaves):
+    children = st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(st.text(max_size=5), inner, max_size=4),
+        ),
+        max_leaves=20,
+    )
+    return st.dictionaries(st.text(max_size=5), children, max_size=4)
+
+
+class TestJsonText:
+    """The one JSON layout writes strict JSON: null for a number that is not
+    finite, and for finite documents what ``json.dumps`` always wrote."""
+
+    @given(json_documents(JSON_LEAVES))
+    @settings(max_examples=200, deadline=None)
+    def test_a_finite_document_keeps_its_bytes(self, obj):
+        assert json_text(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    @given(json_documents(st.one_of(JSON_LEAVES, st.sampled_from([math.inf, -math.inf, math.nan]))))
+    @settings(max_examples=200, deadline=None)
+    def test_every_document_is_strict_json(self, obj):
+        strict_loads(json_text(obj))
+
+    def test_non_finite_numbers_are_null(self):
+        obj = {"a": math.inf, "b": [-math.inf, np.float64("nan"), 1.5], "c": (0.1, {"d": math.nan})}
+        assert strict_loads(json_text(obj)) == {"a": None, "b": [None, None, 1.5], "c": [0.1, {"d": None}]}
 
 
 class TestTrajectoryRoundTrip:
