@@ -60,7 +60,9 @@ class ComparisonReport:
     """True failure CDF vs exponential comparators on a time grid.
 
     ``pointwise_gaps`` is f_true - f_h0_bound; ``ordering_holds`` is true
-    when no gap dips below -ORDERING_TOLERANCE.
+    when no gap dips below -ORDERING_TOLERANCE and none is NaN.  A NaN gap
+    makes ``min_gap`` and ``sup_gap_h0`` NaN, and a NaN gap against the PRA
+    rate makes ``sup_gap_pra`` NaN.
     """
 
     grid: tuple[float, ...]
@@ -71,6 +73,11 @@ class ComparisonReport:
     sup_gap_h0: float
     sup_gap_pra: float
     ordering_holds: bool
+
+    @property
+    def min_gap(self) -> float:
+        """The smallest pointwise gap, or NaN if any gap is NaN."""
+        return _nan_or(min, self.pointwise_gaps)
 
 
 def pra_rate_from_mttf(mttf: float) -> PraModel:
@@ -140,6 +147,13 @@ def _check_grid(grid) -> tuple[float, ...]:
     return grid
 
 
+def _nan_or(pick, values) -> float:
+    """``pick`` (min or max) of values, or NaN if any value is NaN: the
+    builtins skip a NaN that is not the first value."""
+    values = tuple(values)
+    return math.nan if any(map(math.isnan, values)) else pick(values)
+
+
 def _build_report(traj: HazardTrajectory, grid, pra_rate: float) -> ComparisonReport:
     grid = _check_grid(grid)
     h0 = hazard_at(traj, 0.0)
@@ -153,9 +167,9 @@ def _build_report(traj: HazardTrajectory, grid, pra_rate: float) -> ComparisonRe
         f_h0_bound=f_h0,
         f_pra=f_pra,
         pointwise_gaps=gaps,
-        sup_gap_h0=max(gaps),
-        sup_gap_pra=max(a - b for a, b in zip(f_true, f_pra)),
-        ordering_holds=min(gaps) >= -ORDERING_TOLERANCE,
+        sup_gap_h0=_nan_or(max, gaps),
+        sup_gap_pra=_nan_or(max, (a - b for a, b in zip(f_true, f_pra))),
+        ordering_holds=all(gap >= -ORDERING_TOLERANCE for gap in gaps),
     )
 
 

@@ -100,9 +100,33 @@ __all__ = [
 _MTTF_LEVELS = tuple(2.0 * 8.0**-k for k in range(14, 0, -1)) + tuple(2.0 * k for k in range(1, 374))
 MTTF_CUTOFF_CUMULATIVE_HAZARD = 40.0
 _MTTF_TAIL = 1e-16
-# 20-point Gauss-Legendre nodes and weights, mapped from [-1, 1] to [0, 1].
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
-_GAUSS_LEGENDRE = tuple(zip((0.5 * (1.0 + _NODES)).tolist(), (0.5 * _WEIGHTS).tolist()))
+# The 20-point Gauss-Legendre rule on [0, 1], as (node, weight) pairs: the
+# nodes x and weights w that numpy's Legendre module computes for 20 points
+# on [-1, 1] (by an eigen-solve), mapped to (1 + x) / 2 and w / 2 and written
+# out as the reprs of those doubles.  As constants the rule costs no eigen-solve at import, and MTTF
+# does not depend on the machine's LAPACK.
+_GAUSS_LEGENDRE = (
+    (0.003435700407452502, 0.008807003569575447),
+    (0.018014036361043095, 0.020300714900193223),
+    (0.04388278587433703, 0.031336024167054395),
+    (0.08044151408889061, 0.04163837078835236),
+    (0.1268340467699246, 0.05096505990862035),
+    (0.1819731596367425, 0.0590972659807593),
+    (0.24456649902458644, 0.06584431922458844),
+    (0.3131469556422902, 0.0710480546591912),
+    (0.38610707442917747, 0.07458649323630212),
+    (0.46173673943325133, 0.07637669356536314),
+    (0.5382632605667487, 0.07637669356536314),
+    (0.6138929255708225, 0.07458649323630212),
+    (0.6868530443577098, 0.0710480546591912),
+    (0.7554335009754136, 0.06584431922458844),
+    (0.8180268403632576, 0.0590972659807593),
+    (0.8731659532300754, 0.05096505990862035),
+    (0.9195584859111094, 0.04163837078835236),
+    (0.956117214125663, 0.031336024167054395),
+    (0.981985963638957, 0.020300714900193223),
+    (0.9965642995925474, 0.008807003569575447),
+)
 # Below this a float is subnormal and carries fewer than 53 significant bits.
 _SMALLEST_NORMAL = sys.float_info.min
 

@@ -3,10 +3,14 @@
 The sampler inverts the cumulative hazard at a unit-exponential draw,
 which is exact.
 
-Randomness comes from one counter-based Philox (4x64) stream keyed by the
-seed: replicate ``i`` reads 64-bit word ``i`` of that stream, which is lane
-``i % 4`` of counter block ``i // 4``.  ``n`` draws cost one vectorized
-``random_raw`` call, one ``-log(U)`` over the words, and one batch
+Randomness comes from one counter-based Philox4x64-10 stream keyed by the
+seed (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11): replicate ``i`` reads 64-bit word ``i`` of that stream, which is
+lane ``i % 4`` of counter block ``i // 4``.  The words are computed here
+(:func:`_philox_words`), in numpy ``uint64`` arithmetic over chunks of
+counter blocks, and equal the words of numpy's ``Philox`` bit generator
+keyed by the seed; riskcheck does not import numpy's random package.
+``n`` draws cost those words, one ``-log(U)`` over them, and one batch
 inversion (:func:`~riskcheck.hazard.invert_cumulative_hazard_array`): a
 ``searchsorted`` plus one kernel call per segment-form class present.  Each
 lane of that batch depends on its own word alone, so draw ``i`` is a pure
@@ -20,22 +24,74 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
-import numpy.random  # noqa: F401  loaded here, not lazily on first use inside a command
 
 from .hazard import HazardTrajectory, invert_cumulative_hazard_array
 from .serialize import dump_json, write_artifact
 
 __all__ = ["GENERATOR_NAME", "sample_replicates", "write_samples_csv"]
 
-# Pinned draw rule: replicate i of seed s is word i of numpy's Philox (4x64)
-# keyed by s, turned into a unit exponential by ``_exponentials`` and into a
-# failure time by the array inverse.  Changing the word assignment, the
+# Pinned draw rule: replicate i of seed s is word i of the Philox4x64-10
+# stream keyed by (s mod 2**64, 0), which is word i of numpy's Philox bit
+# generator keyed by s (hence "numpy" in the name, though riskcheck computes
+# the words itself), turned into a unit exponential by ``_exponentials`` and
+# into a failure time by the array inverse.  Changing the word assignment, the
 # transform or the inverse's arithmetic changes the name.  "-v2": the Power
 # and ExponentialGrowth inverses run on numpy's power, exp, log and log1p,
 # which may round differently from ``math``'s.
 GENERATOR_NAME = "numpy-philox4x64-counter-v2"
 
 _MASK64 = (1 << 64) - 1
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+# Philox4x64 round multipliers, each with its low and high 32-bit halves,
+# and the Weyl constants added to the two key words between rounds
+# (Random123's PHILOX_M4x64_0/1 and PHILOX_W64_0/1).
+_PHILOX_M = tuple(
+    (np.uint64(m), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32))
+    for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+# Counter blocks per chunk: a chunk's lanes are 64 kB arrays, which stay in
+# cache across the rounds.
+_CHUNK_BLOCKS = 8192
+
+
+def _mulhilo(m: tuple, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products m * x.
+
+    The high word is summed from 32-bit half products, none of which
+    overflows 64 bits; the low word is the wrapped 64-bit product.
+    """
+    m_full, m_lo, m_hi = m
+    x_lo = x & _LOW32
+    x_hi = x >> _SHIFT32
+    t = x_hi * m_lo + ((x_lo * m_lo) >> _SHIFT32)
+    w = (t & _LOW32) + x_lo * m_hi
+    return x_hi * m_hi + (t >> _SHIFT32) + (w >> _SHIFT32), x * m_full
+
+
+def _philox_words(seed: int, n: int) -> np.ndarray:
+    """The first n 64-bit words of the Philox4x64-10 stream keyed by seed.
+
+    The key is (seed mod 2**64, 0) and block b encrypts the counter
+    (b + 1, 0, 0, 0); its four output words are words 4b to 4b + 3.  The
+    key words stay masked Python ints, so no numpy scalar overflows; every
+    array operand is ``np.uint64``, whose array arithmetic wraps mod 2**64.
+    """
+    blocks = -(-n // 4)
+    out = np.empty((blocks, 4), dtype=np.uint64)
+    for start in range(0, blocks, _CHUNK_BLOCKS):
+        c0 = np.arange(start + 1, min(start + _CHUNK_BLOCKS, blocks) + 1, dtype=np.uint64)
+        c1 = c2 = c3 = np.zeros_like(c0)
+        k0, k1 = seed & _MASK64, 0
+        for _ in range(_PHILOX_ROUNDS):
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+            k0, k1 = (k0 + _PHILOX_W[0]) & _MASK64, (k1 + _PHILOX_W[1]) & _MASK64
+        out[start : start + len(c0)] = np.stack((c0, c1, c2, c3), axis=1)
+    return out.reshape(-1)[:n]
 
 
 def _exponentials(words: np.ndarray) -> np.ndarray:
@@ -60,7 +116,7 @@ def sample_replicates(traj: HazardTrajectory, n: int, seed: int) -> np.ndarray:
         raise ValueError(f"need at least one replicate, got n={n}")
     if not isinstance(seed, int):
         raise ValueError("seed must be an integer")
-    draws = _exponentials(np.random.Philox(key=seed & _MASK64).random_raw(n))
+    draws = _exponentials(_philox_words(seed, n))
     return invert_cumulative_hazard_array(traj, draws)
 
 

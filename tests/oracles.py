@@ -390,6 +390,12 @@ def reference_time_grid(t_max: float, count: int) -> tuple[float, ...]:
 _MASK64 = (1 << 64) - 1
 
 
+def philox_words(seed: int, n: int) -> np.ndarray:
+    """The first n 64-bit words of numpy's Philox (4x64) keyed by ``seed``
+    mod 2**64: the words riskcheck's sampler must reproduce."""
+    return np.random.Philox(key=seed & _MASK64).random_raw(n)
+
+
 def single_exponential(seed: int, i: int) -> float:
     """Replicate ``i``'s unit exponential under ``seed``, drawn alone: word
     ``i`` of the Philox stream keyed by ``seed``, reached by advancing the

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, artifacts, determinism, schemas."""
 
 import argparse
+import ast
 import contextlib
 import csv
 import dataclasses
@@ -283,6 +284,23 @@ class TestNonFiniteOutput:
         assert summary["sup_gap_h0"] is None and summary["sup_gap_pra"] is None
         svg = (tmp_path / "comparison.svg").read_text()
         assert "nan" not in svg and "inf" not in svg
+
+    def test_bound_check_refuses_a_nan_gap(self, tmp_path, capsys):
+        # h = -1: past t = 709.8 the true CDF and the bound are both -inf,
+        # so the gaps there are NaN, and a NaN gap is no ordering
+        path = write_json(
+            tmp_path / "negative.json",
+            {"schema_version": 1, "segments": [{"start": 0, "form": "constant", "params": {"level": -1}}]},
+        )
+        config = RunConfig("bound-check", input=path, out=tmp_path, t_max=1000.0)
+        assert run(config) == EXIT_ORDERING
+        assert "ordering violated: min gap nan" in capsys.readouterr().err
+        with open(tmp_path / "comparison.csv", newline="") as fh:
+            gaps = [float(row["gap_h0"]) for row in csv.DictReader(fh)]
+        assert math.isnan(gaps[-1]) and not math.isnan(gaps[0])
+        summary = strict_loads((tmp_path / "comparison_summary.json").read_text())
+        assert summary["ordering_holds"] is False
+        assert summary["sup_gap_h0"] is None and summary["sup_gap_pra"] is None
 
 
 class TestEdgeInputs:
@@ -961,6 +979,23 @@ class TestValidInput:
         assert code == EXIT_OK, stderr.getvalue()
 
 
+# numpy subpackages that riskcheck does without: it computes its Philox words
+# itself and holds its Gauss-Legendre rule as constants.
+UNUSED_NUMPY = ("numpy.random", "numpy.polynomial")
+
+
+def loaded_after(code: str) -> list[str]:
+    """Which of UNUSED_NUMPY a fresh interpreter has loaded after ``code``
+    (the last line of its stdout)."""
+    result = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint([m for m in {UNUSED_NUMPY!r} if m in sys.modules])"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return ast.literal_eval(result.stdout.splitlines()[-1])
+
+
 class TestImportFootprint:
     def test_cli_does_not_import_scipy(self):
         # scipy is a test-only dependency; importing it costs more than half
@@ -970,17 +1005,32 @@ class TestImportFootprint:
                 sys.executable,
                 "-c",
                 "import sys, riskcheck.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
-                "print('numpy.random' in sys.modules)",
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
             ],
             capture_output=True,
             text=True,
             check=True,
         )
-        # numpy loads numpy.random lazily, on first use; riskcheck imports it
-        # up front so that a process which imports riskcheck once and forks a
-        # child per command does not pay for it in every child
-        assert result.stdout.split() == ["[]", "True"]
+        assert result.stdout.split() == ["[]"]
+        # numpy 2 loads numpy.random and numpy.polynomial lazily, on first
+        # use, and riskcheck uses neither, so no command pays for them;
+        # numpy < 2 imports both itself, hence the plain ``import numpy``
+        loaded = loaded_after("import riskcheck.cli")
+        assert loaded == loaded_after("import numpy")
+        if int(np.__version__.split(".")[0]) >= 2:
+            assert loaded == []
+
+    def test_sample_and_distance_load_no_unused_numpy(self, scenario_file, tmp_path):
+        # neither command imports the subpackages lazily: the Philox words
+        # and the MTTF quadrature use only numpy's core
+        argv = ["--input", str(scenario_file), "--out", str(tmp_path), "--n", "50"]
+        code = (
+            "from riskcheck.cli import main\n"
+            f"assert main(['sample', *{argv!r}]) == 0\n"
+            f"assert main(['distance', *{argv!r}]) == 0"
+        )
+        assert loaded_after(code) == loaded_after("import numpy")
+        assert (tmp_path / "samples.csv").exists() and (tmp_path / "distance.json").exists()
 
     def test_a_plain_command_loads_no_argparse(self, scenario_file, tmp_path):
         # argparse and the gettext it uses for every message cost a few ms of

@@ -208,6 +208,16 @@ class TestStochasticOrder:
             assert report.ordering_holds
             assert min(report.pointwise_gaps) >= -ORDERING_TOLERANCE
 
+    @pytest.mark.parametrize("grid", [(800.0,), (1.0, 800.0), (1.0, 800.0, 2.0e3)])
+    def test_a_nan_gap_breaks_the_ordering(self, grid):
+        # h = -1 breaks the rules: past t = 709.8 both CDFs are -inf and
+        # their gap NaN, wherever it falls in the grid
+        report = check_stochastic_order(HazardTrajectory((HazardSegment(0.0, Constant(-1.0)),)), grid)
+        assert math.isnan(report.pointwise_gaps[grid.index(800.0)])
+        assert not report.ordering_holds
+        assert math.isnan(report.min_gap)
+        assert math.isnan(report.sup_gap_h0) and math.isnan(report.sup_gap_pra)
+
     @pytest.mark.parametrize("grid", [(), (2.0, 1.0), (-1.0, 2.0), (1.0, 1.0)])
     def test_malformed_grid_rejected(self, grid):
         with pytest.raises(ValueError):

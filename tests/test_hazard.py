@@ -329,6 +329,36 @@ class TestMeanTimeToFailure:
         assert mean_time_to_failure(traj) == pytest.approx(quad_mttf(traj), rel=1e-9)
 
 
+class TestGaussLegendreRule:
+    """The 20-point Gauss-Legendre rule on [0, 1] that MTTF applies to each
+    panel, held as constants."""
+
+    NODES = tuple(x for x, _ in hazard._GAUSS_LEGENDRE)
+    WEIGHTS = tuple(w for _, w in hazard._GAUSS_LEGENDRE)
+
+    def test_weights_are_positive_and_sum_to_one(self):
+        assert len(self.WEIGHTS) == 20 and min(self.WEIGHTS) > 0.0
+        assert abs(math.fsum(self.WEIGHTS) - 1.0) <= 2 * math.ulp(1.0)
+
+    def test_nodes_are_increasing_and_symmetric(self):
+        assert 0.0 < self.NODES[0] and self.NODES[-1] < 1.0
+        assert all(a < b for a, b in zip(self.NODES, self.NODES[1:]))
+        for x, y in zip(self.NODES, reversed(self.NODES)):
+            assert abs(x + y - 1.0) <= math.ulp(1.0)
+
+    @pytest.mark.parametrize("k", range(40))
+    def test_integrates_polynomials_to_degree_39(self, k):
+        moment = math.fsum(w * x**k for x, w in hazard._GAUSS_LEGENDRE)
+        assert abs(moment - 1.0 / (k + 1)) <= 1e-15
+
+    def test_matches_numpy_legendre_rule(self):
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        reference = zip((0.5 * (1.0 + nodes)).tolist(), (0.5 * weights).tolist())
+        for (x, w), (x_ref, w_ref) in zip(hazard._GAUSS_LEGENDRE, reference, strict=True):
+            assert abs(x - x_ref) <= 4 * math.ulp(x_ref)
+            assert abs(w - w_ref) <= 4 * math.ulp(w_ref)
+
+
 class TestFormOverflow:
     """Kernels saturate to the signed infinity where exp or ** overflows, and
     keep their digits where it underflows inside a normal result."""

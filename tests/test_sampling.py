@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     dkw_epsilon,
     one_sample_ks,
+    philox_words,
     sample_failure_time_thinning,
     single_draw,
     single_exponential,
@@ -33,7 +34,13 @@ from riskcheck.hazard import (
     validate_trajectory,
 )
 from riskcheck.poisson import ks_distance
-from riskcheck.sampling import _exponentials, sample_replicates, write_samples_csv
+from riskcheck.sampling import (
+    _CHUNK_BLOCKS,
+    _exponentials,
+    _philox_words,
+    sample_replicates,
+    write_samples_csv,
+)
 from trajgen import random_valid_trajectory
 
 CONSTANT_HALF = HazardTrajectory((HazardSegment(0.0, Constant(0.5)),))
@@ -64,6 +71,39 @@ class TestSeededStream:
         a = stream_generator(123, 0).standard_exponential()
         b = stream_generator(123, 1).standard_exponential()
         assert a != b
+
+
+class TestPhiloxWords:
+    """riskcheck's Philox4x64-10 words are numpy's Philox words (and raise
+    no overflow warning, which the test settings turn into an error)."""
+
+    SEEDS = (0, 1, 1729, 2**63, 2**64 - 1, 2**64 + 5)
+    # 1 to 9 words, the catalog's 4,000, one word either side of the first
+    # chunk boundary and of the second, and 2 chunks plus 3 words
+    CHUNK_WORDS = 4 * _CHUNK_BLOCKS
+    LENGTHS = (
+        *range(1, 10),
+        4000,
+        CHUNK_WORDS - 1,
+        CHUNK_WORDS,
+        CHUNK_WORDS + 1,
+        2 * CHUNK_WORDS - 1,
+        2 * CHUNK_WORDS,
+        2 * CHUNK_WORDS + 1,
+        2 * CHUNK_WORDS + 3,
+    )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_words_equal_numpy_philox(self, seed):
+        for n in self.LENGTHS:
+            words = _philox_words(seed, n)
+            assert words.dtype == np.uint64 and words.shape == (n,)
+            assert np.array_equal(words, philox_words(seed, n)), n
+
+    @given(st.integers(-(2**70), 2**70), st.integers(1, 3 * 4 * _CHUNK_BLOCKS))
+    @settings(max_examples=40, deadline=None)
+    def test_words_equal_numpy_philox_for_any_seed_and_length(self, seed, n):
+        assert np.array_equal(_philox_words(seed, n), philox_words(seed, n))
 
 
 class TestDrawContract:
