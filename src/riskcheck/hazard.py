@@ -8,7 +8,8 @@ the hazard is allowed to drop.  Five structural rules are enforced by
 1. the hazard is positive and finite everywhere;
 2. the hazard is right-continuous (declared post-maintenance values must
    match the following segment);
-3. the hazard is non-decreasing except at maintenance epochs;
+3. the hazard is non-decreasing except at maintenance epochs (every form
+   is monotone, so a segment decreases iff its limit is below its start);
 4. every strict decrease happens at a declared maintenance epoch, and a
    declared epoch must strictly decrease the hazard;
 5. the time-zero hazard is the global infimum (restoration never improves
@@ -164,9 +165,10 @@ class PrincipleViolationError(ValueError):
 #   and masks every edge case; a single area is a batch of one;
 # * ``limit_at_infinity()``: the limit of the value as u grows;
 # * ``time_to_reach(level)``: the first u >= 0 with value(u) == level, or
-#   None if the form never gets there;
-# * ``decrease_reason()``: None if the form never decreases (principle 3),
-#   else a short description of the parameter that makes it decrease.
+#   None if the form never gets there.
+#
+# A form's value must be monotone in u: principle 3 reads a limit below
+# value(0) as a decrease, and nothing else.
 #
 # Where the value or the area overflows, value and integral saturate to the
 # signed infinity instead of raising OverflowError; an exp or ** that
@@ -282,9 +284,6 @@ class Constant:
     def time_to_reach(self, level: float) -> float | None:
         return 0.0 if level == self.level else None
 
-    def decrease_reason(self) -> str | None:
-        return None
-
 
 @dataclass(frozen=True)
 class Linear:
@@ -326,9 +325,6 @@ class Linear:
         if self.slope == 0.0:
             return 0.0 if level == self.intercept else None
         return _elapsed((level - self.intercept) / self.slope)
-
-    def decrease_reason(self) -> str | None:
-        return f"negative slope {self.slope:g}" if self.slope < 0.0 else None
 
 
 @dataclass(frozen=True)
@@ -414,13 +410,6 @@ class Power:
         # infinite, not the level.
         return _elapsed(u) if u > 0.0 or self.exponent > 0.0 else None
 
-    def decrease_reason(self) -> str | None:
-        if self.coefficient < 0.0:
-            return f"negative coefficient {self.coefficient:g}"
-        if self.coefficient > 0.0 and self.exponent < 1.0:
-            return f"exponent {self.exponent:g} below 1"
-        return None
-
 
 @dataclass(frozen=True)
 class ExponentialGrowth:
@@ -472,15 +461,6 @@ class ExponentialGrowth:
         if not ratio > 0.0:
             return None
         return _elapsed(math.log(ratio) / self.growth)
-
-    def decrease_reason(self) -> str | None:
-        # The value moves away from zero for growth > 0 and toward it for
-        # growth < 0, so it decreases iff base and growth have opposite signs.
-        if self.growth < 0.0 and self.base >= 0.0:
-            return f"negative growth {self.growth:g}"
-        if self.growth > 0.0 and self.base < 0.0:
-            return f"negative base {self.base:g} with positive growth {self.growth:g}"
-        return None
 
 
 def _power_start(area, base, coefficient, power) -> np.ndarray:
@@ -798,12 +778,13 @@ def _principle_report(table: tuple) -> ValidationReport:
     # last is.
     lengths = [*map(sub, starts[1:], starts), math.inf]
     firsts = [form.value(0.0) for form in forms]
+    limits = [form.limit_at_infinity() for form in forms]
     ends = [form.value(length) for form, length in zip(forms[:-1], lengths)]
-    ends.append(forms[-1].limit_at_infinity())
+    ends.append(limits[-1])
     h0 = firsts[0]
     epoch_at = dict(zip(times, post_hazards))
 
-    for form, start, length, v0, end_value in zip(forms, starts, lengths, firsts, ends):
+    for form, start, length, v0, limit, end_value in zip(forms, starts, lengths, firsts, limits, ends):
         # Principle 1: positive and finite on the whole span.
         if not (v0 > 0.0 and math.isfinite(v0)):
             violations.append(
@@ -823,10 +804,9 @@ def _principle_report(table: tuple) -> ValidationReport:
                 Violation(1, start + length, "hazard overflows to a non-finite value inside the segment")
             )
 
-        # Principle 3: per-form sufficient conditions for non-decrease.
-        reason = form.decrease_reason()
-        if reason is not None:
-            violations.append(Violation(3, start, f"segment decreases within its span ({reason})"))
+        # Principle 3: a monotone form decreases iff its limit is below its start.
+        if limit < v0:
+            violations.append(Violation(3, start, f"segment decreases within its span ({v0:g} -> {limit:g})"))
 
         # Principle 5: no segment may dip below the time-zero hazard.
         # For the first segment v0 == h(0), so this reduces to its end value.
@@ -990,13 +970,21 @@ def _invert_block(columns: tuple, targets: np.ndarray) -> np.ndarray:
     return starts[i] + np.minimum(u, lengths[i])
 
 
+def _gauss_legendre(integral, offset: float, u0: float, width: float) -> float:
+    """The 20-point rule for int exp(-(offset + integral(u))) du on [u0, u0 + width]."""
+    return width * sum(w * math.exp(-(offset + integral(u0 + width * x))) for x, w in _GAUSS_LEGENDRE)
+
+
 def mean_time_to_failure(traj: HazardTrajectory) -> float:
     """Mean of the failure time, int_0^inf R(t) dt.
 
     Integrates R with a 20-point Gauss-Legendre rule on each panel between
     consecutive knots: the segment starts and the times where H crosses
-    2 * 8**-k (k = 14, ..., 1) and 2, 4, 6, ...  Within a panel R is smooth,
-    falls by at most a factor exp(-2) and H at most grows eightfold or by 2.
+    2 * 8**-k (k = 14, ..., 1) and 2, 4, 6, ...  Within a panel R falls by
+    at most a factor exp(-2) and H at most grows eightfold or by 2.  R need
+    not be smooth at a segment start (h ~ sqrt(u) for a concave power), so a
+    panel from one is halved toward it until the rule on the halves agrees
+    with the rule on the whole to 1e-13; a smooth panel keeps its value.
     The tail past the time t_c where H reaches a level L is dropped; since
     h >= h(0) everywhere (principle 5), it is at most R(t_c)/h(0) =
     exp(-L)/h(0).  L is the first level from
@@ -1021,8 +1009,16 @@ def mean_time_to_failure(traj: HazardTrajectory) -> float:
         for lo, hi in zip(knots, knots[1:]):
             i = bisect_right(starts, lo) - 1
             integral, u0, width = forms[i].integral, lo - starts[i], hi - lo
-            nodes = (w * math.exp(-(prefix[i] + integral(u0 + width * x))) for x, w in _GAUSS_LEGENDRE)
-            total += width * sum(nodes)
+            part = _gauss_legendre(integral, prefix[i], u0, width)
+            # u**exponent may have singular derivatives at u = 0, where the
+            # rule loses digits: halve a panel from a segment start toward it.
+            while u0 == 0.0:
+                width *= 0.5
+                left, right = (_gauss_legendre(integral, prefix[i], u, width) for u in (0.0, width))
+                if not abs(left + right - part) > 1e-13 * part:
+                    break
+                total, part = total + right, left
+            total += part
         if t == math.inf:
             return total + reliability(traj, b) / h0
         a = b

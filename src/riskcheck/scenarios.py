@@ -8,7 +8,9 @@ first field is the time-zero hazard h0, as in
 ``Scenario("s", Linear(0.1, 0.05), PeriodicPerfect(10.0), 30.0)``.  Each
 later cycle is the same form class with the same growth parameters, rebuilt
 on the hazard that maintenance restored; a growth scale (the second field)
-of zero makes every cycle a flat ``Constant``.
+of zero makes every cycle a flat ``Constant``.  A model must start at h0
+and have a limit not below it, so concave power growth (exponent in (0, 1))
+is allowed, and a power exponent <= 0 with a nonzero coefficient refused.
 
 The compiler emits sawtooth-shaped trajectories: hazard growth between
 epochs, a drop at each epoch, and the final cycle's form extending to
@@ -164,12 +166,11 @@ def _check_scenario(
     h0, scale, *rest = (getattr(model, p) for p in _PARAMS[cls])
     if not (h0 > 0.0 and math.isfinite(h0)):
         raise ValueError(f"initial hazard must be positive and finite, got {h0!r}")
-    # A model is legal when it never decreases.  Power exponents below 1 are
-    # refused even at a zero coefficient, where the cycle would be flat.
+    # A model is legal when it starts at h0 and never decreases.
     if not (
         all(map(math.isfinite, (scale, *rest)))
-        and model.decrease_reason() is None
-        and not (cls is Power and model.exponent < 1.0)
+        and model.value(0.0) == h0
+        and not model.limit_at_infinity() < h0
     ):
         raise ValueError(f"growth parameters out of range: {model!r}")
     if not isinstance(policy, MAINTENANCE_POLICIES):

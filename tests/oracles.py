@@ -13,7 +13,8 @@ earlier code: the scalar inverse, one area at a time in ``math``, that its
 array kernels are checked against; the single-replicate draw (word ``i``
 of the seed's Philox stream reached on its own, then a batch of one of the
 array inverse) that every lane of a batch must equal; the principle
-validator that called ``value`` at every boundary; the canonical
+validator that called ``value`` at every boundary (but decides principle 3
+by parameter signs, not by the library's rule); the canonical
 trajectory JSON built as a dict tree and dumped by ``json``; and the
 default time grid, ``np.geomspace``'s steps written out in scalar ``math``.
 """
@@ -52,33 +53,45 @@ from riskcheck.serialize import trajectory_to_dict
 QUAD_REL_TOL = 1e-10
 
 
+def _quad_hazard(traj: HazardTrajectory, a: float, b: float) -> float:
+    """Adaptive quadrature of hazard_at over [a, b], inside one segment."""
+    part, _ = integrate.quad(
+        lambda u: hazard_at(traj, u), a, b, epsabs=1e-14, epsrel=QUAD_REL_TOL, limit=200
+    )
+    return part
+
+
 def quad_cumulative_hazard(traj: HazardTrajectory, t: float) -> float:
     """Adaptive quadrature of hazard_at over [0, t], split at boundaries."""
     starts = [seg.start_time for seg in traj.segments]
     knots = [s for s in starts if s < t] + [t]
     total = 0.0
     for a, b in zip(knots, knots[1:]):
-        part, _ = integrate.quad(
-            lambda u: hazard_at(traj, u), a, b, epsabs=1e-14, epsrel=QUAD_REL_TOL, limit=200
-        )
-        total += part
+        total += _quad_hazard(traj, a, b)
     return total
 
 
 def quad_mttf(traj: HazardTrajectory) -> float:
     """E[T] by quadrature of exp(-quad_cumulative_hazard); truncation error
-    is below exp(-30)/h and negligible at the 1e-8 comparisons we make."""
+    is below exp(-30)/h and negligible at the 1e-8 comparisons we make.
+    The whole segments below t are integrated once, not at every t, and
+    summed in the same order, so R(t) is exactly as quad_cumulative_hazard
+    gives it."""
     upper = 1.0
     while quad_cumulative_hazard(traj, upper) < 30.0:
         upper *= 2.0
 
-    def survival(t: float) -> float:
-        return math.exp(-quad_cumulative_hazard(traj, t))
-
     starts = [seg.start_time for seg in traj.segments]
     knots = [s for s in starts if s < upper] + [upper]
-    total = 0.0
+    prefix = [0.0]  # quad_cumulative_hazard at each knot
     for a, b in zip(knots, knots[1:]):
+        prefix.append(prefix[-1] + _quad_hazard(traj, a, b))
+    total = 0.0
+    for a, b, before in zip(knots, knots[1:], prefix):
+
+        def survival(t: float, a=a, before=before) -> float:
+            return math.exp(-(before + _quad_hazard(traj, a, t)))
+
         part, _ = integrate.quad(survival, a, b, epsabs=1e-12, epsrel=1e-10, limit=300)
         total += part
     return total
@@ -258,10 +271,31 @@ def reference_check_structure(traj: HazardTrajectory) -> None:
         prev_time = epoch.time
 
 
+def reference_decrease_limit(form) -> float | None:
+    """Where a decreasing segment form falls to as u grows, or None if the
+    form never decreases, read off the signs of its parameters alone."""
+    if isinstance(form, Linear) and form.slope < 0.0:
+        return -math.inf
+    if isinstance(form, Power):
+        if form.coefficient < 0.0 < form.exponent:
+            return -math.inf
+        if form.exponent < 0.0 < form.coefficient:
+            return form.base  # from +inf at the start down to the base
+    if isinstance(form, ExponentialGrowth):
+        # away from zero for growth > 0, toward it for growth < 0
+        if form.base < 0.0 < form.growth:
+            return -math.inf
+        if form.growth < 0.0 < form.base:
+            return 0.0
+    return None
+
+
 def reference_validate_trajectory(traj: HazardTrajectory) -> ValidationReport:
     """The principle validator the library had before it computed each
     segment's start and end values once, statement for statement: it calls
-    ``value`` again at every boundary.
+    ``value`` again at every boundary.  Principle 3 it decides on its own,
+    by parameter signs (:func:`reference_decrease_limit`), not by the
+    library's comparison of a form's limit with its start value.
     """
     reference_check_structure(traj)
     segments = traj.segments
@@ -300,10 +334,10 @@ def reference_validate_trajectory(traj: HazardTrajectory) -> ValidationReport:
                 Violation(1, start + length, "hazard overflows to a non-finite value inside the segment")
             )
 
-        # Principle 3: per-form sufficient conditions for non-decrease.
-        reason = seg.form.decrease_reason()
-        if reason is not None:
-            violations.append(Violation(3, start, f"segment decreases within its span ({reason})"))
+        # Principle 3, by the signs of the form's parameters.
+        limit = reference_decrease_limit(seg.form)
+        if limit is not None:
+            violations.append(Violation(3, start, f"segment decreases within its span ({v0:g} -> {limit:g})"))
 
         # Principle 5: no segment may dip below the time-zero hazard.
         # For the first segment v0 == h(0), so this reduces to its end value.

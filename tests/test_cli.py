@@ -65,7 +65,7 @@ from riskcheck.serialize import (
     trajectory_to_dict,
 )
 from oracles import capped_exact_tv
-from test_scenarios import OVERFLOW_BEFORE_EPOCH, SKIPPED_THRESHOLD_EPOCH
+from test_scenarios import CONCAVE_THRESHOLD, OVERFLOW_BEFORE_EPOCH, SKIPPED_THRESHOLD_EPOCH
 from test_serialize import strict_loads
 
 # Rule-breaking segments whose CDF columns overflow exp (bound-check does
@@ -943,6 +943,30 @@ class TestExitCodeContract:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 code = main(argv)
         assert code in (EXIT_OK, EXIT_SCHEMA, EXIT_PRINCIPLE, EXIT_ORDERING)
+
+    @pytest.mark.parametrize("command", ["validate", "eval", "sample", "bound-check", "compare", "distance"])
+    @pytest.mark.parametrize("kind", ["scenario", "trajectory"])
+    def test_concave_power_scenario_exits_zero(self, kind, command, tmp_path):
+        if kind == "scenario":
+            document = scenario_to_dict(CONCAVE_THRESHOLD)
+        else:
+            document = trajectory_to_dict(build_trajectory(CONCAVE_THRESHOLD))
+        path = write_json(tmp_path / "concave.json", document)
+        argv = [command, "--input", str(path), "--out", str(tmp_path / "out")]
+        if "--n" in _SUBCOMMANDS[command][1]:
+            argv += ["--n", "50"]
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            assert main(argv) == EXIT_OK, stderr.getvalue()
+
+    @pytest.mark.parametrize("exponent", [0.0, -0.5])
+    def test_power_model_without_a_positive_exponent_exits_two(self, exponent, tmp_path, capsys):
+        # the model does not start at h0 = 0.1, so it is refused, not compiled
+        model = Power(0.1, 0.1, exponent)
+        scenario = Scenario("s", model, PeriodicPerfect(10.0), 30.0)
+        path = write_json(tmp_path / "scenario.json", scenario_to_dict(scenario))
+        assert main(["validate", "--input", str(path), "--out", str(tmp_path)]) == EXIT_SCHEMA
+        assert capsys.readouterr().err == f"error: growth parameters out of range: {model!r}\n"
 
 
 # Negative parameters never give a valid trajectory, so drawing only the

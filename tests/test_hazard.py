@@ -449,12 +449,20 @@ EXPONENT = st.one_of(
 )
 ELAPSED = st.one_of(st.just(0.0), st.floats(1e-3, 1e300))
 AREA = st.floats(0.0, sys.float_info.max)
-FORMS = st.one_of(
-    st.builds(Constant, MAGNITUDE),
-    st.builds(Linear, MAGNITUDE, MAGNITUDE),
-    st.builds(Power, MAGNITUDE, MAGNITUDE, EXPONENT),
-    st.builds(ExponentialGrowth, MAGNITUDE, MAGNITUDE),
-)
+
+
+def forms_of(magnitude):
+    return st.one_of(
+        st.builds(Constant, magnitude),
+        st.builds(Linear, magnitude, magnitude),
+        st.builds(Power, magnitude, magnitude, EXPONENT),
+        st.builds(ExponentialGrowth, magnitude, magnitude),
+    )
+
+
+FORMS = forms_of(MAGNITUDE)
+# Parameters from 1e-3 to 1e3 in magnitude, and zero.
+MODERATE_FORMS = forms_of(st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3)))
 
 
 class TestFormProtocol:
@@ -465,9 +473,10 @@ class TestFormProtocol:
     def test_every_form_carries_the_protocol_under_its_names(self, cls):
         # Tools outside the library find form classes, and count their
         # kernels, by these names: a rename must fail here, not zero a count.
-        for method in ("value", "integral", "invert_integral", "limit_at_infinity",
-                       "time_to_reach", "decrease_reason"):
+        for method in ("value", "integral", "invert_integral", "limit_at_infinity", "time_to_reach"):
             assert callable(getattr(cls, method, None)), method
+        # Principle 3 is decided from value(0) and the limit, not per form.
+        assert not hasattr(cls, "decrease_reason")
         assert isinstance(inspect.getattr_static(cls, "invert_integral"), staticmethod)
         assert [name for name in dir(cls) if name.startswith("invert")] == ["invert_integral"]
         assert isinstance(cls.name, str) and cls.name
@@ -478,7 +487,6 @@ class TestFormProtocol:
         form.value(u)
         form.integral(u)
         form.limit_at_infinity()
-        form.decrease_reason()
         reached = form.value(data.draw(ELAPSED))
         for target in (level, reached):
             found = form.time_to_reach(target)
@@ -539,13 +547,33 @@ class TestFormProtocol:
     @given(FORMS, ELAPSED)
     @example(ExponentialGrowth(-0.1, 1.0), 1.0)
     @example(ExponentialGrowth(0.0, 1e16), 1e300)  # growth * u overflows to inf
+    @example(Power(0.5, 1.0, 0.5), 1.0)  # concave, rising
+    @example(Power(1.0, -0.5, 0.0), 1.0)  # flat
+    @example(ExponentialGrowth(0.0, -0.1), 1.0)  # flat at zero
     @settings(max_examples=400, deadline=None)
-    def test_no_decrease_reason_means_never_below_the_start(self, form, u):
-        if form.decrease_reason() is not None:
-            return
+    def test_limit_not_below_the_start_means_never_below_it(self, form, u):
+        # Soundness of principle 3: a form whose limit is not below its
+        # start value never falls below that value.
         start = form.value(0.0)
+        if form.limit_at_infinity() < start:
+            return
         assert form.value(u) >= start
-        assert form.limit_at_infinity() >= start
+
+    @given(MODERATE_FORMS)
+    @example(Power(0.5, 1.0, -0.5))  # from inf down to the base
+    @example(Power(1.0, -0.5, 1e-9))
+    @example(ExponentialGrowth(1.0, -0.1))
+    @settings(max_examples=400, deadline=None)
+    def test_limit_below_the_start_means_falling_below_it(self, form):
+        # Completeness of principle 3: a form whose limit is below its start
+        # value falls below that value at some float time; a monotone form
+        # is lowest at the largest one.  Parameters are moderate:
+        # Power(1e300, -1e-3, 0.5) falls by less than half an ulp of its
+        # start at every float time, a limit of rounding, not a decrease the
+        # rule misses.
+        start = form.value(0.0)
+        if form.limit_at_infinity() < start:
+            assert form.value(sys.float_info.max) < start
 
     @pytest.mark.parametrize(
         "form, expected",

@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from oracles import dkw_epsilon, one_sample_ks, quad_mttf
 from riskcheck import scenarios
 from riskcheck.hazard import (
     Constant,
     ExponentialGrowth,
     Linear,
     Power,
+    failure_cdf,
     hazard_at,
+    mean_time_to_failure,
     validate_trajectory,
 )
+from riskcheck.sampling import sample_replicates
 from riskcheck.scenarios import (
     PeriodicImperfect,
     PeriodicPerfect,
@@ -43,6 +47,10 @@ OVERFLOW_BEFORE_EPOCH = {
         2.0,
     ),
 }
+
+# Concave growth between threshold repairs: 0.1 + 0.5 sqrt(u) reaches the
+# trigger 0.6 at u = 1, so the 30 epochs fall at t = 1, 2, ..., 30.
+CONCAVE_THRESHOLD = _scenario(Power(0.1, 0.5, 0.5), ThresholdPerfect(0.6), label="concave-threshold")
 
 # The threshold step rounds to 1.0, where h0 + 0.0537 * u**1.7e308 is still
 # h0, so the epoch there would be a no-op; past it the hazard is inf from
@@ -185,8 +193,8 @@ class TestScenarioValidation:
             (Linear(0.0, 0.1), PeriodicPerfect(10.0)),
             (Linear(-0.1, 0.1), PeriodicPerfect(10.0)),
             (Linear(0.1, -0.1), PeriodicPerfect(10.0)),
-            (Power(0.1, 0.1, 0.5), PeriodicPerfect(10.0)),
-            (Power(0.1, 0.0, 0.5), PeriodicPerfect(10.0)),  # flat, but the exponent is below 1
+            (Power(0.1, 0.1, 0.0), PeriodicPerfect(10.0)),  # starts at 0.2, not h0
+            (Power(0.1, 0.1, -0.5), PeriodicPerfect(10.0)),  # starts at inf, not h0
             (Linear(0.1, 0.1), PeriodicPerfect(0.0)),
             (Linear(0.1, 0.1), PeriodicImperfect(10.0, 0.0)),
             (Linear(0.1, 0.1), PeriodicImperfect(10.0, 1.5)),
@@ -196,6 +204,10 @@ class TestScenarioValidation:
     def test_bad_parameters_rejected(self, model, policy):
         with pytest.raises(ValueError):
             build_trajectory(_scenario(model, policy))
+
+    @pytest.mark.parametrize("model", [Power(0.1, 0.1, 0.5), Power(0.1, 0.0, 0.5)], ids=["concave", "flat"])
+    def test_power_models_below_exponent_one_compile(self, model):
+        assert validate_trajectory(build_trajectory(_scenario(model, PeriodicPerfect(10.0)))).valid
 
     def test_epoch_count_capped(self, monkeypatch):
         monkeypatch.setattr(scenarios, "MAX_EPOCHS", 10)
@@ -284,6 +296,29 @@ class TestScenarioValidation:
         assert all(e.post_hazard == 0.1 for e in traj.maintenance_epochs)
         grid = np.linspace(0.0, 35.0, 1401)
         assert min(hazard_at(traj, float(t)) for t in grid) >= 0.1
+
+
+class TestConcavePowerScenario:
+    """A concave power model compiles to a valid trajectory whose MTTF and
+    draws match independent oracles."""
+
+    @pytest.fixture(scope="class")
+    def traj(self):
+        return build_trajectory(CONCAVE_THRESHOLD)
+
+    def test_compiles_valid(self, traj):
+        assert validate_trajectory(traj).valid
+        assert [e.time for e in traj.maintenance_epochs] == [float(k) for k in range(1, 31)]
+
+    def test_mttf_matches_quadrature(self, traj):
+        # h rises like sqrt(u) from each segment start, where the MTTF rule
+        # needs panels halved toward the start to keep its digits.
+        assert mean_time_to_failure(traj) == pytest.approx(quad_mttf(traj), rel=1e-9)
+
+    def test_draws_within_dkw_band(self, traj):
+        n = 10_000
+        draws = np.sort(sample_replicates(traj, n, seed=1729))
+        assert one_sample_ks(draws, lambda t: failure_cdf(traj, float(t))) < dkw_epsilon(n)
 
 
 class TestCatalog:
