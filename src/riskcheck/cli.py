@@ -5,10 +5,11 @@ catalog.  Inputs are trajectory or scenario JSON files (scenarios are
 compiled first).  Outputs are CSV/JSON artifacts, plus an SVG overlay of
 the CDF comparators with ``--plot``.
 
-Exit codes: 0 success, 2 schema/structure error, unwritable output or a
-size too large to allocate, 3 principle violation, 4 ordering violation
-(bound-check).  All outputs are deterministic for a fixed (input, config);
-the sampling seed is ``--seed`` or, without it, DEFAULT_SEED.
+Exit codes: 0 success, 2 schema/structure error, unwritable output (an
+artifact or stdout) or a size too large to allocate, 3 principle
+violation, 4 ordering violation (bound-check).  All outputs are
+deterministic for a fixed (input, config); the sampling seed is ``--seed``
+or, without it, DEFAULT_SEED.
 """
 
 from __future__ import annotations
@@ -78,6 +79,19 @@ class RunConfig:
     pra_rate: float | None = None
 
 
+class _StdoutError(Exception):
+    """A write to stdout failed; the message is the reason."""
+
+
+def _say(text: str = "", end: str = "\n", flush: bool = False) -> None:
+    """``print`` to stdout, where a failed write raises _StdoutError, so that
+    it is not taken for a failure to write an artifact."""
+    try:
+        print(text, end=end, flush=flush)
+    except OSError as exc:
+        raise _StdoutError(exc.strerror or str(exc)) from exc
+
+
 def _load_trajectory(config: RunConfig, *, check: bool) -> HazardTrajectory:
     """The input's trajectory; with ``check``, a trajectory file must pass
     :func:`ensure_valid`.  A scenario is always valid here, since
@@ -105,12 +119,12 @@ def _report_plot(config: RunConfig, grid, report, title: str) -> None:
     ]
     svg = line_chart_svg(grid, series, title, "time", "probability")
     path = write_artifact(_out_dir(config) / "comparison.svg", svg)
-    print(f"wrote {path}")
+    _say(f"wrote {path}")
 
 
 def _cmd_validate(config: RunConfig) -> int:
     report = validate_trajectory(_load_trajectory(config, check=False))
-    print(json_text(dataclasses.asdict(report)), end="")
+    _say(json_text(dataclasses.asdict(report)), end="")
     return EXIT_OK if report.valid else EXIT_PRINCIPLE
 
 
@@ -128,7 +142,7 @@ def _cmd_eval(config: RunConfig) -> int:
     path = write_artifact(
         _out_dir(config) / "eval.csv", "t,h,H,R,F\n", (_eval_row(traj, t) for t in grid)
     )
-    print(f"wrote {path}")
+    _say(f"wrote {path}")
     return EXIT_OK
 
 
@@ -138,8 +152,8 @@ def _cmd_sample(config: RunConfig) -> int:
     csv_path, meta_path = write_samples_csv(
         _out_dir(config), draws, config.seed, trajectory_hash(traj)
     )
-    print(f"wrote {csv_path}")
-    print(f"wrote {meta_path}")
+    _say(f"wrote {csv_path}")
+    _say(f"wrote {meta_path}")
     return EXIT_OK
 
 
@@ -150,8 +164,8 @@ def _write_comparison(config: RunConfig, traj, report, model: PraModel | None) -
         out / "comparison_summary.json",
         comparison_summary(report, trajectory_hash(traj), model),
     )
-    print(f"wrote {csv_path}")
-    print(f"wrote {summary_path}")
+    _say(f"wrote {csv_path}")
+    _say(f"wrote {summary_path}")
 
 
 def _cmd_bound_check(config: RunConfig) -> int:
@@ -172,7 +186,7 @@ def _cmd_bound_check(config: RunConfig) -> int:
             file=sys.stderr,
         )
         return EXIT_ORDERING
-    print(f"ordering holds; sup gap vs h(0) bound: {report.sup_gap_h0:.17g}")
+    _say(f"ordering holds; sup gap vs h(0) bound: {report.sup_gap_h0:.17g}")
     return EXIT_OK
 
 
@@ -186,7 +200,7 @@ def _cmd_compare(config: RunConfig) -> int:
     report = underestimation_report(traj, model, grid)
     _write_comparison(config, traj, report, model)
     _report_plot(config, grid, report, "Failure CDF vs exponential comparators")
-    print(
+    _say(
         f"sup gap vs h(0) bound: {report.sup_gap_h0:.17g}; "
         f"sup gap vs rate-{model.rate:.6g} exponential: {report.sup_gap_pra:.17g}"
     )
@@ -214,7 +228,7 @@ def _cmd_distance(config: RunConfig) -> int:
         "trajectory_hash": trajectory_hash(traj),
     }
     path = dump_json(_out_dir(config) / "distance.json", report)
-    print(f"wrote {path}")
+    _say(f"wrote {path}")
     return EXIT_OK
 
 
@@ -222,12 +236,13 @@ def _cmd_catalog(config: RunConfig) -> int:
     out = _out_dir(config)
     for scenario in scenario_catalog():
         path = dump_json(out / f"{scenario.label}.json", scenario_to_dict(scenario))
-        print(f"wrote {path}")
+        _say(f"wrote {path}")
     return EXIT_OK
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit code."""
+def _execute(config: RunConfig) -> int:
+    """Run one command; returns its exit code.  A failed write to stdout
+    raises _StdoutError."""
     if config.command not in _SUBCOMMANDS:
         print(f"unknown command {config.command!r}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -240,13 +255,30 @@ def run(config: RunConfig) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except OSError as exc:
-        # load_input reports an unreadable input as a SchemaError, so an
-        # OSError here comes from creating or writing an output.
+        # load_input reports an unreadable input as a SchemaError, and _say
+        # a failed write to stdout as a _StdoutError, so an OSError here
+        # comes from creating or writing an artifact.
         where = exc.filename or config.out
         print(f"error: cannot write {where}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except MemoryError as exc:  # a --n or --grid-points too large to allocate
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_SCHEMA
+
+
+def run(config: RunConfig) -> int:
+    """Execute one command; returns the process exit code.  What the command
+    printed is flushed here, so that a stdout that cannot be written exits 2
+    like any other unwritable output, not at interpreter exit."""
+    try:
+        code = _execute(config)
+        _say(end="", flush=True)
+        return code
+    except _StdoutError as exc:
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        # The interpreter flushes sys.stdout at exit, and would fail again on
+        # what is still buffered; a None stdout it skips, and print ignores.
+        sys.stdout = None
         return EXIT_SCHEMA
 
 

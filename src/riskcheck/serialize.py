@@ -14,9 +14,10 @@ and a scenario file is
      "policy": {"kind": "periodic_perfect", "params": {"period": 10.0}},
      "horizon": 30.0}
 
-Parsing is strict (SchemaError on anything off-schema) but does not run the
-principle validator — the CLI's ``validate`` command needs to load
-rule-breaking trajectories in order to report on them.
+Parsing is strict (SchemaError on anything off-schema, an unknown key
+included) but does not run the principle validator — the CLI's
+``validate`` command needs to load rule-breaking trajectories in order to
+report on them.
 
 Every artifact file is written here, by :func:`write_artifact`: LF line
 ends, lines written as they come.  :func:`json_text` is the one JSON
@@ -31,8 +32,8 @@ import dataclasses
 import hashlib
 import json
 import math
-from collections.abc import Iterable
-from itertools import chain, compress, repeat
+from collections.abc import Iterable, Iterator
+from itertools import chain, compress, islice, repeat
 from operator import attrgetter, eq, itemgetter
 from pathlib import Path
 
@@ -103,15 +104,23 @@ def _number(obj, where: str) -> float:
     return value
 
 
-def _mapping(obj, where: str) -> dict:
+def _known_keys(d: dict, where: str, keys: frozenset) -> dict:
+    for key in d:
+        _require(key in keys, f"{where} has unknown key {key!r}; its keys are {sorted(keys)}")
+    return d
+
+
+def _mapping(obj, where: str, keys: frozenset | None = None) -> dict:
+    """``obj`` if it is an object, and with ``keys``, one with no other key."""
     _require(isinstance(obj, dict), f"{where} must be an object")
-    return obj
+    return obj if keys is None else _known_keys(obj, where, keys)
 
 
-def _tagged(obj, where: str, tag_key: str, registry: dict, *leading: float) -> object:
+def _tagged(obj, where: str, tag_key: str, registry: dict, *leading: float, keys=None) -> object:
     """The registry class named by ``obj[tag_key]``, built from ``leading``
-    and then ``obj["params"]`` in registry order."""
-    d = _mapping(obj, where)
+    and then ``obj["params"]`` in registry order.  ``obj`` may have no key
+    outside ``keys``, by default ``tag_key`` and "params"."""
+    d = _mapping(obj, where, keys or frozenset((tag_key, "params")))
     tag = d.get(tag_key)
     _require(
         isinstance(tag, str) and tag in registry,
@@ -131,13 +140,25 @@ def _to_tagged(obj, tag_key: str) -> dict:
     return {tag_key: name, "params": {f: getattr(obj, f) for f in params}}
 
 
-def _check_schema_version(d: dict, where: str) -> None:
+def _top_level(obj, where: str, keys: frozenset) -> dict:
+    """``obj`` if it is an object of this schema version with no key
+    outside ``keys``; the version is checked first."""
+    d = _mapping(obj, where)
     # The integer itself: not true, 1.0 or "1", which compare equal or look it.
     version = d.get("schema_version")
     _require(
         type(version) is int and version == SCHEMA_VERSION,
         f"{where}.schema_version must be {SCHEMA_VERSION}",
     )
+    return _known_keys(d, where, keys)
+
+
+# The keys each object of the two schemas may have.
+_TRAJECTORY_KEYS = frozenset(("schema_version", "segments", "maintenance_epochs"))
+_SEGMENT_KEYS = frozenset(("start", "form", "params"))
+_EPOCH_KEYS = frozenset(("time", "post_hazard"))
+_SCENARIO_KEYS = frozenset(("schema_version", "label", "model", "policy", "horizon"))
+_MODEL_KEYS = frozenset(("h0", "growth"))
 
 
 # -- trajectories -----------------------------------------------------------
@@ -156,22 +177,24 @@ def trajectory_to_dict(traj: HazardTrajectory) -> dict:
     }
 
 
-def _by_class(kinds, build, *columns) -> list:
+def _by_class(kinds, build, *columns) -> Iterator:
     """``build(kind, *rows)`` once per distinct key of the sequence ``kinds``,
     on the rows of ``columns`` with that key, merged back into row order.
 
     ``build`` returns one item per row it is given.  It runs once per form
     (class or name), not once per row, so it can map one class's
-    constructor or JSON pieces over whole columns at C speed.
+    constructor or JSON pieces over whole columns at C speed.  The merged
+    items are yielded as they are read: if ``build`` returns lazy maps, no
+    item is made before it is asked for and none is held after.
     """
     keys = set(kinds)
     if len(keys) == 1:
-        return list(build(keys.pop(), *columns))
+        return iter(build(keys.pop(), *columns))
     merged = {}
     for key in keys:
         mask = list(map(eq, kinds, repeat(key)))
         merged[key] = iter(build(key, *(list(compress(c, mask)) for c in columns)))
-    return list(map(next, map(merged.__getitem__, kinds)))
+    return map(next, map(merged.__getitem__, kinds))
 
 
 class _Irregular(Exception):
@@ -214,7 +237,10 @@ def _table_from_json(raw_segments: list, raw_epochs) -> tuple:
         params = tuple(map(itemgetter("params"), raw_segments))
         times = _finite_floats(map(itemgetter("time"), raw_epochs))
         post_hazards = _finite_floats(map(itemgetter("post_hazard"), raw_epochs))
-        if not (set(names) <= _FORM_NAMES and set(map(type, params)) == {dict}):
+        # with every key present, a row with as many keys has no other
+        key_counts = set(map(len, raw_segments)) == {len(_SEGMENT_KEYS)}
+        key_counts = key_counts and set(map(len, raw_epochs)) <= {len(_EPOCH_KEYS)}
+        if not (key_counts and set(names) <= _FORM_NAMES and set(map(type, params)) == {dict}):
             raise _Irregular
         forms = tuple(_by_class(names, _forms, params))
     except (KeyError, TypeError, OverflowError):  # a key missing, a name unhashable
@@ -223,8 +249,7 @@ def _table_from_json(raw_segments: list, raw_epochs) -> tuple:
 
 
 def trajectory_from_dict(d) -> HazardTrajectory:
-    d = _mapping(d, "trajectory")
-    _check_schema_version(d, "trajectory")
+    d = _top_level(d, "trajectory", _TRAJECTORY_KEYS)
     raw_segments = d.get("segments")
     _require(isinstance(raw_segments, list) and raw_segments, "trajectory.segments must be a nonempty array")
     try:
@@ -234,15 +259,15 @@ def trajectory_from_dict(d) -> HazardTrajectory:
     segments = []
     for i, raw in enumerate(raw_segments):
         where = f"trajectory.segments[{i}]"
-        seg = _mapping(raw, where)
+        seg = _mapping(raw, where, _SEGMENT_KEYS)
         start = _number(seg.get("start"), f"{where}.start")
-        segments.append(HazardSegment(start, _tagged(seg, where, "form", _FORMS)))
+        segments.append(HazardSegment(start, _tagged(seg, where, "form", _FORMS, keys=_SEGMENT_KEYS)))
     raw_epochs = d.get("maintenance_epochs", [])
     _require(isinstance(raw_epochs, list), "trajectory.maintenance_epochs must be an array")
     epochs = []
     for i, raw in enumerate(raw_epochs):
         where = f"trajectory.maintenance_epochs[{i}]"
-        e = _mapping(raw, where)
+        e = _mapping(raw, where, _EPOCH_KEYS)
         epochs.append(
             MaintenanceEpoch(
                 _number(e.get("time"), f"{where}.time"),
@@ -269,11 +294,10 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(d) -> Scenario:
-    d = _mapping(d, "scenario")
-    _check_schema_version(d, "scenario")
+    d = _top_level(d, "scenario", _SCENARIO_KEYS)
     label = d.get("label")
     _require(isinstance(label, str) and label, "scenario.label must be a nonempty string")
-    model = _mapping(d.get("model"), "scenario.model")
+    model = _mapping(d.get("model"), "scenario.model", _MODEL_KEYS)
     h0 = _number(model.get("h0"), "scenario.model.h0")
     growth = _tagged(model.get("growth"), "scenario.model.growth", "form", _GROWTHS, h0)
     policy: MaintenancePolicy = _tagged(d.get("policy"), "scenario.policy", "kind", _POLICIES)
@@ -295,7 +319,10 @@ def load_input(path: str | Path) -> tuple[str, HazardTrajectory | Scenario]:
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     try:  # UTF-8 whatever the locale; a BOM is left in, for json to refuse
-        d = json.loads(data.decode("utf-8"))
+        # Each copy of the file is dropped as soon as the next is made, so
+        # the load holds one: the bytes, then the text, then the parse tree.
+        text, data = data.decode("utf-8"), None
+        d, text = json.loads(text), None
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, too deep, too many digits
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     if isinstance(d, dict) and "segments" in d:
@@ -342,11 +369,6 @@ def _canonical_json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-# The canonical JSON of a trajectory, ``_canonical_json(trajectory_to_dict(traj))``,
-# joined from the texts of its numbers and the pieces between them, keys sorted.
-_TRAJECTORY_FRAME = '{"maintenance_epochs":[%s],"schema_version":' + str(SCHEMA_VERSION) + ',"segments":[%s]}'
-
-
 def _segment_pieces(name: str, params: tuple[str, ...]) -> tuple[list[str], tuple[attrgetter, ...]]:
     """The pieces around a segment's numbers, and the getters of its params in key order."""
     keys = sorted(params)
@@ -371,7 +393,24 @@ class _NumberTexts(dict):
         return text
 
 
-def _canonical_trajectory_json(traj: HazardTrajectory) -> str:
+# Rows per piece of the canonical JSON: a piece is a few tens of kB, so the
+# hash holds no more than that of the text, in few calls.
+_CHUNK_ROWS = 256
+
+
+def _comma_joined(rows: Iterator[str]) -> Iterator[str]:
+    """``",".join(rows)`` in pieces of at most _CHUNK_ROWS rows."""
+    comma = ""
+    while chunk := ",".join(islice(rows, _CHUNK_ROWS)):  # a row is never empty
+        yield comma + chunk
+        comma = ","
+
+
+def _canonical_trajectory_pieces(traj: HazardTrajectory) -> Iterator[str]:
+    """The canonical JSON of a trajectory, ``_canonical_json(trajectory_to_dict(traj))``,
+    in pieces: the frame, keys sorted, around the epoch rows and then the
+    segment rows, each joined from the texts of its numbers and the pieces
+    between them, _CHUNK_ROWS rows at a time."""
     starts, forms, times, post_hazards = traj._table
     start_texts = list(map(repr, starts))  # distinct if valid: not looked up
     start_texts = list(map(_JSON_SPELLINGS.get, start_texts, start_texts))
@@ -382,16 +421,28 @@ def _canonical_trajectory_json(traj: HazardTrajectory) -> str:
         columns = (*(map(texts.__getitem__, map(number, forms)) for number in getters), start_texts)
         return map("".join, zip(repeat(pieces[0]), *chain.from_iterable(zip(columns, map(repeat, pieces[1:])))))
 
-    segments = ",".join(_by_class(list(map(type, forms)), segment_rows, forms, start_texts))
     post_texts, time_texts = map(texts.__getitem__, post_hazards), map(texts.__getitem__, times)
     epochs = zip(repeat('{"post_hazard":'), post_texts, repeat(',"time":'), time_texts, repeat("}"))
-    return _TRAJECTORY_FRAME % (",".join(map("".join, epochs)), segments)
+    yield '{"maintenance_epochs":['
+    yield from _comma_joined(map("".join, epochs))
+    yield f'],"schema_version":{SCHEMA_VERSION},"segments":['
+    yield from _comma_joined(_by_class(list(map(type, forms)), segment_rows, forms, start_texts))
+    yield "]}"
+
+
+def _canonical_trajectory_json(traj: HazardTrajectory) -> str:
+    return "".join(_canonical_trajectory_pieces(traj))
 
 
 def trajectory_hash(traj: HazardTrajectory) -> str:
     """sha256 of the canonical trajectory JSON, stable across round trips: each
-    distinct float is formatted once, as its shortest repr in json's spelling."""
-    return hashlib.sha256(_canonical_trajectory_json(traj).encode()).hexdigest()
+    distinct float is formatted once, as its shortest repr in json's spelling.
+    The text is fed to the hash a piece at a time, as it is joined, so
+    neither it nor a list of its rows is ever held whole."""
+    digest = hashlib.sha256()
+    for piece in _canonical_trajectory_pieces(traj):
+        digest.update(piece.encode())
+    return digest.hexdigest()
 
 
 def grid_hash(grid) -> str:

@@ -674,6 +674,117 @@ class TestMalformedInput:
         assert err.count("\n") == 1 and err.endswith("\n")
 
 
+def _unknown_key(*path, key="note"):
+    """An edit that adds ``key`` to the object at ``path`` of a document."""
+
+    def edit(d):
+        for step in path:
+            d = d[step]
+        d[key] = 0.0
+
+    return edit
+
+
+def _misspell_epochs(d):
+    d["maintenance_epoch"] = d.pop("maintenance_epochs")
+
+
+SAWTOOTH = next(s for s in scenario_catalog() if s.label == "figure1-sawtooth")
+# case -> (document kind, edit, the object's path and the key in the message)
+UNKNOWN_KEYS = {
+    # loaded before with no epochs, so validate exited 3 on three undeclared drops
+    "maintenance-epochs-misspelt": ("trajectory", _misspell_epochs, "trajectory", "maintenance_epoch"),
+    "trajectory": ("trajectory", _unknown_key(), "trajectory", "note"),
+    "segment": ("trajectory", _unknown_key("segments", 2), "trajectory.segments[2]", "note"),
+    "epoch": ("trajectory", _unknown_key("maintenance_epochs", 1), "trajectory.maintenance_epochs[1]", "note"),
+    "scenario": ("scenario", _unknown_key(), "scenario", "note"),
+    "model": ("scenario", _unknown_key("model"), "scenario.model", "note"),
+    "growth": ("scenario", _unknown_key("model", "growth"), "scenario.model.growth", "note"),
+    "policy": ("scenario", _unknown_key("policy"), "scenario.policy", "note"),
+}
+
+
+class TestUnknownKeys:
+    """A key the schema does not name exits 2 on every command, with one
+    line that names the key and the object holding it, and no artifact."""
+
+    @pytest.mark.parametrize("command", TestMalformedInput.INPUT_COMMANDS)
+    @pytest.mark.parametrize("name", sorted(UNKNOWN_KEYS))
+    def test_exits_two_and_writes_nothing(self, tmp_path, capsys, command, name):
+        kind, edit, where, key = UNKNOWN_KEYS[name]
+        if kind == "scenario":
+            document = scenario_to_dict(SAWTOOTH)
+        else:
+            document = trajectory_to_dict(build_trajectory(SAWTOOTH))
+        edit(document)
+        path = write_json(tmp_path / "input.json", document)
+        out = tmp_path / "out"
+        assert main([command, "--input", str(path), "--out", str(out)]) == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {where} has unknown key {key!r}; its keys are [")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert not out.exists()
+
+    def test_misspelt_epochs_in_a_child(self, tmp_path):
+        document = trajectory_to_dict(build_trajectory(SAWTOOTH))
+        _misspell_epochs(document)
+        result = run_module(write_json(tmp_path / "input.json", document), tmp_path, "validate")
+        assert (result.returncode, result.stdout) == (EXIT_SCHEMA, "")
+        assert result.stderr == (
+            "error: trajectory has unknown key 'maintenance_epoch'; "
+            "its keys are ['maintenance_epochs', 'schema_version', 'segments']\n"
+        )
+
+
+@pytest.fixture
+def large_report_file(tmp_path):
+    # 300 undeclared drops: a validate report of about 90 kB, past a pipe's 64 kB
+    segments = (HazardSegment(float(i), Constant(0.3 if i % 2 else 0.5)) for i in range(600))
+    traj = HazardTrajectory(tuple(segments))
+    return write_json(tmp_path / "drops.json", trajectory_to_dict(traj))
+
+
+class TestUnwritableStdout:
+    """A stdout that cannot be written exits 2 with one line that names
+    stdout, whether Python buffers it or not, and the interpreter adds no
+    second error at exit."""
+
+    @staticmethod
+    def validate(path, stdout, buffering):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if buffering == "unbuffered":
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.run(
+            [sys.executable, "-m", "riskcheck", "validate", "--input", str(path)],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+
+    @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+    @pytest.mark.parametrize("report", ["small", "large"])
+    def test_a_full_device(self, valid_file, large_report_file, report, buffering):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this platform")
+        with open("/dev/full", "w") as full:
+            result = self.validate(valid_file if report == "small" else large_report_file, full, buffering)
+        message = "error: cannot write stdout: No space left on device\n"
+        assert (result.returncode, result.stderr) == (EXIT_SCHEMA, message)
+
+    @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+    @pytest.mark.parametrize("report", ["small", "large"])
+    def test_a_closed_pipe(self, valid_file, large_report_file, report, buffering):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # before the child starts: its first write fails
+        try:
+            result = self.validate(valid_file if report == "small" else large_report_file, write_end, buffering)
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (EXIT_SCHEMA, "error: cannot write stdout: Broken pipe\n")
+
+
 class TestInputEncodingAndVersion:
     def test_utf8_input_under_an_ascii_locale(self, tmp_path):
         # The locale's encoding is ASCII here; the file is still read as UTF-8.

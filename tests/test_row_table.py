@@ -8,6 +8,7 @@ a malformed row must be reported as the row-by-row loader reports it.
 """
 
 import copy
+import hashlib
 import json
 import pickle
 
@@ -28,6 +29,7 @@ from riskcheck.hazard import (
 )
 from riskcheck.scenarios import PeriodicImperfect, PeriodicPerfect, Scenario, build_trajectory
 from riskcheck.serialize import (
+    _CHUNK_ROWS,
     SchemaError,
     _canonical_trajectory_json,
     load_input,
@@ -36,7 +38,13 @@ from riskcheck.serialize import (
     trajectory_hash,
     trajectory_to_dict,
 )
-from trajgen import STRUCTURE_BREAKS, break_structure, random_long_trajectory, scatter_violations
+from trajgen import (
+    STRUCTURE_BREAKS,
+    break_structure,
+    interleaved_trajectory,
+    random_long_trajectory,
+    scatter_violations,
+)
 
 # Every boundary of this one is a declared epoch, as in a compiled scenario.
 SAWTOOTH_SCENARIO = Scenario("sawtooth", Linear(0.1, 0.05), PeriodicImperfect(0.5, 0.5), 500.0)
@@ -48,7 +56,15 @@ SOURCES = {
 # Perfect maintenance repeats every cycle's form and post-hazard, so most of
 # its numbers recur across rows.
 PERFECT = build_trajectory(Scenario("perfect", Linear(0.1, 0.05), PeriodicPerfect(0.5), 500.0))
-HASH_SOURCES = {**SOURCES, "perfect": lambda rng: PERFECT}
+# Segment and epoch counts on both sides of the seams between the pieces
+# the hash is fed, with the four form classes in turn; a file has at least
+# one segment.
+SEAM_COUNTS = (1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1)
+HASH_SOURCES = {
+    **SOURCES,
+    "perfect": lambda rng: PERFECT,
+    "seams": lambda rng: interleaved_trajectory(int(rng.choice(SEAM_COUNTS)), int(rng.choice((0,) + SEAM_COUNTS))),
+}
 
 
 def loaded(traj):
@@ -90,11 +106,13 @@ class TestLoadedAsBuilt:
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(HASH_SOURCES)))
     @example(0, "perfect")
+    @example(0, "seams")
     @settings(max_examples=6, deadline=None)
     def test_same_hash_text(self, seed, source):
         built = HASH_SOURCES[source](np.random.default_rng(seed))
         text = reference_canonical_json(built)
         assert _canonical_trajectory_json(loaded(built)) == text == _canonical_trajectory_json(built)
+        assert trajectory_hash(loaded(built)) == hashlib.sha256(text.encode()).hexdigest()
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(SOURCES)))
     @settings(max_examples=6, deadline=None)
@@ -218,7 +236,7 @@ def _first_param(d, i):
 
 
 # case -> (edit of row i of a long file, the SchemaError message of row i);
-# each message is the one the row-by-row loader gave before the table.
+# each message is the one the row-by-row loader gives.
 MALFORMED = {
     "non-object": (lambda d, i: d["segments"].__setitem__(i, [0.0]), "trajectory.segments[{i}] must be an object"),
     "missing-start": (lambda d, i: _row(d, i).pop("start"), "trajectory.segments[{i}].start must be a number"),
@@ -247,6 +265,14 @@ MALFORMED = {
         lambda d, i: d["maintenance_epochs"][0].update(time="1.0"),
         "trajectory.maintenance_epochs[0].time must be a number",
     ),
+    "unknown-key": (
+        lambda d, i: _row(d, i).update(note=""),
+        "trajectory.segments[{i}] has unknown key 'note'; its keys are ['form', 'params', 'start']",
+    ),
+    "epoch-unknown-key": (
+        lambda d, i: d["maintenance_epochs"][-1].update(note=""),
+        "trajectory.maintenance_epochs[{last}] has unknown key 'note'; its keys are ['post_hazard', 'time']",
+    ),
 }
 
 
@@ -262,7 +288,8 @@ def test_malformed_row_of_a_long_file(case):
     edit(d, i)
     with pytest.raises(SchemaError) as info:
         trajectory_from_dict(d)
-    assert str(info.value) == message.format(i=i, param=param, form=row["form"], keys=keys)
+    last = len(d["maintenance_epochs"]) - 1
+    assert str(info.value) == message.format(i=i, param=param, form=row["form"], keys=keys, last=last)
 
 
 def test_integers_load_as_their_floats():

@@ -1,9 +1,12 @@
 """JSON schemas: round trips, strictness, hashing, input sniffing."""
 
 import copy
+import gc
 import hashlib
 import json
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,9 +22,11 @@ from riskcheck.hazard import (
     MaintenanceEpoch,
     Power,
 )
-from riskcheck.scenarios import build_trajectory, scenario_catalog
+import riskcheck.serialize
+from riskcheck.scenarios import PeriodicPerfect, Scenario, build_trajectory, scenario_catalog
 from oracles import reference_canonical_json
 from riskcheck.serialize import (
+    _CHUNK_ROWS,
     SchemaError,
     _canonical_trajectory_json,
     json_text,
@@ -33,7 +38,7 @@ from riskcheck.serialize import (
     trajectory_to_dict,
 )
 from test_golden import GROWTHS, POLICIES, THRESHOLD_SUMMED_EPOCHS, ZERO_GROWTHS, matrix_scenario
-from trajgen import random_valid_trajectory
+from trajgen import interleaved_trajectory, random_valid_trajectory
 
 MIXED = HazardTrajectory(
     (
@@ -144,6 +149,10 @@ def one_segment(start, form, epochs=()):
     return HazardTrajectory((HazardSegment(start, form),), epochs)
 
 
+# Row counts on both sides of each seam between the pieces the hash is fed.
+SEAM_COUNTS = (0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1)
+
+
 class TestCanonicalJson:
     """The hash's text, joined from per-form pieces and one text per distinct
     number, is the JSON the dict tree dumps to
@@ -189,6 +198,33 @@ class TestCanonicalJson:
 
     def test_every_form_class(self):
         self.check(MIXED)
+
+    @pytest.mark.parametrize("n_epochs", SEAM_COUNTS)
+    @pytest.mark.parametrize("n_segments", SEAM_COUNTS)
+    def test_chunk_seams_change_no_byte(self, n_segments, n_epochs):
+        self.check(interleaved_trajectory(n_segments, n_epochs))
+
+    def test_the_hash_is_fed_pieces(self, monkeypatch):
+        """sha256 is fed the canonical JSON in pieces far smaller than the
+        whole."""
+        traj = build_trajectory(Scenario("perfect", Linear(0.1, 0.05), PeriodicPerfect(0.1), 1000.0))
+        assert len(traj._table[0]) == 10_001
+        fed = []
+
+        class Recorder:
+            def update(self, data):
+                fed.append(bytes(data))
+
+            def hexdigest(self):
+                return hashlib.sha256(b"".join(fed)).hexdigest()
+
+        monkeypatch.setattr(riskcheck.serialize, "hashlib", SimpleNamespace(sha256=Recorder))
+        digest = trajectory_hash(traj)
+        monkeypatch.undo()
+        text = _canonical_trajectory_json(traj).encode()
+        assert b"".join(fed) == text
+        assert digest == hashlib.sha256(text).hexdigest() == trajectory_hash(traj)
+        assert max(map(len, fed)) <= len(text) / 10
 
 
 # The catalog, then every policy with every growth law of the golden matrix,
@@ -381,6 +417,48 @@ MESSAGES = {
         _second(params={"level": 10**340}),
         "trajectory.segments[1].params.level must be finite",
     ),
+    # unknown keys, which loaded before as if absent
+    "top-level-unknown-key": (
+        lambda d: d.__setitem__("maintenance_epoch", d.pop("maintenance_epochs")),
+        "trajectory has unknown key 'maintenance_epoch'; "
+        "its keys are ['maintenance_epochs', 'schema_version', 'segments']",
+    ),
+    "segment-unknown-key": (
+        _second(note="repaired"),
+        "trajectory.segments[1] has unknown key 'note'; its keys are ['form', 'params', 'start']",
+    ),
+    "segment-misspelt-key": (
+        lambda d: d["segments"][1].__setitem__("strat", d["segments"][1].pop("start")),
+        "trajectory.segments[1] has unknown key 'strat'; its keys are ['form', 'params', 'start']",
+    ),
+    "epoch-unknown-key": (
+        _epoch(kind="perfect"),
+        "trajectory.maintenance_epochs[0] has unknown key 'kind'; its keys are ['post_hazard', 'time']",
+    ),
+    "unknown-key-after-schema-version": (
+        lambda d: d.update(schema_version=2, extra=1),
+        "trajectory.schema_version must be 1",
+    ),
+}
+
+# case -> (edit of a catalog scenario's dict, the SchemaError message)
+SCENARIO_KEY_MESSAGES = {
+    "top-level": (
+        lambda d: d.update(seed=7),
+        "scenario has unknown key 'seed'; its keys are ['horizon', 'label', 'model', 'policy', 'schema_version']",
+    ),
+    "model": (
+        lambda d: d["model"].update(h1=0.2),
+        "scenario.model has unknown key 'h1'; its keys are ['growth', 'h0']",
+    ),
+    "growth": (
+        lambda d: d["model"]["growth"].update(kind="linear"),
+        "scenario.model.growth has unknown key 'kind'; its keys are ['form', 'params']",
+    ),
+    "policy": (
+        lambda d: d["policy"].update(form="periodic_perfect"),
+        "scenario.policy has unknown key 'form'; its keys are ['kind', 'params']",
+    ),
 }
 
 
@@ -426,6 +504,14 @@ class TestSchemaErrorMessages:
     def test_growth_message(self, growth, message):
         d = scenario_to_dict(scenario_catalog()[0])
         d["model"]["growth"] = growth
+        with pytest.raises(SchemaError) as info:
+            scenario_from_dict(d)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("edit, message", SCENARIO_KEY_MESSAGES.values(), ids=SCENARIO_KEY_MESSAGES.keys())
+    def test_scenario_unknown_key(self, edit, message):
+        d = scenario_to_dict(scenario_catalog()[0])
+        edit(d)
         with pytest.raises(SchemaError) as info:
             scenario_from_dict(d)
         assert str(info.value) == message
@@ -485,3 +571,25 @@ class TestLoadInput:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SchemaError, match="cannot read"):
             load_input(tmp_path / "absent.json")
+
+    def test_holds_one_copy_of_the_file(self, tmp_path):
+        # No more than a parse of the text alone: the bytes are dropped once
+        # decoded and the text once parsed.  The slack, 1% of the file, is
+        # for the few small objects of the call itself.
+        path = tmp_path / "long.json"
+        traj = build_trajectory(Scenario("perfect", Linear(0.1, 0.05), PeriodicPerfect(0.1), 400.0))
+        path.write_text(json.dumps(trajectory_to_dict(traj)), encoding="utf-8")
+        assert len(traj._table[0]) == 4001
+
+        def traced_peak(load):
+            load()  # once untraced, so that what a first call caches is not counted
+            gc.collect()
+            tracemalloc.start()
+            try:
+                load()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        parsed_text = traced_peak(lambda: trajectory_from_dict(json.loads(path.read_text(encoding="utf-8"))))
+        assert traced_peak(lambda: load_input(path)) <= parsed_text + path.stat().st_size / 100

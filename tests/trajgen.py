@@ -8,7 +8,8 @@ drop, upward shock, continuous form change) and all four segment forms;
 strictly grows and every boundary is a declared epoch, which leaves room
 to inject one targeted violation without disturbing its neighbours.
 ``break_structure`` makes a candidate that is not a trajectory at all, one
-``TrajectoryStructureError`` per break class.
+``TrajectoryStructureError`` per break class.  ``interleaved_trajectory``
+has any number of segments, of the four forms in turn, and of epochs.
 """
 
 from __future__ import annotations
@@ -274,3 +275,21 @@ def break_structure(traj: HazardTrajectory, kind: str, rng: np.random.Generator)
     else:
         raise ValueError(f"unknown structure break {kind!r}")
     return HazardTrajectory(tuple(segments), tuple(epochs))
+
+
+_IN_TURN = (
+    Constant,
+    lambda x: Linear(x, x / 8),
+    lambda x: Power(x, x / 4, 1.5),
+    lambda x: ExponentialGrowth(x, x / 16),
+)
+
+
+def interleaved_trajectory(n_segments: int, n_epochs: int) -> HazardTrajectory:
+    """``n_segments`` segments whose forms take the four classes in turn, so
+    that each class's rows lie between the others', and ``n_epochs`` epochs.
+    Numbers change from row to row and recur between segments and epochs.
+    Loadable, but in general not a valid trajectory."""
+    segments = tuple(HazardSegment(i / 2, _IN_TURN[i % 4](0.1 + i / 1000)) for i in range(n_segments))
+    epochs = tuple(MaintenanceEpoch((i + 1) / 2, 0.1 + i / 1000) for i in range(n_epochs))
+    return HazardTrajectory(segments, epochs)
