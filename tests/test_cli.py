@@ -1119,11 +1119,16 @@ class TestValidInput:
 UNUSED_NUMPY = ("numpy.random", "numpy.polynomial")
 
 
-def loaded_after(code: str) -> list[str]:
-    """Which of UNUSED_NUMPY a fresh interpreter has loaded after ``code``
+# What the standard hash module loads: riskcheck hashes with CPython's own
+# SHA-256, so no command loads OpenSSL's libcrypto.
+HASHLIB = ("hashlib", "_hashlib")
+
+
+def loaded_after(code: str, modules: tuple[str, ...]) -> list[str]:
+    """Which of ``modules`` a fresh interpreter has loaded after ``code``
     (the last line of its stdout)."""
     result = subprocess.run(
-        [sys.executable, "-c", f"{code}\nimport sys\nprint([m for m in {UNUSED_NUMPY!r} if m in sys.modules])"],
+        [sys.executable, "-c", f"{code}\nimport sys\nprint([m for m in {modules!r} if m in sys.modules])"],
         capture_output=True,
         text=True,
         check=True,
@@ -1150,8 +1155,8 @@ class TestImportFootprint:
         # numpy 2 loads numpy.random and numpy.polynomial lazily, on first
         # use, and riskcheck uses neither, so no command pays for them;
         # numpy < 2 imports both itself, hence the plain ``import numpy``
-        loaded = loaded_after("import riskcheck.cli")
-        assert loaded == loaded_after("import numpy")
+        loaded = loaded_after("import riskcheck.cli", UNUSED_NUMPY)
+        assert loaded == loaded_after("import numpy", UNUSED_NUMPY)
         if int(np.__version__.split(".")[0]) >= 2:
             assert loaded == []
 
@@ -1164,8 +1169,22 @@ class TestImportFootprint:
             f"assert main(['sample', *{argv!r}]) == 0\n"
             f"assert main(['distance', *{argv!r}]) == 0"
         )
-        assert loaded_after(code) == loaded_after("import numpy")
+        assert loaded_after(code, UNUSED_NUMPY) == loaded_after("import numpy", UNUSED_NUMPY)
         assert (tmp_path / "samples.csv").exists() and (tmp_path / "distance.json").exists()
+
+    def test_cli_does_not_import_hashlib(self):
+        assert loaded_after("import riskcheck.cli", HASHLIB) == []
+
+    def test_hashing_commands_load_no_hashlib(self, scenario_file, tmp_path):
+        # each of these stamps its result with a trajectory hash, and distance
+        # its grid with a grid hash
+        common = ["--input", str(scenario_file), "--out", str(tmp_path)]
+        commands = [["bound-check"], ["sample", "--n", "50"], ["compare"], ["distance", "--n", "50"]]
+        code = "from riskcheck.cli import main\n" + "".join(
+            f"assert main([*{command!r}, *{common!r}]) == 0\n" for command in commands
+        )
+        assert loaded_after(code, HASHLIB) == []
+        assert json.loads((tmp_path / "distance.json").read_text())["grid_hash"]
 
     def test_a_plain_command_loads_no_argparse(self, scenario_file, tmp_path):
         # argparse and the gettext it uses for every message cost a few ms of

@@ -5,8 +5,10 @@ import gc
 import hashlib
 import json
 import math
+import pickle
+import subprocess
+import sys
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from riskcheck.serialize import (
     _CHUNK_ROWS,
     SchemaError,
     _canonical_trajectory_json,
+    grid_hash,
     json_text,
     load_input,
     scenario_from_dict,
@@ -149,6 +152,9 @@ def one_segment(start, form, epochs=()):
     return HazardTrajectory((HazardSegment(start, form),), epochs)
 
 
+# 10,001 segments: its canonical JSON is about a megabyte.
+LONG_SAWTOOTH = Scenario("perfect", Linear(0.1, 0.05), PeriodicPerfect(0.1), 1000.0)
+
 # Row counts on both sides of each seam between the pieces the hash is fed.
 SEAM_COUNTS = (0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1)
 
@@ -207,7 +213,7 @@ class TestCanonicalJson:
     def test_the_hash_is_fed_pieces(self, monkeypatch):
         """sha256 is fed the canonical JSON in pieces far smaller than the
         whole."""
-        traj = build_trajectory(Scenario("perfect", Linear(0.1, 0.05), PeriodicPerfect(0.1), 1000.0))
+        traj = build_trajectory(LONG_SAWTOOTH)
         assert len(traj._table[0]) == 10_001
         fed = []
 
@@ -218,13 +224,55 @@ class TestCanonicalJson:
             def hexdigest(self):
                 return hashlib.sha256(b"".join(fed)).hexdigest()
 
-        monkeypatch.setattr(riskcheck.serialize, "hashlib", SimpleNamespace(sha256=Recorder))
+        monkeypatch.setattr(riskcheck.serialize, "sha256", Recorder)
         digest = trajectory_hash(traj)
         monkeypatch.undo()
         text = _canonical_trajectory_json(traj).encode()
         assert b"".join(fed) == text
         assert digest == hashlib.sha256(text).hexdigest() == trajectory_hash(traj)
         assert max(map(len, fed)) <= len(text) / 10
+
+
+# Hashes the pickled (trajectories, grids) on stdin with CPython's own
+# SHA-256 modules hidden, as in a build without them.
+HIDDEN_BUILTIN_HASHES = """
+import hashlib, json, pickle, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+import riskcheck.serialize as serialize
+assert serialize.sha256 is hashlib.sha256, serialize.sha256
+trajectories, grids = pickle.load(sys.stdin.buffer)
+print(json.dumps({
+    "trajectories": {name: serialize.trajectory_hash(traj) for name, traj in trajectories.items()},
+    "grids": [serialize.grid_hash(grid) for grid in grids],
+}))
+"""
+
+
+class TestHashFallback:
+    """Without CPython's own SHA-256, riskcheck hashes with hashlib's; both
+    give hashlib's digest of the canonical text."""
+
+    def test_the_fallback_gives_the_same_digests(self):
+        trajectories = {scenario.label: build_trajectory(scenario) for scenario in scenario_catalog()}
+        trajectories["long-sawtooth"] = build_trajectory(LONG_SAWTOOTH)
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            trajectories[f"generated-{seed}"] = random_valid_trajectory(rng, max_segments=12)
+        trajectories["interleaved"] = interleaved_trajectory(2 * _CHUNK_ROWS + 1, _CHUNK_ROWS)
+        grids = [[0.0], [0.0, 0.5, 1e-300, 7.25], np.linspace(0.0, 50.0, 64)]
+        result = subprocess.run(
+            [sys.executable, "-c", HIDDEN_BUILTIN_HASHES],
+            input=pickle.dumps((trajectories, grids)),
+            capture_output=True,
+            check=True,
+        )
+        fallback = json.loads(result.stdout)
+        for name, traj in trajectories.items():
+            expected = hashlib.sha256(_canonical_trajectory_json(traj).encode()).hexdigest()
+            assert trajectory_hash(traj) == fallback["trajectories"][name] == expected, name
+        for grid, hidden in zip(grids, fallback["grids"]):
+            payload = json.dumps({"grid": [float(t) for t in grid]}, sort_keys=True, separators=(",", ":"))
+            assert grid_hash(grid) == hidden == hashlib.sha256(payload.encode()).hexdigest()
 
 
 # The catalog, then every policy with every growth law of the golden matrix,
