@@ -9,12 +9,14 @@ Exit codes: 0 success, 2 schema/structure error, unwritable output (an
 artifact or stdout) or a size too large to allocate, 3 principle
 violation, 4 ordering violation (bound-check).  All outputs are
 deterministic for a fixed (input, config); the sampling seed is ``--seed``
-or, without it, DEFAULT_SEED.
+or, without it, DEFAULT_SEED.  :func:`run` pauses Python's cyclic garbage
+collector, process-wide, while a command runs, and restores its state after.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -269,7 +271,19 @@ def _execute(config: RunConfig) -> int:
 def run(config: RunConfig) -> int:
     """Execute one command; returns the process exit code.  What the command
     printed is flushed here, so that a stdout that cannot be written exits 2
-    like any other unwritable output, not at interpreter exit."""
+    like any other unwritable output, not at interpreter exit.
+
+    The command runs with the cyclic garbage collector paused, and the
+    collector's prior state is restored however it ends.  riskcheck makes
+    no reference cycles, so a collection during a command would walk the
+    objects of a load (a dict per row of its parse tree, a form per
+    segment) and free next to nothing: reference counting frees them.
+    What is left, a few dozen objects per call of json's indenting
+    encoder, waits for the next collection.  The pause is process-wide:
+    other threads' collections wait for the command too.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         code = _execute(config)
         _say(end="", flush=True)
@@ -280,6 +294,9 @@ def run(config: RunConfig) -> int:
         # what is still buffered; a None stdout it skips, and print ignores.
         sys.stdout = None
         return EXIT_SCHEMA
+    finally:
+        if collecting:
+            gc.enable()
 
 
 # Each option's add_argument keywords, whose `type` and `dest` the plain

@@ -50,7 +50,9 @@ and equal but distinct objects each compile their own.
 All types are immutable after construction and all operations are pure, so
 everything here is safe to share across threads; every memo is derived
 from immutable fields, so two threads racing on the first read at most
-compute the same value twice.
+compute the same value twice.  The four forms, ``HazardSegment`` and
+``MaintenanceEpoch`` are frozen, slotted dataclasses: a long trajectory
+holds one per row, each with its fields in slots and no ``__dict__``.
 """
 
 from __future__ import annotations
@@ -257,7 +259,7 @@ def _as_floats(obj, *names: str) -> None:
             object.__setattr__(obj, name, float(value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constant:
     """Flat hazard ``level``."""
 
@@ -285,7 +287,7 @@ class Constant:
         return 0.0 if level == self.level else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Linear:
     """Hazard ``intercept + slope * u``."""
 
@@ -327,7 +329,7 @@ class Linear:
         return _elapsed((level - self.intercept) / self.slope)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Power:
     """Hazard ``base + coefficient * u**exponent``."""
 
@@ -411,7 +413,7 @@ class Power:
         return _elapsed(u) if u > 0.0 or self.exponent > 0.0 else None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExponentialGrowth:
     """Hazard ``base * exp(growth * u)``."""
 
@@ -551,8 +553,8 @@ def _or_scalar(kernel, result, term, u, base, coefficient, exponent) -> np.ndarr
 SEGMENT_FORMS = (Constant, Linear, Power, ExponentialGrowth)
 SegmentForm = Union[SEGMENT_FORMS]
 
-# Parameter names of each form.  Read with getattr, not vars(): asking for an
-# instance's __dict__ makes every later attribute read on it slower.
+# Parameter names of each form, read with getattr: a form is slotted and has
+# no __dict__.
 _PARAMS = {cls: tuple(f.name for f in fields(cls)) for cls in SEGMENT_FORMS}
 
 
@@ -561,7 +563,7 @@ _PARAMS = {cls: tuple(f.name for f in fields(cls)) for cls in SEGMENT_FORMS}
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HazardSegment:
     """One piece of the trajectory, valid from ``start_time`` until the next
     segment begins (the last segment extends to infinity)."""
@@ -574,7 +576,7 @@ class HazardSegment:
             _as_floats(self, "start_time")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaintenanceEpoch:
     """Declared restorative action: the hazard drops to ``post_hazard`` at
     ``time``, which must coincide with a segment boundary."""

@@ -19,6 +19,15 @@ included) but does not run the principle validator — the CLI's
 ``validate`` command needs to load rule-breaking trajectories in order to
 report on them.
 
+:func:`load_input` reads a file's top-level object one member at a time,
+each value parsed by json's own scanner, with json's errors.  A top-level
+array (``segments``, ``maintenance_epochs``) is loaded into row-table
+columns before the next member is read, so its parse tree is freed, and
+the text is dropped when the object closes: a load peaks at the text and
+one top-level array's parse tree, not the whole file's.  A top-level key
+given twice is a SchemaError; a key repeated inside a nested object keeps
+json's last value.
+
 Every artifact file is written here, by :func:`write_artifact`: LF line
 ends, lines written as they come.  :func:`json_text` is the one JSON
 layout, sorted keys and a two-space indent, for files and for ``validate``;
@@ -31,18 +40,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain, compress, islice, repeat
 from operator import attrgetter, eq, itemgetter
 from pathlib import Path
 
-from .hazard import (
-    _PARAMS,
-    SEGMENT_FORMS,
-    HazardSegment,
-    HazardTrajectory,
-    MaintenanceEpoch,
-)
+from .hazard import _PARAMS, SEGMENT_FORMS, HazardTrajectory
 from .scenarios import GROWTH_FORMS, MAINTENANCE_POLICIES, MaintenancePolicy, Scenario
 
 # CPython's own SHA-256 (``_sha2`` from 3.12, ``_sha256`` before), taken
@@ -236,56 +240,80 @@ def _forms(name: str, params: list) -> map:
     return map(cls, *(_finite_floats(map(itemgetter(f), params)) for f in fields))
 
 
-def _table_from_json(raw_segments: list, raw_epochs) -> tuple:
-    """The row table of parsed segment and epoch arrays whose every field
-    passes its checks, built a column at a time; else _Irregular."""
-    rows_are_objects = type(raw_epochs) is list and set(map(type, raw_epochs)) <= {dict}
-    if not (rows_are_objects and set(map(type, raw_segments)) == {dict}):
-        raise _Irregular
+def _segment_columns(raw):
+    """A parsed segments array as its columns (starts, forms), built a
+    column at a time, if every field passes its check; else ``raw`` itself,
+    for the row-by-row loader.  JSON parses to no tuple, so a tuple is
+    columns already loaded, and is returned as it is."""
+    if type(raw) is not list or set(map(type, raw)) != {dict}:
+        return raw
     try:
-        starts = _finite_floats(map(itemgetter("start"), raw_segments))
-        names = tuple(map(itemgetter("form"), raw_segments))
-        params = tuple(map(itemgetter("params"), raw_segments))
-        times = _finite_floats(map(itemgetter("time"), raw_epochs))
-        post_hazards = _finite_floats(map(itemgetter("post_hazard"), raw_epochs))
+        starts = _finite_floats(map(itemgetter("start"), raw))
+        names = tuple(map(itemgetter("form"), raw))
+        params = tuple(map(itemgetter("params"), raw))
         # with every key present, a row with as many keys has no other
-        key_counts = set(map(len, raw_segments)) == {len(_SEGMENT_KEYS)}
-        key_counts = key_counts and set(map(len, raw_epochs)) <= {len(_EPOCH_KEYS)}
-        if not (key_counts and set(names) <= _FORM_NAMES and set(map(type, params)) == {dict}):
-            raise _Irregular
-        forms = tuple(_by_class(names, _forms, params))
-    except (KeyError, TypeError, OverflowError):  # a key missing, a name unhashable
-        raise _Irregular from None
-    return starts, forms, times, post_hazards
+        if not (
+            set(map(len, raw)) == {len(_SEGMENT_KEYS)}
+            and set(names) <= _FORM_NAMES
+            and set(map(type, params)) == {dict}
+        ):
+            return raw
+        return starts, tuple(_by_class(names, _forms, params))
+    except (_Irregular, KeyError, TypeError, OverflowError):  # a key missing, a name unhashable
+        return raw
+
+
+def _epoch_columns(raw):
+    """A parsed epochs array as its columns (times, post-hazards), as
+    :func:`_segment_columns` loads segments."""
+    rows_are_objects = type(raw) is list and set(map(type, raw)) <= {dict}
+    if not (rows_are_objects and set(map(len, raw)) <= {len(_EPOCH_KEYS)}):
+        return raw
+    try:
+        times = _finite_floats(map(itemgetter("time"), raw))
+        return times, _finite_floats(map(itemgetter("post_hazard"), raw))
+    except (_Irregular, KeyError, OverflowError):
+        return raw
+
+
+# The top-level arrays loaded as columns as soon as they are parsed.
+_COLUMN_LOADERS = {"segments": _segment_columns, "maintenance_epochs": _epoch_columns}
+
+
+def _segment_rows(raw: list) -> tuple:
+    """(starts, forms) of a segments array, row by row: a SchemaError names
+    the first field that is wrong."""
+    starts, forms = [], []
+    for i, row in enumerate(raw):
+        where = f"trajectory.segments[{i}]"
+        seg = _mapping(row, where, _SEGMENT_KEYS)
+        starts.append(_number(seg.get("start"), f"{where}.start"))
+        forms.append(_tagged(seg, where, "form", _FORMS, keys=_SEGMENT_KEYS))
+    return tuple(starts), tuple(forms)
+
+
+def _epoch_rows(raw: list) -> tuple:
+    """(times, post-hazards) of an epochs array, row by row."""
+    times, post_hazards = [], []
+    for i, row in enumerate(raw):
+        where = f"trajectory.maintenance_epochs[{i}]"
+        e = _mapping(row, where, _EPOCH_KEYS)
+        times.append(_number(e.get("time"), f"{where}.time"))
+        post_hazards.append(_number(e.get("post_hazard"), f"{where}.post_hazard"))
+    return tuple(times), tuple(post_hazards)
 
 
 def trajectory_from_dict(d) -> HazardTrajectory:
     d = _top_level(d, "trajectory", _TRAJECTORY_KEYS)
-    raw_segments = d.get("segments")
-    _require(isinstance(raw_segments, list) and raw_segments, "trajectory.segments must be a nonempty array")
-    try:
-        return HazardTrajectory._from_table(_table_from_json(raw_segments, d.get("maintenance_epochs", [])))
-    except _Irregular:  # a check fails: row by row, to name it
-        pass
-    segments = []
-    for i, raw in enumerate(raw_segments):
-        where = f"trajectory.segments[{i}]"
-        seg = _mapping(raw, where, _SEGMENT_KEYS)
-        start = _number(seg.get("start"), f"{where}.start")
-        segments.append(HazardSegment(start, _tagged(seg, where, "form", _FORMS, keys=_SEGMENT_KEYS)))
-    raw_epochs = d.get("maintenance_epochs", [])
-    _require(isinstance(raw_epochs, list), "trajectory.maintenance_epochs must be an array")
-    epochs = []
-    for i, raw in enumerate(raw_epochs):
-        where = f"trajectory.maintenance_epochs[{i}]"
-        e = _mapping(raw, where, _EPOCH_KEYS)
-        epochs.append(
-            MaintenanceEpoch(
-                _number(e.get("time"), f"{where}.time"),
-                _number(e.get("post_hazard"), f"{where}.post_hazard"),
-            )
-        )
-    return HazardTrajectory(tuple(segments), tuple(epochs))
+    segments = _segment_columns(d.get("segments"))
+    if type(segments) is not tuple:  # a check fails: row by row, to name it
+        _require(isinstance(segments, list) and segments, "trajectory.segments must be a nonempty array")
+        segments = _segment_rows(segments)
+    epochs = _epoch_columns(d.get("maintenance_epochs", []))
+    if type(epochs) is not tuple:
+        _require(isinstance(epochs, list), "trajectory.maintenance_epochs must be an array")
+        epochs = _epoch_rows(epochs)
+    return HazardTrajectory._from_table(segments + epochs)
 
 
 # -- scenarios ---------------------------------------------------------------
@@ -319,6 +347,79 @@ def scenario_from_dict(d) -> Scenario:
 # -- files and hashing --------------------------------------------------------
 
 
+_DECODER = json.JSONDecoder()
+_space = json.decoder.WHITESPACE.match
+# Python 3.13's json names a comma before "}" on its own.
+_TRAILING_COMMA = sys.version_info >= (3, 13)
+
+
+def _members(text: str, end: int, path: Path) -> tuple[dict, int, str | None]:
+    """The members of the object whose "{" ends at ``end`` in ``text``, the
+    index past its "}", and its last key (None if it has none).
+
+    The object is read as json.decoder.JSONObject reads it, with json's
+    messages and positions, and each value is parsed by json's own
+    scanner.  A member that _COLUMN_LOADERS names is loaded as soon as the
+    next member begins, so its parse tree is freed before that member is
+    read; the last member is left for the caller.  A key given twice is a
+    SchemaError.  Each value is parsed a level shallower than within
+    json.loads, so one nested just past json's recursion limit parses here
+    and is refused by the schema instead.
+    """
+    members, key = {}, None
+    end = _space(text, end).end()
+    if text.startswith("}", end):
+        return members, end + 1, key
+    while True:
+        if not text.startswith('"', end):
+            raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, end)
+        key, end = _DECODER.raw_decode(text, end)
+        _require(key not in members, f"{path} has the top-level key {key!r} twice")
+        end = _space(text, end).end()
+        if not text.startswith(":", end):
+            raise json.JSONDecodeError("Expecting ':' delimiter", text, end)
+        members[key], end = _DECODER.raw_decode(text, _space(text, end + 1).end())
+        end = _space(text, end).end()
+        if text.startswith("}", end):
+            return members, end + 1, key
+        if not text.startswith(",", end):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, end)
+        comma, end = end, _space(text, end + 1).end()
+        if _TRAILING_COMMA and text.startswith("}", end):
+            raise json.JSONDecodeError("Illegal trailing comma before end of object", text, comma)
+        if key in _COLUMN_LOADERS:
+            members[key] = _COLUMN_LOADERS[key](members[key])
+
+
+def _read_json(path: Path):
+    """What ``json.loads`` gives for the UTF-8 text of the file ``path``,
+    whatever the locale, with the same errors, except that a top-level key
+    given twice is a SchemaError and a top-level array that passes the
+    column checks is given as its columns.
+
+    A top-level object is read a member at a time (:func:`_members`).  Each
+    copy of the file is dropped as soon as the next is made: the bytes once
+    decoded, each top-level array's parse tree once it is loaded as
+    columns, and the text once the object closes, before its last member
+    is loaded.
+    """
+    text = path.read_bytes().decode("utf-8")
+    if text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    end = _space(text).end()
+    if text.startswith("{", end):
+        value, end, last = _members(text, end + 1, path)
+    else:
+        (value, end), last = _DECODER.raw_decode(text, end), None
+    end = _space(text, end).end()
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    del text
+    if last in _COLUMN_LOADERS:
+        value[last] = _COLUMN_LOADERS[last](value[last])
+    return value
+
+
 def load_input(path: str | Path) -> tuple[str, HazardTrajectory | Scenario]:
     """Load a trajectory or scenario JSON file, sniffed by its keys.
 
@@ -326,14 +427,11 @@ def load_input(path: str | Path) -> tuple[str, HazardTrajectory | Scenario]:
     """
     path = Path(path)
     try:
-        data = path.read_bytes()
+        d = _read_json(path)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
-    try:  # UTF-8 whatever the locale; a BOM is left in, for json to refuse
-        # Each copy of the file is dropped as soon as the next is made, so
-        # the load holds one: the bytes, then the text, then the parse tree.
-        text, data = data.decode("utf-8"), None
-        d, text = json.loads(text), None
+    except SchemaError:  # a top-level key given twice
+        raise
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, too deep, too many digits
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
     if isinstance(d, dict) and "segments" in d:

@@ -15,8 +15,10 @@ of the seed's Philox stream reached on its own, then a batch of one of the
 array inverse) that every lane of a batch must equal; the principle
 validator that called ``value`` at every boundary (but decides principle 3
 by parameter signs, not by the library's rule); the canonical
-trajectory JSON built as a dict tree and dumped by ``json``; and the
-default time grid, ``np.geomspace``'s steps written out in scalar ``math``.
+trajectory JSON built as a dict tree and dumped by ``json``; the
+default time grid, ``np.geomspace``'s steps written out in scalar ``math``;
+and the input loader that parsed a whole file with ``json.loads`` before
+reading its schema.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import itertools
 import json
 import math
 from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 from scipy import integrate, stats
@@ -48,7 +51,7 @@ from riskcheck.hazard import (
 )
 from riskcheck.poisson import DiscretizedFailureProcess, poisson_binomial_pmf
 from riskcheck.sampling import _exponentials
-from riskcheck.serialize import trajectory_to_dict
+from riskcheck.serialize import SchemaError, scenario_from_dict, trajectory_from_dict, trajectory_to_dict
 
 QUAD_REL_TOL = 1e-10
 
@@ -401,6 +404,27 @@ def reference_canonical_json(traj: HazardTrajectory) -> str:
     """The canonical trajectory JSON as the library first built it: the
     whole ``trajectory_to_dict`` tree, dumped with sorted keys."""
     return json.dumps(trajectory_to_dict(traj), sort_keys=True, separators=(",", ":"))
+
+
+def reference_load_input(path) -> tuple[str, object]:
+    """``load_input`` as the library first wrote it: the whole file through
+    ``json.loads``, then the schema.  A top-level key given twice keeps its
+    last value here."""
+    path = Path(path)
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc}") from exc
+    try:  # UTF-8 whatever the locale; a BOM is left in, for json to refuse
+        text, data = data.decode("utf-8"), None
+        d, text = json.loads(text), None
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, too deep, too many digits
+        raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+    if isinstance(d, dict) and "segments" in d:
+        return "trajectory", trajectory_from_dict(d)
+    if isinstance(d, dict) and "model" in d:
+        return "scenario", scenario_from_dict(d)
+    raise SchemaError(f"{path} is neither a trajectory (segments) nor a scenario (model)")
 
 
 def reference_time_grid(t_max: float, count: int) -> tuple[float, ...]:

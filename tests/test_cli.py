@@ -5,6 +5,7 @@ import ast
 import contextlib
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -735,6 +736,95 @@ class TestUnknownKeys:
             "error: trajectory has unknown key 'maintenance_epoch'; "
             "its keys are ['maintenance_epochs', 'schema_version', 'segments']\n"
         )
+
+
+# Two "segments" arrays: json keeps the last, whose level is 2.
+TWO_SEGMENT_ARRAYS = (
+    '{"schema_version": 1,'
+    ' "segments": [{"start": 0.0, "form": "constant", "params": {"level": 1.0}}],'
+    ' "segments": [{"start": 0.0, "form": "constant", "params": {"level": 2.0}}]}'
+)
+
+
+class TestDuplicateTopLevelKey:
+    """A top-level key given twice exits 2 on every command, with one line
+    that names the key, and no artifact: no value is silently dropped."""
+
+    @pytest.mark.parametrize("command", TestMalformedInput.INPUT_COMMANDS)
+    def test_exits_two_and_writes_nothing(self, tmp_path, capsys, command):
+        path = tmp_path / "twice.json"
+        path.write_text(TWO_SEGMENT_ARRAYS, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main([command, "--input", str(path), "--out", str(out)]) == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path} has the top-level key 'segments' twice\n"
+        assert not out.exists()
+
+    def test_in_a_child(self, tmp_path):
+        path = tmp_path / "twice.json"
+        path.write_text(TWO_SEGMENT_ARRAYS.replace('"segments"', '"maintenance_epochs": [], "segments"', 1))
+        result = run_module(path, tmp_path, "validate")
+        assert (result.returncode, result.stdout) == (EXIT_SCHEMA, "")
+        assert result.stderr == f"error: {path} has the top-level key 'segments' twice\n"
+
+
+class TestCollectorPaused:
+    """``run`` pauses the cyclic garbage collector while a command runs and
+    leaves it as it found it, on every exit."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "command, fixture, code",
+        [
+            ("validate", "valid_file", EXIT_OK),
+            ("eval", None, EXIT_SCHEMA),  # no such input
+            ("validate", "invalid_file", EXIT_PRINCIPLE),
+            ("bound-check", "decreasing_file", EXIT_ORDERING),
+        ],
+    )
+    def test_state_is_restored(self, request, tmp_path, capsys, monkeypatch, enabled, command, fixture, code):
+        path = request.getfixturevalue(fixture) if fixture else tmp_path / "absent.json"
+        execute, during = riskcheck.cli._execute, []
+        monkeypatch.setattr(riskcheck.cli, "_execute", lambda config: during.append(gc.isenabled()) or execute(config))
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main([command, "--input", str(path), "--out", str(tmp_path / "out")]) == code
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert during == [False]
+
+    def test_state_is_restored_when_a_command_raises(self, monkeypatch):
+        def fail(config):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(riskcheck.cli, "_execute", fail)
+        assert gc.isenabled()
+        with pytest.raises(KeyboardInterrupt):
+            run(RunConfig("validate"))
+        assert gc.isenabled()
+
+    def test_no_collection_during_a_long_validate(self, tmp_path, capsys):
+        traj = build_trajectory(Scenario("perfect", Linear(0.1, 0.05), PeriodicPerfect(0.1), 400.0))
+        path = write_json(tmp_path / "long.json", trajectory_to_dict(traj))
+        assert len(traj._table[0]) == 4001
+        started = []
+
+        def count(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        assert gc.isenabled()
+        gc.callbacks.append(count)
+        try:
+            load_input(path)  # outside a command the collector runs
+            collected_outside, started[:] = len(started), []
+            assert main(["validate", "--input", str(path)]) == EXIT_OK
+        finally:
+            gc.callbacks.remove(count)
+        assert collected_outside > 0 and started == []
 
 
 @pytest.fixture

@@ -1,9 +1,11 @@
 """Hazard calculus: evaluation, integration, inversion, recovery, MTTF."""
 
+import copy
 import dataclasses
 import gc
 import inspect
 import math
+import pickle
 import sys
 import warnings
 import weakref
@@ -852,6 +854,52 @@ class TestConstructors:
 
         given_values, floats = ARGUMENTS[kind]
         assert trajectory_hash(trajectory(given_values)) == trajectory_hash(trajectory(floats))
+
+
+class TestSlots:
+    """A form and the two row classes keep their fields in slots, with no
+    ``__dict__``, and still pickle, copy and replace to an equal object
+    with the same hash and repr (on Python 3.10 too, whose frozen, slotted
+    dataclasses pickle through the state methods dataclasses adds)."""
+
+    @staticmethod
+    def instance(cls):
+        names = [f.name for f in dataclasses.fields(cls) if f.name != "form"]
+        return FLOAT_FIELDS[cls]((0.5, 0.25, 2.0)[: len(names)])
+
+    @pytest.mark.parametrize("cls", FLOAT_FIELDS, ids=lambda cls: cls.__name__)
+    def test_no_instance_dict(self, cls):
+        obj = self.instance(cls)
+        fields = tuple(f.name for f in dataclasses.fields(cls))
+        assert cls.__slots__ == fields
+        assert not hasattr(obj, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, fields[0], 1.0)
+        # A name that is not a field has no slot.  dataclasses' frozen
+        # __setattr__ refuses it with a TypeError when the class is slotted
+        # (its super() call names the class before slots were added).
+        with pytest.raises((AttributeError, TypeError)):
+            obj.note = 1.0
+
+    @pytest.mark.parametrize("cls", FLOAT_FIELDS, ids=lambda cls: cls.__name__)
+    def test_round_trips(self, cls):
+        obj = self.instance(cls)
+        first = dataclasses.fields(cls)[0].name
+        twins = [pickle.loads(pickle.dumps(obj, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        twins += [copy.copy(obj), copy.deepcopy(obj), dataclasses.replace(obj)]
+        twins.append(dataclasses.replace(obj, **{first: getattr(obj, first)}))
+        for twin in twins:
+            assert type(twin) is cls and twin is not obj
+            assert twin == obj and hash(twin) == hash(obj) and repr(twin) == repr(obj)
+
+    def test_trajectory_pickles_with_slotted_rows(self):
+        traj = HazardTrajectory(
+            (HazardSegment(0.0, Linear(0.1, 0.05)), HazardSegment(10.0, Constant(0.1))),
+            (MaintenanceEpoch(10.0, 0.1),),
+        )
+        twin = pickle.loads(pickle.dumps(traj))
+        assert twin == traj and hash(twin) == hash(traj) and repr(twin) == repr(traj)
+        assert trajectory_hash(twin) == trajectory_hash(traj)
 
 
 class TestCompiledProfile:

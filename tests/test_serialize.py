@@ -6,9 +6,12 @@ import hashlib
 import json
 import math
 import pickle
+import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,11 +29,12 @@ from riskcheck.hazard import (
 )
 import riskcheck.serialize
 from riskcheck.scenarios import PeriodicPerfect, Scenario, build_trajectory, scenario_catalog
-from oracles import reference_canonical_json
+from oracles import reference_canonical_json, reference_load_input
 from riskcheck.serialize import (
     _CHUNK_ROWS,
     SchemaError,
     _canonical_trajectory_json,
+    dump_json,
     grid_hash,
     json_text,
     load_input,
@@ -590,6 +594,19 @@ class TestSchemaErrorMessages:
         assert type(as_ints.segments[0].start_time) is float
 
 
+def _traced_peak(load) -> int:
+    """The tracemalloc peak of ``load()``, run once untraced first so that
+    what a first call caches is not counted."""
+    load()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        load()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestLoadInput:
     def test_sniffs_trajectory(self, tmp_path):
         path = tmp_path / "traj.json"
@@ -641,3 +658,190 @@ class TestLoadInput:
 
         parsed_text = traced_peak(lambda: trajectory_from_dict(json.loads(path.read_text(encoding="utf-8"))))
         assert traced_peak(lambda: load_input(path)) <= parsed_text + path.stat().st_size / 100
+
+    def test_holds_one_array_at_a_time(self, tmp_path):
+        # As dump_json writes it, keys sorted: the epochs, then the segments.
+        # The epochs' parse tree is freed once they are loaded as columns,
+        # and the text once the object closes, before the segments are
+        # loaded: the load peaks at the text beside the segments' parse tree,
+        # not at the whole file's tree beside the text (0.81 of it when this
+        # test was written).
+        traj = build_trajectory(Scenario("perfect", Linear(0.1, 0.05), PeriodicPerfect(0.1), 400.0))
+        path = dump_json(tmp_path / "long.json", trajectory_to_dict(traj))
+        assert len(traj._table[0]) == 4001
+        parsed_text = _traced_peak(lambda: trajectory_from_dict(json.loads(path.read_text(encoding="utf-8"))))
+        assert _traced_peak(lambda: load_input(path)) <= 0.85 * parsed_text
+
+
+# -- the member-at-a-time load against the whole-file reference --------------
+
+# Top-level key orders besides json's sort_keys.
+KEY_ORDERS = {
+    "as built": lambda keys: keys,
+    "segments first": lambda keys: sorted(keys, key=lambda k: k != "segments"),
+    "reversed": lambda keys: keys[::-1],
+}
+LAYOUTS = st.fixed_dictionaries(
+    {
+        "order": st.sampled_from(["sorted", *KEY_ORDERS]),
+        "indent": st.sampled_from([None, 0, 2, "\t", " \t "]),
+        "separators": st.sampled_from([(", ", ": "), (",", ":"), (" ,\t", " :  ")]),
+        "crlf": st.booleans(),
+    }
+)
+DOCUMENTS = st.one_of(
+    st.integers(0, 2**32 - 1).map(
+        lambda seed: trajectory_to_dict(random_valid_trajectory(np.random.default_rng(seed), max_segments=8))
+    ),
+    st.sampled_from(list(ROUND_TRIP_SCENARIOS.values())).map(scenario_to_dict),
+)
+
+
+def render(document: dict, layout: dict) -> str:
+    """``document`` as JSON text in ``layout``."""
+    if layout["order"] != "sorted":
+        document = {k: document[k] for k in KEY_ORDERS[layout["order"]](list(document))}
+    text = json.dumps(
+        document, indent=layout["indent"], separators=layout["separators"], sort_keys=layout["order"] == "sorted"
+    )
+    return text.replace("\n", "\r\n") if layout["crlf"] else text
+
+
+NUMBER = re.compile(r"-?(?:0|[1-9]\d*)(?:\.\d+)?(?:[eE][-+]?\d+)?")
+NESTED_KEY = re.compile(r'(?<!^)\{(\s*)("[a-z_]+")')
+# What a number of the document is replaced with.
+NUMBER_SWAPS = {
+    "nan": "NaN",
+    "infinity": "-Infinity",
+    "digits-400": "1" + "0" * 399,
+    "digits-5000": "1" + "0" * 4999,
+    "too-deep-array": "[" * 100_000 + "]" * 100_000,
+    "too-deep-object": '{"a":' * 5_000 + "1" + "}" * 5_000,
+    "integer": "2",
+    "boolean": "true",
+    "string": '"0.5"',
+    "null": "null",
+}
+MUTATIONS = [
+    "none", "truncate", "stray", "top-level stray", "top-level deletion", "bom", "trailing",
+    "top-level array", "top-level number", "empty object", "nested duplicate", *NUMBER_SWAPS,
+]  # fmt: skip
+STRAY = st.sampled_from([*',:{}[]" x0-.\t\\\n', "\ufeff"])
+TRAILING = st.sampled_from([" x", "{}", "\r\n\t ", "]", '"', ",", " 0"])
+
+
+def top_level(text: str) -> list[int]:
+    """The indices of ``text`` at its top level, outside strings and nested
+    arrays and objects: the top-level object's braces, its keys' opening
+    quotes, colons, commas, the white space between them and where each
+    member's value starts."""
+    places, depth, in_string, escaped = [], 0, False, False
+    for i, c in enumerate(text):
+        if in_string:
+            in_string, escaped = (escaped or c != '"'), (not escaped and c == "\\")
+            continue
+        if depth <= 1:
+            places.append(i)
+        in_string = c == '"'
+        depth += (c in "{[") - (c in "}]")
+    return places
+
+
+def mutate(text: str, mutation: str, at: int, char: str, trailing: str) -> str:
+    """``text`` with ``mutation`` applied at the place ``at`` picks."""
+    if mutation in ("top-level stray", "top-level deletion"):
+        places = top_level(text)
+        at = places[at % len(places)]
+        return text[:at] + (char if mutation == "top-level stray" else "") + text[at + (mutation != "top-level stray") :]
+    if mutation == "truncate":
+        return text[: at % len(text)]
+    if mutation == "stray":
+        at %= len(text) + 1
+        return text[:at] + char + text[at:]
+    if mutation == "bom":
+        return "\ufeff" + text
+    if mutation == "trailing":
+        return text + trailing
+    if mutation == "top-level array":
+        return "[" + text + "]"
+    if mutation == "top-level number":
+        return " 3.5 "
+    if mutation == "empty object":
+        return "{ }"
+    if mutation == "nested duplicate":
+        # Repeat a key of a nested object first; json keeps the last value.
+        matches = list(NESTED_KEY.finditer(text))
+        match = matches[at % len(matches)]
+        return text[: match.end(1)] + match[2] + ': "first",' + text[match.end(1) :]
+    if mutation in NUMBER_SWAPS:
+        numbers = list(NUMBER.finditer(text))
+        start, end = numbers[at % len(numbers)].span()
+        return text[:start] + NUMBER_SWAPS[mutation] + text[end:]
+    return text
+
+
+def outcome(load, path) -> tuple:
+    """What ``load(path)`` gives: the kind, the object and its hash, or the
+    exception's type and message."""
+    try:
+        kind, obj = load(path)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+    return kind, obj, trajectory_hash(obj) if kind == "trajectory" else None
+
+
+class TestLoadInputAgainstReference:
+    """``load_input`` reads a top-level object a member at a time, and must
+    give what ``oracles.reference_load_input`` gives, which parsed the
+    whole file with ``json.loads``: the same kind and an equal object with
+    the same hash, or the same error, json's message and position
+    included.  A top-level key given twice is the one difference."""
+
+    @given(
+        DOCUMENTS, LAYOUTS, st.sampled_from(MUTATIONS), st.integers(0, 2**20), STRAY, TRAILING
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_same_outcome(self, document, layout, mutation, at, char, trailing):
+        text = mutate(render(document, layout), mutation, at, char, trailing)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.json"
+            path.write_text(text, encoding="utf-8")
+            expected = outcome(reference_load_input, path)
+            assert outcome(load_input, path) == expected
+        if mutation == "none":
+            assert expected[0] in ("trajectory", "scenario")
+
+    @given(DOCUMENTS, LAYOUTS, st.integers(0, 2**20))
+    @settings(max_examples=100, deadline=None)
+    def test_a_top_level_key_given_twice(self, document, layout, at):
+        key = sorted(document)[at % len(document)]
+        text = render(document, layout)
+        text = text.replace("{", "{" + json.dumps(key) + ": 0,", 1)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.json"
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(SchemaError) as caught:
+                load_input(path)
+        assert str(caught.value) == f"{path} has the top-level key {key!r} twice"
+
+    def test_two_segment_arrays(self, tmp_path):
+        # json keeps the last, so the whole-file load took level 2 silently.
+        text = (
+            '{"schema_version": 1,'
+            ' "segments": [{"start": 0.0, "form": "constant", "params": {"level": 1.0}}],'
+            ' "segments": [{"start": 0.0, "form": "constant", "params": {"level": 2.0}}]}'
+        )
+        path = tmp_path / "twice.json"
+        path.write_text(text, encoding="utf-8")
+        assert reference_load_input(path)[1] == one_segment(0.0, Constant(2.0))
+        with pytest.raises(SchemaError, match=r"has the top-level key 'segments' twice$"):
+            load_input(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"a": {"b": 1, "b": 2}, "segments": 3}', '{"segments": [{"start": 0, "start": 1}]}'],
+    )
+    def test_nested_keys_keep_the_last(self, tmp_path, text):
+        path = tmp_path / "nested.json"
+        path.write_text(text, encoding="utf-8")
+        assert outcome(load_input, path) == outcome(reference_load_input, path)
